@@ -62,9 +62,6 @@ from .path_geometry import (
     PathSegment,
     SingularProjection,
     build_path,
-    curvature,
-    frenet_project,
-    pose_at,
     wrap_angle,
 )
 from .simulator import (

@@ -34,12 +34,17 @@ JOINT_HEAD_TOL = 1e-9
 # sub-interval is far below the 1e-10 m position budget.
 _CLOTHOID_NODE_STEP = 0.05
 
-# 5-point Gauss-Legendre abscissae/weights on [-1, 1].
-_GL5_X = np.array(
-    [-0.9061798459386640, -0.5384693101056831, 0.0, 0.5384693101056831, 0.9061798459386640]
-)
-_GL5_W = np.array(
-    [0.2369268850561891, 0.4786286704993665, 0.5688888888888889, 0.4786286704993665, 0.2369268850561891]
+# 5-point Gauss-Legendre (abscissa, weight) pairs on [-1, 1].  The rule is
+# summed, and the nodes are kept, in plain Python floats: numpy scalars and
+# 5-element arrays cost more in call overhead than the arithmetic, and a
+# numpy dot product is a fused multiply-add sum whose last bits depend on
+# the BLAS build.
+_GL5 = (
+    (-0.9061798459386640, 0.2369268850561891),
+    (-0.5384693101056831, 0.4786286704993665),
+    (0.0, 0.5688888888888889),
+    (0.5384693101056831, 0.4786286704993665),
+    (0.9061798459386640, 0.2369268850561891),
 )
 
 
@@ -85,10 +90,6 @@ class FrenetState:
     l: float
     theta_tilde: float
 
-    def normalized_offset(self, radius: float) -> float:
-        """Lateral offset in units of the turning radius."""
-        return self.l / radius
-
 
 @dataclass(frozen=True)
 class PathSegment:
@@ -104,7 +105,7 @@ class PathSegment:
     curvature_start: float
     curvature_end: float
     start_pose: tuple[float, float, float]
-    _node_xy: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _node_xy: tuple[tuple[float, float], ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("line", "arc", "clothoid"):
@@ -152,38 +153,41 @@ class PathSegment:
         n = max(1, math.ceil(self.length / _CLOTHOID_NODE_STEP))
         return self.length / n
 
-    def _integrate_nodes(self) -> np.ndarray:
+    def _integrate_nodes(self) -> tuple[tuple[float, float], ...]:
         """Cumulative clothoid positions at evenly spaced nodes."""
         h = self._node_step()
         n = round(self.length / h)
-        xy = np.empty((n + 1, 2))
-        xy[0] = self.start_pose[:2]
+        x, y = float(self.start_pose[0]), float(self.start_pose[1])
+        nodes = [(x, y)]
         for k in range(n):
             dx, dy = self._gl5(k * h, (k + 1) * h)
-            xy[k + 1, 0] = xy[k, 0] + dx
-            xy[k + 1, 1] = xy[k, 1] + dy
-        return xy
+            x, y = x + dx, y + dy
+            nodes.append((x, y))
+        return tuple(nodes)
 
     def _gl5(self, a: float, b: float) -> tuple[float, float]:
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        u = mid + half * _GL5_X
-        th = (
-            self.start_pose[2]
-            + self.curvature_start * u
-            + (self.curvature_end - self.curvature_start) * u * u / (2.0 * self.length)
-        )
-        return half * float(np.dot(_GL5_W, np.cos(th))), half * float(np.dot(_GL5_W, np.sin(th)))
+        th0, c0 = self.start_pose[2], self.curvature_start
+        dc = self.curvature_end - c0
+        two_len = 2.0 * self.length
+        sx = sy = 0.0
+        for xk, wk in _GL5:
+            u = mid + half * xk
+            th = th0 + c0 * u + dc * u * u / two_len
+            sx += wk * math.cos(th)
+            sy += wk * math.sin(th)
+        return half * sx, half * sy
 
     def _clothoid_point(self, u: float) -> tuple[float, float]:
         h = self._node_step()
-        k = min(int(u / h), self._node_xy.shape[0] - 1)
+        k = min(int(u / h), len(self._node_xy) - 1)
         x, y = self._node_xy[k]
         a = k * h
         if u > a:
             dx, dy = self._gl5(a, u)
             x, y = x + dx, y + dy
-        return float(x), float(y)
+        return x, y
 
 
 def _segment_from_spec(spec: dict, start_pose: tuple[float, float, float]) -> PathSegment:
@@ -387,46 +391,72 @@ class Path:
     def _project_clothoid(
         self, seg: PathSegment, x: float, y: float, ua: float, ub: float
     ) -> Optional[float]:
-        def g(u: float) -> float:
-            px, py = seg.point(u)
-            th = seg.heading(u)
-            return (x - px) * math.cos(th) + (y - py) * math.sin(th)
-
-        # Bracket the tangency condition g(u) = 0 on a fine local grid,
-        # then polish with Newton (g' = c * l_perp - 1).
+        # The nearest point solves the tangency condition g(u) = 0, where g is
+        # the pose's offset from P(u) along the tangent and g' = c * l_perp - 1.
+        # Since |l_perp(u)| <= |pose - P(ua)| + (u - ua), the bound below
+        # makes g' < 0 on the whole window: g has at most one root there,
+        # and the window's end values decide whether it has one.
+        ga, lpa = self._tangency(seg, x, y, ua)
+        c_max = max(abs(seg.curvature_start), abs(seg.curvature_end))
+        if c_max * (math.hypot(ga, lpa) + (ub - ua)) < 1.0:
+            gb = self._tangency(seg, x, y, ub)[0]
+            return self._tangent_root(seg, x, y, ua, ub, ga, gb)
+        # Far from the segment g may have several roots: bracket them on a
+        # fine grid and keep the nearest.  Only + to - sign changes are
+        # solved; a - to + change is a distance maximum.
         n = max(2, math.ceil((ub - ua) / 0.02))
         us = [ua + (ub - ua) * k / n for k in range(n + 1)]
-        gs = [g(u) for u in us]
-        best = None
-        for a, b, ga, gb in zip(us, us[1:], gs, gs[1:]):
-            if ga == 0.0:
-                return a
-            if ga * gb < 0.0:
-                u = 0.5 * (a + b)
-                for _ in range(60):
-                    px, py = seg.point(u)
-                    th = seg.heading(u)
-                    gu = (x - px) * math.cos(th) + (y - py) * math.sin(th)
-                    lp = -(x - px) * math.sin(th) + (y - py) * math.cos(th)
-                    dg = seg.curvature(u) * lp - 1.0
-                    if dg != 0.0:
-                        u_new = u - gu / dg
-                    else:
-                        u_new = 0.5 * (a + b)
-                    if not a <= u_new <= b:
-                        # fall back to bisection
-                        if gu * ga > 0.0:
-                            a = u
-                        else:
-                            b = u
-                        u_new = 0.5 * (a + b)
-                    if abs(u_new - u) < 1e-12:
-                        u = u_new
-                        break
-                    u = u_new
-                if best is None or self._seg_d2(seg, x, y, u) < self._seg_d2(seg, x, y, best):
-                    best = u
+        gs = [ga] + [self._tangency(seg, x, y, u)[0] for u in us[1:]]
+        best, best_d2 = None, math.inf
+        for a, b, g_a, g_b in zip(us, us[1:], gs, gs[1:]):
+            u = self._tangent_root(seg, x, y, a, b, g_a, g_b)
+            if u is not None:
+                d2 = self._seg_d2(seg, x, y, u)
+                if d2 < best_d2:
+                    best, best_d2 = u, d2
         return best
+
+    @staticmethod
+    def _tangency(seg: PathSegment, x: float, y: float, u: float) -> tuple[float, float]:
+        """Offset of the pose from P(u) along and across the tangent: (g, l_perp)."""
+        px, py = seg.point(u)
+        th = seg.heading(u)
+        ct, st = math.cos(th), math.sin(th)
+        dx, dy = x - px, y - py
+        return dx * ct + dy * st, dy * ct - dx * st
+
+    @staticmethod
+    def _tangent_root(
+        seg: PathSegment, x: float, y: float, a: float, b: float, ga: float, gb: float
+    ) -> Optional[float]:
+        """Root of a decreasing tangency condition on ``[a, b]``, or None.
+
+        ``ga`` and ``gb`` are g at the window's ends.  Returns ``a`` when
+        ``ga == 0`` and None unless ``ga > 0 > gb``.  Otherwise Newton runs
+        from the secant point, shrinking the bracket ``[a, b]`` with the
+        sign of each g and bisecting when a step would leave it.
+        """
+        if ga == 0.0:
+            return a
+        if not ga > 0.0 > gb:
+            return None
+        u = a + ga * (b - a) / (ga - gb)
+        for _ in range(60):
+            gu, lp = Path._tangency(seg, x, y, u)
+            if gu == 0.0:
+                return u
+            if gu > 0.0:
+                a = u
+            else:
+                b = u
+            dg = seg.curvature(u) * lp - 1.0
+            u_new = 0.5 * (a + b)
+            if dg != 0.0 and a <= u - gu / dg <= b:
+                u_new = u - gu / dg
+            if abs(u_new - u) < 1e-12:
+                return u_new
+            u = u_new
+        return u
 
     @staticmethod
     def _seg_d2(seg: PathSegment, x: float, y: float, u: float) -> float:
@@ -472,19 +502,3 @@ def build_path(
         _scan_xy=scan_xy,
     )
 
-
-def pose_at(path: Path, s: float) -> tuple[float, float, float]:
-    return path.pose_at(s)
-
-
-def curvature(path: Path, s: float) -> tuple[float, float]:
-    return path.curvature(s)
-
-
-def frenet_project(
-    path: Path,
-    pose: Sequence[float],
-    hint_s: Optional[float] = None,
-    radius: float = 0.3,
-) -> FrenetState:
-    return path.frenet_project(pose, hint_s=hint_s, radius=radius)

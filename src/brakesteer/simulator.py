@@ -203,6 +203,10 @@ class Scenario:
         Level 'curvature' marks a path the vehicle cannot follow exactly
         (|c| * R > 1); runs still execute but tracking will saturate.
         """
+        return self._validate()[0]
+
+    def _validate(self) -> tuple[list[tuple[str, str]], Optional[Path]]:
+        """``validate``'s issues plus the path it built (None if that failed)."""
         issues: list[tuple[str, str]] = []
         if self.t_max <= 0.0:
             issues.append(("error", "t_max must be positive"))
@@ -231,7 +235,7 @@ class Scenario:
             path = self.build_path()
         except (PathError, ValueError, KeyError) as exc:
             issues.append(("error", f"path: {exc}"))
-            return issues
+            return issues, None
         if self.initial_frenet is not None and not (
             0.0 <= self.initial_frenet[0] <= path.total_length
         ):
@@ -248,7 +252,7 @@ class Scenario:
                  f"segment {worst_idx} needs |c|*R = {worst:.3f} > 1; "
                  "the cart cannot hold this curvature")
             )
-        return issues
+        return issues, path
 
     def initial_state(self, path: Path) -> VehicleState:
         if self.initial_pose is not None:
@@ -302,14 +306,13 @@ def run(scenario: Scenario) -> Trace:
     ``converged_hold`` seconds.  A lost projection is logged as a Stop row
     rather than raised.
     """
-    issues = scenario.validate()
+    issues, path = scenario._validate()
     errors = [msg for level, msg in issues if level == "error"]
     if errors:
         raise ScenarioInvalid(errors)
     for level, msg in issues:
         if level == "curvature":
             warnings.warn(msg, stacklevel=2)
-    path = scenario.build_path()
     params = scenario.vehicle
     cfg = scenario.control
     radius = params.R

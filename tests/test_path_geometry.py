@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from brakesteer.path_geometry import (
     AmbiguousProjection,
     ContinuityError,
     EmptyPath,
     OutOfRange,
+    Path,
     SingularProjection,
     build_path,
     wrap_angle,
@@ -240,6 +241,75 @@ def test_hint_matches_global_projection():
         f_hint = p.frenet_project(pose, hint_s=hint, radius=radius)
         assert f_hint.s == pytest.approx(f_global.s, abs=1e-6)
         assert f_hint.l == pytest.approx(f_global.l, abs=1e-9)
+
+
+def clothoid_bounds(path, pose, lo, hi):
+    """c_max * (|pose - P(ua)| + (ub - ua)) for each clothoid part of [lo, hi].
+
+    Below 1 the hinted projection takes the single-root Newton path on
+    that part; at or above 1 it brackets roots on the grid.
+    """
+    out = []
+    for seg, s0 in zip(path.segments, path.cumulative_s):
+        ua, ub = max(0.0, lo - s0), min(seg.length, hi - s0)
+        if seg.kind != "clothoid" or ub <= ua:
+            continue
+        px, py = seg.point(ua)
+        c_max = max(abs(seg.curvature_start), abs(seg.curvature_end))
+        out.append(c_max * (math.hypot(pose[0] - px, pose[1] - py) + (ub - ua)))
+    return out
+
+
+@st.composite
+def near_or_far_pose(draw):
+    if draw(st.booleans()):  # near: |l| <= 0.3 anywhere on the bend
+        s0 = draw(st.floats(3.7, 12.3))
+        l0 = draw(st.floats(-0.3, 0.3))
+    else:  # far: 1.2 <= |l| <= 1.8 where the clothoids meet the c = 0.5 arc
+        s0 = draw(st.sampled_from((7.0, 9.0))) + draw(st.floats(-0.4, 0.4))
+        l0 = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1.2, 1.8))
+    heading = draw(st.floats(-math.pi, math.pi))
+    return s0, l0, heading, draw(st.floats(-0.12, 0.12))
+
+
+def test_hinted_clothoid_projection_matches_global_on_both_branches():
+    p = mixed_path()
+    radius = 0.3
+    bounds = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_or_far_pose())
+    def check(drawn):
+        s0, l0, heading, shift = drawn
+        pose = offset_pose(p, s0, l0, heading=heading)
+        f_global = p.frenet_project(pose, radius=radius)
+        hint = min(max(f_global.s + shift, 0.0), p.total_length)
+        f_hint = p.frenet_project(pose, hint_s=hint, radius=radius)
+        assert f_hint.s == pytest.approx(f_global.s, abs=1e-6)
+        assert f_hint.l == pytest.approx(f_global.l, abs=1e-9)
+        lo, hi = max(0.0, hint - radius), min(p.total_length, hint + radius)
+        bounds.extend(clothoid_bounds(p, pose, lo, hi))
+
+    check()
+    assert any(b < 1.0 for b in bounds), "no draw took the Newton path"
+    assert any(b >= 1.0 for b in bounds), "no draw took the grid fallback"
+
+
+def test_tangent_root_solves_a_single_sign_change():
+    seg = mixed_path().segments[1]  # clothoid, c from 0 to 0.5
+    u_star, l0 = 1.3, 0.2
+    px, py, th = seg.pose(u_star)
+    x, y = px - l0 * math.sin(th), py + l0 * math.cos(th)
+
+    def root(a, b):
+        ga = Path._tangency(seg, x, y, a)[0]
+        gb = Path._tangency(seg, x, y, b)[0]
+        return Path._tangent_root(seg, x, y, a, b, ga, gb)
+
+    assert abs(root(1.0, 1.6) - u_star) <= 1e-12
+    assert root(1.4, 1.8) is None  # root before the window: g(ua) < 0
+    x, y = seg.point(1.0)
+    assert root(1.0, 1.6) == 1.0  # g(ua) == 0 exactly
 
 
 def test_projection_theta_wrap():

@@ -108,6 +108,21 @@ def test_validate_flags_excess_curvature():
         run(sc.with_overrides({"t_max": 1.0}))  # warning only: still runs
 
 
+def test_run_builds_the_path_once(monkeypatch):
+    import brakesteer.simulator as simulator
+
+    build_path = simulator.build_path
+    built = []
+
+    def counting_build_path(*args, **kwargs):
+        built.append(args)
+        return build_path(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "build_path", counting_build_path)
+    run(scenario(t_max=0.1))
+    assert len(built) == 1
+
+
 def test_initial_frenet_placement():
     sc = scenario()
     sc = sc.with_overrides({"initial_frenet.l_norm": 2.0, "initial_frenet.theta_tilde": 0.5})
