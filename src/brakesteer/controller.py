@@ -317,13 +317,14 @@ class ControllerConfig:
     re_approach_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
+        # Comparisons are written so that NaN fails them.
+        if not self.radius > 0.0:
             raise ValueError("radius must be positive")
         if not 0.0 <= self.delta_approach < math.pi:
             raise ValueError("delta_approach must lie in [0, pi)")
-        if self.eps_theta <= 0.0 or self.eps_b <= 0.0:
+        if not (self.eps_theta > 0.0 and self.eps_b > 0.0):
             raise ValueError("hysteresis bands must be positive")
-        if self.threshold_l <= 0.0 or self.re_approach_factor < 1.0:
+        if not (self.threshold_l > 0.0 and self.re_approach_factor >= 1.0):
             raise ValueError("invalid phase-switch thresholds")
 
     def spec(self) -> dict:

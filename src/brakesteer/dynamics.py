@@ -93,7 +93,7 @@ class VehicleParams:
         for name in ("m", "J", "J_w", "d", "r", "b_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.b_w < 0.0:
+        if not self.b_w >= 0.0:
             raise ValueError("b_w must be nonnegative")
 
     @property
@@ -108,10 +108,6 @@ class UserInput:
 
     tau_r: float = 0.0
     tau_l: float = 0.0
-
-    @classmethod
-    def from_wrench(cls, force: float, torque: float, params: VehicleParams) -> "UserInput":
-        return cls(*wrench_to_torques(force, torque, params))
 
 
 @dataclass(frozen=True)
@@ -220,70 +216,6 @@ def step_kinematic(
     return VehicleState.from_body_rates(x, y, theta, v, omega, params)
 
 
-def _free_derivatives(
-    state_vec: tuple[float, float, float, float, float],
-    command: BrakeCommand,
-    user: UserInput,
-    params: VehicleParams,
-) -> tuple[float, float, float, float, float]:
-    """Smooth field: viscous brakes act on the rolling-consistent wheel rates."""
-    x, y, theta, v, omega = state_vec
-    brake_r, brake_l = command.wheel_settings(params.b_max)
-    adr, adl = wheel_rates(v, omega, params)
-    tau_r = effective_wheel_torque(user.tau_r, brake_r, adr, params)
-    tau_l = effective_wheel_torque(user.tau_l, brake_l, adl, params)
-    force, torque = torques_to_wrench(tau_r, tau_l, params)
-    return (
-        v * math.cos(theta),
-        v * math.sin(theta),
-        omega,
-        force / params.m,
-        torque / params.J,
-    )
-
-
-def _rk4(vec, deriv, dt):
-    k1 = deriv(vec)
-    k2 = deriv(tuple(a + 0.5 * dt * b for a, b in zip(vec, k1)))
-    k3 = deriv(tuple(a + 0.5 * dt * b for a, b in zip(vec, k2)))
-    k4 = deriv(tuple(a + dt * b for a, b in zip(vec, k3)))
-    return tuple(
-        a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(vec, k1, k2, k3, k4)
-    )
-
-
-def _snap_to_lock(state: VehicleState, command: BrakeCommand, params: VehicleParams) -> VehicleState:
-    """Instantly zero the braked wheel rates, keeping the free wheel's rate."""
-    if command.action is Maneuver.STOP:
-        return replace(state, v=0.0, omega=0.0, alpha_dot_r=0.0, alpha_dot_l=0.0)
-    if command.action is Maneuver.TURN_RIGHT:
-        u = state.alpha_dot_l
-        v = params.r * u / 2.0
-        omega = -params.r * u / params.d
-    else:
-        u = state.alpha_dot_r
-        v = params.r * u / 2.0
-        omega = params.r * u / params.d
-    return VehicleState.from_body_rates(state.x, state.y, state.theta, v, omega, params)
-
-
-def _locked_derivatives(
-    vec: tuple[float, float, float, float],
-    command: BrakeCommand,
-    user: UserInput,
-    params: VehicleParams,
-) -> tuple[float, float, float, float]:
-    """One-wheel-locked motion: single degree of freedom, the free wheel rate."""
-    x, y, theta, u = vec
-    right_locked = command.action is Maneuver.TURN_RIGHT
-    tau_free = (user.tau_l if right_locked else user.tau_r) - params.b_w * u
-    m_eff = params.m * params.r**2 / 4.0 + params.J * params.r**2 / params.d**2
-    v = params.r * u / 2.0
-    omega = (-1.0 if right_locked else 1.0) * params.r * u / params.d
-    return (v * math.cos(theta), v * math.sin(theta), omega, tau_free / m_eff)
-
-
 def step_dynamic(
     state: VehicleState,
     command: BrakeCommand,
@@ -300,27 +232,97 @@ def step_dynamic(
     free and applies the engaged brake as a strong viscous torque, giving an
     exponential transient with time constant ~ J_w / b_max.  The forward
     speed is clamped nonnegative; reverse motion is out of scope.
+
+    The brake settings, user torques and other per-step constants are
+    resolved once, and the four RK4 stages run on plain floats.  Each
+    expression keeps the operand order of :func:`wheel_rates`,
+    :func:`effective_wheel_torque` and :func:`torques_to_wrench`, so the
+    result is bitwise that of an RK4 step built from those helpers.
     """
     if dt <= 0.0:
         raise NonPositiveDt(f"dt={dt}")
     if brake_model not in ("instant", "viscous"):
         raise ValueError(f"unknown brake model {brake_model!r}")
+    action = command.action
+    x0, y0, th0 = state.x, state.y, state.theta
+    r, d, b_w = params.r, params.d, params.b_w
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    cos, sin = math.cos, math.sin
 
-    if brake_model == "instant" and command.action is not Maneuver.GO_STRAIGHT:
-        state = _snap_to_lock(state, command, params)
-        if command.action is Maneuver.STOP:
-            return state
-        vec = (state.x, state.y, state.theta, state.alpha_dot_l
-               if command.action is Maneuver.TURN_RIGHT else state.alpha_dot_r)
-        vec = _rk4(vec, lambda w: _locked_derivatives(w, command, user, params), dt)
-        u = max(0.0, vec[3])
-        v = params.r * u / 2.0
-        omega = (-1.0 if command.action is Maneuver.TURN_RIGHT else 1.0) * params.r * u / params.d
-        return VehicleState.from_body_rates(vec[0], vec[1], vec[2], v, omega, params)
+    if brake_model == "instant" and action is not Maneuver.GO_STRAIGHT:
+        if action is Maneuver.STOP:
+            return VehicleState(x0, y0, th0, 0.0, 0.0, 0.0, 0.0)
+        # One wheel locked: the free wheel's rate u is the only degree of
+        # freedom, with v = r u / 2 and omega = sr u / d about the locked wheel.
+        if action is Maneuver.TURN_RIGHT:
+            sr, u, tau = -r, state.alpha_dot_l, user.tau_l
+        else:
+            sr, u, tau = r, state.alpha_dot_r, user.tau_r
+        # Snap the braked wheel to rest and read the free wheel's rate back
+        # through wheel_rates; the sign of omega cancels the wheel's side.
+        u0 = (r * u / 2.0 + r * u / d * d / 2.0) / r
+        m_eff = params.m * r**2 / 4.0 + params.J * r**2 / d**2
 
-    vec = (state.x, state.y, state.theta, state.v, state.omega)
-    vec = _rk4(vec, lambda w: _free_derivatives(w, command, user, params), dt)
-    x, y, theta, v, omega = vec
-    if v < 0.0:
-        v = 0.0
-    return VehicleState.from_body_rates(x, y, theta, v, omega, params)
+        v = r * u0 / 2.0
+        dx1, dy1 = v * cos(th0), v * sin(th0)
+        dth1, du1 = sr * u0 / d, (tau - b_w * u0) / m_eff
+        th, u = th0 + half * dth1, u0 + half * du1
+        v = r * u / 2.0
+        dx2, dy2 = v * cos(th), v * sin(th)
+        dth2, du2 = sr * u / d, (tau - b_w * u) / m_eff
+        th, u = th0 + half * dth2, u0 + half * du2
+        v = r * u / 2.0
+        dx3, dy3 = v * cos(th), v * sin(th)
+        dth3, du3 = sr * u / d, (tau - b_w * u) / m_eff
+        th, u = th0 + dt * dth3, u0 + dt * du3
+        v = r * u / 2.0
+        dx4, dy4 = v * cos(th), v * sin(th)
+        dth4, du4 = sr * u / d, (tau - b_w * u) / m_eff
+
+        u = u0 + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+        if not u > 0.0:  # max(0.0, u), which also maps NaN to 0
+            u = 0.0
+        v = r * u / 2.0
+        omega = sr * u / d
+    else:
+        (b_r, c_r), (b_l, c_l) = command.wheel_settings(params.b_max)
+        tau_r, tau_l = user.tau_r, user.tau_l
+        held_r, held_l = (1.0 - c_r) * tau_r, (1.0 - c_l) * tau_l
+        m, J, two_r = params.m, params.J, 2.0 * r
+        v0, w0 = state.v, state.omega
+
+        adr, adl = (v0 + w0 * d / 2.0) / r, (v0 - w0 * d / 2.0) / r
+        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+        dx1, dy1 = v0 * cos(th0), v0 * sin(th0)
+        dv1, dw1 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+        th, v2, w2 = th0 + half * w0, v0 + half * dv1, w0 + half * dw1
+        adr, adl = (v2 + w2 * d / 2.0) / r, (v2 - w2 * d / 2.0) / r
+        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+        dx2, dy2 = v2 * cos(th), v2 * sin(th)
+        dv2, dw2 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+        th, v3, w3 = th0 + half * w2, v0 + half * dv2, w0 + half * dw2
+        adr, adl = (v3 + w3 * d / 2.0) / r, (v3 - w3 * d / 2.0) / r
+        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+        dx3, dy3 = v3 * cos(th), v3 * sin(th)
+        dv3, dw3 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+        th, v4, w4 = th0 + dt * w3, v0 + dt * dv3, w0 + dt * dw3
+        adr, adl = (v4 + w4 * d / 2.0) / r, (v4 - w4 * d / 2.0) / r
+        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+        dx4, dy4 = v4 * cos(th), v4 * sin(th)
+        dv4, dw4 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+        dth1, dth2, dth3, dth4 = w0, w2, w3, w4
+
+        v = v0 + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+        omega = w0 + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+        if v < 0.0:
+            v = 0.0
+
+    x = x0 + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+    y = y0 + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+    th = th0 + sixth * (dth1 + 2.0 * dth2 + 2.0 * dth3 + dth4)
+    return VehicleState(x, y, th, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)

@@ -207,28 +207,43 @@ class Scenario:
 
     def _validate(self) -> tuple[list[tuple[str, str]], Optional[Path]]:
         """``validate``'s issues plus the path it built (None if that failed)."""
+        # Comparisons are written so that NaN fails them.
         issues: list[tuple[str, str]] = []
-        if self.t_max <= 0.0:
-            issues.append(("error", "t_max must be positive"))
-        if self.dt_control <= 0.0:
-            issues.append(("error", "dt_control must be positive"))
+        t_ok = 0.0 < self.t_max < math.inf
+        if not t_ok:
+            issues.append(("error", "t_max must be positive and finite"))
+        dt_ok = 0.0 < self.dt_control < math.inf
+        if not dt_ok:
+            issues.append(("error", "dt_control must be positive and finite"))
+        elif t_ok and self.t_max / self.dt_control == math.inf:
+            issues.append(("error", "t_max / dt_control overflows the step count"))
         if self.mode not in ("kinematic", "dynamic"):
             issues.append(("error", f"unknown mode {self.mode!r}"))
-        if self.mode == "dynamic":
-            if self.dt_physics <= 0.0 or self.dt_physics > self.dt_control:
+        if self.brake_model not in ("instant", "viscous"):
+            issues.append(("error", f"unknown brake model {self.brake_model!r}"))
+        if self.mode == "dynamic" and dt_ok:
+            if not 0.0 < self.dt_physics <= self.dt_control:
                 issues.append(("error", "need 0 < dt_physics <= dt_control"))
             else:
                 ratio = self.dt_control / self.dt_physics
-                if abs(ratio - round(ratio)) > 1e-9:
+                if ratio == math.inf or abs(ratio - round(ratio)) > 1e-9:
                     issues.append(("error", "dt_control must be a multiple of dt_physics"))
-        if self.v_user <= 0.0:
-            issues.append(("error", "v_user must be positive (forward motion only)"))
-        elif self.dt_control > 0.0 and self.v_user / self.vehicle.R * self.dt_control > 0.5:
+        if not 0.0 < self.v_user < math.inf:
+            issues.append(("error", "v_user must be positive and finite (forward motion only)"))
+        elif dt_ok and self.v_user / self.vehicle.R * self.dt_control > 0.5:
             issues.append(
                 ("error", "dt_control too coarse: one step turns more than 0.5 rad")
             )
+        if not all(math.isfinite(tau) for tau in self.user_torques):
+            issues.append(("error", "user torques must be finite"))
+        if not 0.0 <= self.noise_amplitude < math.inf:
+            issues.append(("error", "noise_amplitude must be nonnegative and finite"))
+        if not 0.0 <= self.converged_hold < math.inf:
+            issues.append(("error", "converged_hold must be nonnegative and finite"))
         if (self.initial_pose is None) == (self.initial_frenet is None):
             issues.append(("error", "give exactly one of initial_pose / initial_frenet"))
+        elif not all(math.isfinite(v) for v in self.initial_pose or self.initial_frenet):
+            issues.append(("error", "initial condition must be finite"))
         if abs(self.control.radius - self.vehicle.R) > 1e-12:
             issues.append(("error", "controller radius must equal the vehicle's d/2"))
         try:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brakesteer.dynamics import (
     BrakeCommand,
@@ -15,6 +15,7 @@ from brakesteer.dynamics import (
     step_dynamic,
     step_kinematic,
     torques_to_wrench,
+    wheel_rates,
     wrench_to_torques,
 )
 
@@ -217,3 +218,89 @@ def test_forward_speed_clamped_nonnegative():
         s = step_dynamic(s, BrakeCommand.go_straight(), UserInput(-2.0, -2.0), 1e-2, p, "viscous")
         assert s.v >= 0.0
     assert s.v == 0.0
+
+
+# -- bitwise oracle for the RK4 step -------------------------------------------
+
+
+def _reference_rk4(vec, deriv, dt):
+    k1 = deriv(vec)
+    k2 = deriv([a + 0.5 * dt * b for a, b in zip(vec, k1)])
+    k3 = deriv([a + 0.5 * dt * b for a, b in zip(vec, k2)])
+    k4 = deriv([a + dt * b for a, b in zip(vec, k3)])
+    return [
+        a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(vec, k1, k2, k3, k4)
+    ]
+
+
+def reference_step_dynamic(state, command, user, dt, p, brake_model):
+    """RK4 step assembled from the public helpers, one derivative call per stage."""
+    action = command.action
+    if brake_model == "instant" and action is not Maneuver.GO_STRAIGHT:
+        if action is Maneuver.STOP:
+            return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
+        right = action is Maneuver.TURN_RIGHT
+        sign = -1.0 if right else 1.0
+        u = state.alpha_dot_l if right else state.alpha_dot_r
+        # Lock the braked wheel: body rates from the free wheel, then the
+        # free wheel's rate read back from the body rates.
+        adr, adl = wheel_rates(p.r * u / 2.0, sign * p.r * u / p.d, p)
+        u = adl if right else adr
+        tau = user.tau_l if right else user.tau_r
+        m_eff = p.m * p.r**2 / 4.0 + p.J * p.r**2 / p.d**2
+
+        def locked(w):
+            v = p.r * w[3] / 2.0
+            return [v * math.cos(w[2]), v * math.sin(w[2]), sign * p.r * w[3] / p.d,
+                    (tau - p.b_w * w[3]) / m_eff]
+
+        x, y, th, u = _reference_rk4([state.x, state.y, state.theta, u], locked, dt)
+        u = max(0.0, u)
+        return VehicleState.from_body_rates(x, y, th, p.r * u / 2.0, sign * p.r * u / p.d, p)
+
+    brake_r, brake_l = command.wheel_settings(p.b_max)
+
+    def free(w):
+        adr, adl = wheel_rates(w[3], w[4], p)
+        force, torque = torques_to_wrench(
+            effective_wheel_torque(user.tau_r, brake_r, adr, p),
+            effective_wheel_torque(user.tau_l, brake_l, adl, p),
+            p,
+        )
+        return [w[3] * math.cos(w[2]), w[3] * math.sin(w[2]), w[4], force / p.m, torque / p.J]
+
+    x, y, th, v, omega = _reference_rk4(
+        [state.x, state.y, state.theta, state.v, state.omega], free, dt
+    )
+    return VehicleState.from_body_rates(x, y, th, 0.0 if v < 0.0 else v, omega, p)
+
+
+# 0 reaches the holding branch.  Near rest the RK4 increment is as large as
+# the state itself, so a change of summation order shows in the last bit.
+RATE = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=500)
+@given(
+    action=st.sampled_from(list(Maneuver)),
+    brake_model=st.sampled_from(["instant", "viscous"]),
+    dt=st.floats(1e-4, 2e-2),
+    pose=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-4.0, 4.0)),
+    v=RATE,
+    omega=RATE,
+    torques=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    params=st.sampled_from([PARAMS, VehicleParams(b_w=0.0, b_max=2.0, d=0.5, r=0.15)]),
+)
+# Both wheels at rest under a push: the holding branch, then the v < 0 clamp.
+@example(Maneuver.GO_STRAIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, -1.0), PARAMS)
+@example(Maneuver.TURN_RIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, 1.0), PARAMS)
+@example(Maneuver.TURN_LEFT, "instant", 1e-2, (1.0, 2.0, 0.5), 0.0, 0.0, (-1.0, -1.0), PARAMS)
+# Locking a wheel at 0.95 m/s: the snap moves the free wheel's rate by one bit.
+@example(Maneuver.TURN_LEFT, "instant", 1e-3, (0.0, 0.0, 0.0), 0.95, 0.0, (0.1, 0.1), PARAMS)
+def test_step_dynamic_matches_helper_reference_bitwise(
+    action, brake_model, dt, pose, v, omega, torques, params
+):
+    state = VehicleState.from_body_rates(*pose, v, omega, params)
+    args = (state, BrakeCommand(action), UserInput(*torques), dt, params, brake_model)
+    assert step_dynamic(*args) == reference_step_dynamic(*args)

@@ -97,6 +97,44 @@ def test_validation_rejects_bad_scenarios():
                                 "initial_pose": [0, 0, 0]}))  # both initial conditions
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides, reason",
+    [
+        ({"brake_model": "bogus"}, "unknown brake model"),
+        ({"brake_model": "bogus", "mode": "dynamic"}, "unknown brake model"),
+        ({"t_max": NAN}, "t_max"),
+        ({"t_max": INF}, "t_max"),
+        ({"t_max": 1e308}, "t_max / dt_control"),
+        ({"dt_control": NAN}, "dt_control"),
+        ({"dt_control": INF, "mode": "dynamic"}, "dt_control"),
+        ({"dt_physics": NAN, "mode": "dynamic"}, "dt_physics"),
+        ({"dt_physics": 5e-324, "mode": "dynamic"}, "dt_physics"),
+        ({"user.v": NAN}, "v_user"),
+        ({"user.noise_amplitude": NAN}, "noise_amplitude"),
+        ({"converged_hold": NAN}, "converged_hold"),
+        ({"user.tau_r": NAN, "mode": "dynamic"}, "torques"),
+        ({"initial_pose": [NAN, 5.0, 0.0]}, "initial condition"),
+    ],
+)
+def test_validation_rejects_nonfinite_and_unknown_values(overrides, reason):
+    sc = build_demo_scenario().with_overrides(overrides)
+    errors = [msg for level, msg in sc.validate() if level == "error"]
+    assert any(reason in msg for msg in errors)
+    with pytest.raises(ScenarioInvalid, match=reason):
+        run(sc)
+
+
+@pytest.mark.parametrize(
+    "key", ["controller.eps_theta", "controller.eps_b", "controller.threshold_l", "vehicle.b_w"]
+)
+def test_nan_tuning_rejected_at_construction(key):
+    with pytest.raises(ValueError):
+        build_demo_scenario().with_overrides({key: NAN})
+
+
 def test_validate_flags_excess_curvature():
     sc = scenario(path={"start_pose": [0, 0, 0], "segments": [
         {"kind": "line", "length": 5},
