@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,6 +106,8 @@ class PathSegment:
     curvature_end: float
     start_pose: tuple[float, float, float]
     _node_xy: tuple[tuple[float, float], ...] = field(default=(), repr=False, compare=False)
+    # (cos, sin) of the start heading, computed once for line and arc queries.
+    _dir: tuple[float, float] = field(default=(1.0, 0.0), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("line", "arc", "clothoid"):
@@ -119,6 +121,8 @@ class PathSegment:
                 raise ValueError("arc segments need equal start/end curvature")
             if self.curvature_start == 0.0:
                 raise ValueError("arc segments need nonzero curvature")
+        th0 = self.start_pose[2]
+        object.__setattr__(self, "_dir", (math.cos(th0), math.sin(th0)))
         if self.kind == "clothoid":
             object.__setattr__(self, "_node_xy", self._integrate_nodes())
 
@@ -137,12 +141,13 @@ class PathSegment:
 
     def point(self, u: float) -> tuple[float, float]:
         x0, y0, th0 = self.start_pose
+        cos0, sin0 = self._dir
         if self.kind == "line":
-            return x0 + u * math.cos(th0), y0 + u * math.sin(th0)
+            return x0 + u * cos0, y0 + u * sin0
         if self.kind == "arc":
             c = self.curvature_start
             th = th0 + c * u
-            return x0 + (math.sin(th) - math.sin(th0)) / c, y0 - (math.cos(th) - math.cos(th0)) / c
+            return x0 + (math.sin(th) - sin0) / c, y0 - (math.cos(th) - cos0) / c
         return self._clothoid_point(u)
 
     def pose(self, u: float) -> tuple[float, float, float]:
@@ -282,15 +287,17 @@ class Path:
         return self._finish(x, y, th, s_best)
 
     def _finish(self, x: float, y: float, th: float, s: float) -> FrenetState:
-        px, py, thd = self.pose_at(s)
+        seg, u, _ = self._locate(s)
+        px, py = seg.point(u)
+        thd = seg.heading(u)
         nx, ny = -math.sin(thd), math.cos(thd)
         l = (x - px) * nx + (y - py) * ny
-        c, _ = self.curvature(s)
+        c = seg.curvature(u)
         if 1.0 - c * l <= 1e-12:
             raise SingularProjection(
                 f"pose at or beyond center of curvature (s={s:.6f}, c={c:.6f}, l={l:.6f})"
             )
-        return FrenetState(s=s, l=l, theta_tilde=wrap_angle(th - thd))
+        return FrenetState(s, l, wrap_angle(th - thd))
 
     def _global_minimum(self, x: float, y: float, radius: float) -> float:
         d2 = (self._scan_xy[:, 0] - x) ** 2 + (self._scan_xy[:, 1] - y) ** 2
@@ -326,52 +333,68 @@ class Path:
         return s_best
 
     def _best_in_window(self, x: float, y: float, lo: float, hi: float) -> tuple[float, float]:
-        """Minimize squared distance to the path over ``[lo, hi]``."""
-        best_s, best_d2 = lo, self._dist2(x, y, lo)
-        for s in self._candidates(x, y, lo, hi):
-            d2 = self._dist2(x, y, s)
-            if d2 < best_d2:
-                best_s, best_d2 = s, d2
-        d2_hi = self._dist2(x, y, hi)
-        if d2_hi < best_d2:
-            best_s, best_d2 = hi, d2_hi
-        return best_s, best_d2
+        """Minimize squared distance to the path over ``[lo, hi]``.
 
-    def _dist2(self, x: float, y: float, s: float) -> float:
-        px, py = (self.pose_at(s))[:2]
-        return (x - px) ** 2 + (y - py) ** 2
-
-    def _candidates(self, x: float, y: float, lo: float, hi: float) -> Iterable[float]:
-        i_lo = max(0, bisect.bisect_right(self.cumulative_s, lo) - 1)
-        i_hi = max(0, bisect.bisect_right(self.cumulative_s, min(hi, self.total_length) - 1e-12) - 1)
-        for i in range(i_lo, min(i_hi, len(self.segments) - 1) + 1):
+        One bisect finds the segment holding ``lo``, and one pass walks the
+        segments the window touches.  Each offers its own nearest point on
+        its part ``[ua, ub]`` of the window: a line its foot point, an arc
+        its stationary points, a clothoid its tangency root, clamped to the
+        part and offered as ``s0 + u``.  The window's ends are offered as
+        ``lo`` first and ``hi`` last.  A joint inside the window needs no
+        offer: the path is G1 there, so a nearest point on it is a
+        stationary point of a segment.  Each offer is scored at ``s - s0``
+        on the segment holding ``s``, as ``pose_at`` locates it (scoring at
+        ``u`` itself moves the last bits and can flip a near-tie next to a
+        joint), and the first strictly smaller squared distance wins.
+        """
+        cum = self.cumulative_s
+        first = bisect.bisect_right(cum, lo) - 1
+        px, py = self.segments[first].point(lo - cum[first])
+        best_s, best_d2 = lo, (x - px) ** 2 + (y - py) ** 2
+        for i in range(first, len(self.segments)):
+            s0 = cum[i]
+            if s0 > hi - 1e-12:
+                break
             seg = self.segments[i]
-            s0 = self.cumulative_s[i]
             ua = max(0.0, lo - s0)
             ub = min(seg.length, hi - s0)
             if ub <= ua:
                 continue
             if seg.kind == "line":
-                u = self._project_line(seg, x, y)
+                x0, y0, _ = seg.start_pose
+                inner = ((x - x0) * seg._dir[0] + (y - y0) * seg._dir[1],)
             elif seg.kind == "arc":
-                yield from (s0 + u for u in self._project_arc(seg, x, y, ua, ub))
-                continue
+                inner = self._project_arc(seg, x, y, ua, ub)
             else:
                 u = self._project_clothoid(seg, x, y, ua, ub)
-            if u is not None:
-                yield s0 + min(max(u, ua), ub)
+                inner = () if u is None else (u,)
+            for u in inner:
+                s = s0 + min(max(u, ua), ub)
+                d2 = self._d2_from(i, x, y, s)
+                if d2 < best_d2:
+                    best_s, best_d2 = s, d2
+        d2 = self._d2_from(first, x, y, hi)
+        if d2 < best_d2:
+            best_s, best_d2 = hi, d2
+        return best_s, best_d2
 
-    @staticmethod
-    def _project_line(seg: PathSegment, x: float, y: float) -> float:
-        x0, y0, th0 = seg.start_pose
-        return (x - x0) * math.cos(th0) + (y - y0) * math.sin(th0)
+    def _d2_from(self, i: int, x: float, y: float, s: float) -> float:
+        """Squared distance to the path point at ``s``, located as
+        ``_locate`` does, walking on from segment ``i`` (at or before the
+        segment holding ``s``) instead of bisecting."""
+        cum = self.cumulative_s
+        while i + 1 < len(cum) and cum[i + 1] <= s:
+            i += 1
+        px, py = self.segments[i].point(min(s, self.total_length) - cum[i])
+        return (x - px) ** 2 + (y - py) ** 2
 
     @staticmethod
     def _project_arc(seg: PathSegment, x: float, y: float, ua: float, ub: float) -> list[float]:
         c = seg.curvature_start
         x0, y0, th0 = seg.start_pose
-        cx = x0 - math.sin(th0) / c
-        cy = y0 + math.cos(th0) / c
+        cos0, sin0 = seg._dir
+        cx = x0 - sin0 / c
+        cy = y0 + cos0 / c
         if math.hypot(x - cx, y - cy) < 1e-15:
             return [0.5 * (ua + ub)]  # at the center: every arc point equidistant
         phi = math.atan2(y - cy, x - cx)

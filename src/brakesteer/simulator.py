@@ -13,7 +13,7 @@ import copy
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path as FilePath
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
@@ -36,6 +36,13 @@ from .path_geometry import (
     SingularProjection,
     build_path,
 )
+
+
+# The most physics steps (control steps times RK4 substeps) one run may ask
+# for.  A kinematic run keeps one trace row of about 370 bytes per control
+# step, at about 17 us a step on a 2-vCPU x86 VM with Python 3.11: 1e7
+# steps is about 3.7 GB of trace and 3 minutes, while 1e8 would need 37 GB.
+MAX_PHYSICS_STEPS = 10_000_000
 
 
 class ScenarioInvalid(ValueError):
@@ -113,13 +120,16 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
+        """Build a scenario; a key the dict leaves out takes the field default."""
+        default = {f.name: f.default for f in fields(cls)}
         data = dict(data)
         vehicle = VehicleParams(**data.get("vehicle", {}))
         ctl = dict(data.get("controller", {}))
         profile_spec = ctl.pop("delta_profile", None)
-        profile = DeltaProfile.from_spec(profile_spec) if profile_spec else DeltaProfile.tanh()
+        if profile_spec:
+            ctl["delta_profile"] = DeltaProfile.from_spec(profile_spec)
         ctl.pop("radius", None)  # always derived from the axle length
-        control = ControllerConfig(radius=vehicle.R, delta_profile=profile, **ctl)
+        control = ControllerConfig(radius=vehicle.R, **ctl)
         user = dict(data.get("user", {}))
         init_pose = data.get("initial_pose")
         init_frenet = data.get("initial_frenet")
@@ -137,17 +147,22 @@ class Scenario:
             control=control,
             initial_pose=tuple(float(v) for v in init_pose) if init_pose else None,
             initial_frenet=init_frenet,
-            v_user=float(user.get("v", 1.0)),
-            user_torques=(float(user.get("tau_r", 0.0)), float(user.get("tau_l", 0.0))),
-            noise_amplitude=float(user.get("noise_amplitude", 0.0)),
-            dt_control=float(data.get("dt_control", 0.02)),
-            dt_physics=float(data.get("dt_physics", 0.001)),
-            t_max=float(data.get("t_max", 60.0)),
-            mode=str(data.get("mode", "kinematic")),
-            brake_model=str(data.get("brake_model", "instant")),
-            seed=int(data.get("seed", 0)),
-            stop_when_converged=bool(data.get("stop_when_converged", False)),
-            converged_hold=float(data.get("converged_hold", 2.0)),
+            v_user=float(user.get("v", default["v_user"])),
+            user_torques=(
+                float(user.get("tau_r", default["user_torques"][0])),
+                float(user.get("tau_l", default["user_torques"][1])),
+            ),
+            noise_amplitude=float(user.get("noise_amplitude", default["noise_amplitude"])),
+            dt_control=float(data.get("dt_control", default["dt_control"])),
+            dt_physics=float(data.get("dt_physics", default["dt_physics"])),
+            t_max=float(data.get("t_max", default["t_max"])),
+            mode=str(data.get("mode", default["mode"])),
+            brake_model=str(data.get("brake_model", default["brake_model"])),
+            seed=int(data.get("seed", default["seed"])),
+            stop_when_converged=bool(
+                data.get("stop_when_converged", default["stop_when_converged"])
+            ),
+            converged_hold=float(data.get("converged_hold", default["converged_hold"])),
         )
 
     def to_dict(self) -> dict:
@@ -215,12 +230,11 @@ class Scenario:
         dt_ok = 0.0 < self.dt_control < math.inf
         if not dt_ok:
             issues.append(("error", "dt_control must be positive and finite"))
-        elif t_ok and self.t_max / self.dt_control == math.inf:
-            issues.append(("error", "t_max / dt_control overflows the step count"))
         if self.mode not in ("kinematic", "dynamic"):
             issues.append(("error", f"unknown mode {self.mode!r}"))
         if self.brake_model not in ("instant", "viscous"):
             issues.append(("error", f"unknown brake model {self.brake_model!r}"))
+        substeps = 1.0
         if self.mode == "dynamic" and dt_ok:
             if not 0.0 < self.dt_physics <= self.dt_control:
                 issues.append(("error", "need 0 < dt_physics <= dt_control"))
@@ -228,6 +242,16 @@ class Scenario:
                 ratio = self.dt_control / self.dt_physics
                 if ratio == math.inf or abs(ratio - round(ratio)) > 1e-9:
                     issues.append(("error", "dt_control must be a multiple of dt_physics"))
+                else:
+                    substeps = ratio
+        if t_ok and dt_ok:
+            steps = self.t_max / self.dt_control * substeps
+            if not steps <= MAX_PHYSICS_STEPS:
+                issues.append(
+                    ("error",
+                     f"run needs {steps:.3g} physics steps (t_max / dt_control control "
+                     f"steps times substeps); at most {MAX_PHYSICS_STEPS:.0e} are allowed")
+                )
         if not 0.0 < self.v_user < math.inf:
             issues.append(("error", "v_user must be positive and finite (forward motion only)"))
         elif dt_ok and self.v_user / self.vehicle.R * self.dt_control > 0.5:
@@ -318,8 +342,9 @@ def run(scenario: Scenario) -> Trace:
 
     The loop terminates at ``t_max``, at the end of the path, on a latched
     Stop (projection lost), or optionally once converged for
-    ``converged_hold`` seconds.  A lost projection is logged as a Stop row
-    rather than raised.
+    ``converged_hold`` seconds.  ``meta["stop_reason"]`` names the exit:
+    ``"t_max"``, ``"path_end"``, ``"converged"`` or ``"projection lost: ..."``.
+    A lost projection is logged as a Stop row rather than raised.
     """
     issues, path = scenario._validate()
     errors = [msg for level, msg in issues if level == "error"]
@@ -389,10 +414,12 @@ def run(scenario: Scenario) -> Trace:
                 if in_band_since is None:
                     in_band_since = t
                 elif t - in_band_since >= scenario.converged_hold:
+                    meta["stop_reason"] = "converged"
                     break
             else:
                 in_band_since = None
         if k == n_steps:
+            meta["stop_reason"] = "t_max"
             break
         if scenario.mode == "kinematic":
             v_k = scenario.v_user
@@ -425,8 +452,8 @@ def _sweep_one(args: tuple[dict, dict]) -> SweepResult:
     try:
         scenario = Scenario.from_dict(apply_overrides(copy.deepcopy(base_data), overrides))
         trace = run(scenario)
-        reason = trace.meta.get("stop_reason")
-        error = reason if reason and reason != "path_end" else None
+        reason = trace.meta["stop_reason"]
+        error = reason if reason.startswith("projection lost") else None
         return SweepResult(overrides=dict(overrides), summary=summarize(trace), error=error)
     except Exception as exc:  # per-run isolation: a sweep never aborts
         return SweepResult(overrides=dict(overrides), summary=None, error=str(exc))

@@ -1,15 +1,18 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brakesteer.path_geometry import (
     AmbiguousProjection,
     ContinuityError,
     EmptyPath,
+    FrenetState,
     OutOfRange,
     Path,
+    PathError,
     SingularProjection,
     build_path,
     wrap_angle,
@@ -322,3 +325,146 @@ def test_projection_rejects_nonfinite_pose():
     p = build_path([{"kind": "line", "length": 10}])
     with pytest.raises(ValueError):
         p.frenet_project((math.nan, 0, 0))
+
+
+# -- bitwise oracle: the window search before its single pass --------------
+
+
+def reference_window(path, x, y, lo, hi):
+    """The earlier window search: ``lo``, then every segment's candidates,
+    then ``hi``, each scored through ``pose_at``; strictly smaller wins."""
+
+    def dist2(s):
+        px, py, _ = path.pose_at(s)
+        return (x - px) ** 2 + (y - py) ** 2
+
+    cum = path.cumulative_s
+    i_lo = max(0, bisect.bisect_right(cum, lo) - 1)
+    i_hi = max(0, bisect.bisect_right(cum, min(hi, path.total_length) - 1e-12) - 1)
+    candidates = []
+    for i in range(i_lo, min(i_hi, len(path.segments) - 1) + 1):
+        seg, s0 = path.segments[i], cum[i]
+        ua, ub = max(0.0, lo - s0), min(seg.length, hi - s0)
+        if ub <= ua:
+            continue
+        if seg.kind == "line":
+            x0, y0, th0 = seg.start_pose
+            us = [(x - x0) * math.cos(th0) + (y - y0) * math.sin(th0)]
+        elif seg.kind == "arc":
+            us = Path._project_arc(seg, x, y, ua, ub)
+        else:
+            u = path._project_clothoid(seg, x, y, ua, ub)
+            us = [] if u is None else [u]
+        candidates += [s0 + min(max(u, ua), ub) for u in us]
+    best_s, best_d2 = lo, dist2(lo)
+    for s in candidates + [hi]:
+        d2 = dist2(s)
+        if d2 < best_d2:
+            best_s, best_d2 = s, d2
+    return best_s, best_d2
+
+
+def reference_project(path, pose, hint_s=None, radius=0.3):
+    x, y, th = (float(v) for v in pose)
+    if hint_s is not None:
+        lo, hi = max(0.0, hint_s - radius), min(path.total_length, hint_s + radius)
+        s = reference_window(path, x, y, lo, hi)[0]
+    else:
+        xy, scan_s = path._scan_xy, path._scan_s
+        d2 = (xy[:, 0] - x) ** 2 + (xy[:, 1] - y) ** 2
+        local_min = np.r_[False, (d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:]), False]
+        local_min[0] = d2[0] <= d2[1]
+        local_min[-1] = d2[-1] <= d2[-2]
+        step = scan_s[1] - scan_s[0]
+        found = sorted(
+            (
+                reference_window(path, x, y, max(0.0, scan_s[i] - step),
+                                 min(path.total_length, scan_s[i] + step))
+                for i in np.flatnonzero(local_min)
+            ),
+            key=lambda c: c[1],
+        )
+        s, d_best = found[0]
+        for s_other, d_other in found[1:]:
+            if abs(s_other - s) > radius and abs(math.sqrt(d_other) - math.sqrt(d_best)) <= 1e-9:
+                raise AmbiguousProjection(f"{s} and {s_other}")
+    px, py, thd = path.pose_at(s)
+    l = (x - px) * -math.sin(thd) + (y - py) * math.cos(thd)
+    c, _ = path.curvature(s)
+    if 1.0 - c * l <= 1e-12:
+        raise SingularProjection(f"s={s}")
+    return FrenetState(s=s, l=l, theta_tilde=wrap_angle(th - thd))
+
+
+# Joints at sqrt(2) and pi / 3 plus lengths: sums with every mantissa bit
+# set, on segments longer than their start s, so that ``s0 + (hi - s0)``
+# can differ from ``hi`` in the last bit.
+ORACLE_PATHS = (
+    build_path(
+        [
+            {"kind": "line", "length": math.sqrt(2.0)},
+            {"kind": "arc", "length": 2.1, "curvature": 0.7},
+            {"kind": "line", "length": 5.0},
+        ]
+    ),
+    build_path(
+        [
+            {"kind": "line", "length": math.pi / 3.0},
+            {"kind": "clothoid", "length": 3.0, "curvature_start": 0.0, "curvature_end": 0.5},
+            {"kind": "arc", "length": 2.0, "curvature": 0.5},
+            {"kind": "clothoid", "length": 3.0, "curvature_start": 0.5, "curvature_end": 0.0},
+            {"kind": "line", "length": 4.0},
+        ],
+        start_pose=(0.3, -1.1, 0.7),
+    ),
+)
+
+
+@st.composite
+def oracle_query(draw):
+    """A path, a pose near it, and a hint (None for the global search)."""
+    path = draw(st.sampled_from(ORACLE_PATHS))
+    ends = (0.0, *path.cumulative_s[1:], path.total_length)
+    if draw(st.booleans()):
+        s0 = draw(st.floats(0.0, path.total_length))
+    else:  # a foot point on or right next to a joint or a path end
+        s0 = draw(st.sampled_from(ends)) + draw(
+            st.sampled_from((0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6))
+        )
+        s0 = min(max(s0, 0.0), path.total_length)
+    l0 = draw(st.floats(-1.2, 1.2))
+    heading = draw(st.floats(-math.pi, math.pi))
+    kind = draw(st.sampled_from(("global", "near", "end_wins", "touches")))
+    if kind == "global":
+        hint = None
+    elif kind == "near":
+        hint = s0 + draw(st.floats(-0.12, 0.12))
+    elif kind == "end_wins":  # the foot point lies outside the window
+        hint = s0 + draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.3, 0.6))
+    else:  # the window ends at s = 0, total_length or a joint
+        hint = draw(st.sampled_from(ends)) + draw(st.sampled_from((-0.3, 0.0, 0.3)))
+    if hint is not None:
+        hint = min(max(hint, 0.0), path.total_length)
+    return path, offset_pose(path, s0, l0, heading=heading), hint
+
+
+def outcome(project):
+    """The projection's bits (``float.hex`` tells -0.0 from 0.0), or its error."""
+    try:
+        f = project()
+    except PathError as exc:
+        return type(exc).__name__
+    return tuple(float(v).hex() for v in (f.s, f.l, f.theta_tilde))
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_query())
+# lo on the arc wins: the foot point lies before the window.
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], 2.0, 0.3, heading=1.0), 2.45))
+# hi on the clothoid wins, and s0 + (hi - s0) != hi there.
+@example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 3.3, 0.2, heading=0.4), 2.7506))
+def test_projection_matches_reference_window_search_bitwise(query):
+    path, pose, hint = query
+    got = outcome(lambda: path.frenet_project(pose, hint_s=hint, radius=0.3))
+    want = outcome(lambda: reference_project(path, pose, hint_s=hint, radius=0.3))
+    assert got == want

@@ -6,6 +6,7 @@ import pytest
 
 from brakesteer.analysis import summarize
 from brakesteer.simulator import (
+    MAX_PHYSICS_STEPS,
     Scenario,
     ScenarioInvalid,
     apply_overrides,
@@ -128,6 +129,31 @@ def test_validation_rejects_nonfinite_and_unknown_values(overrides, reason):
 
 
 @pytest.mark.parametrize(
+    "overrides",
+    [
+        {"mode": "dynamic", "dt_physics": 1e-300},  # ~1e298 substeps per control step
+        {"dt_control": 1e-300},
+        {"t_max": 1e300},
+    ],
+)
+def test_validation_rejects_unfinishable_step_counts(overrides):
+    sc = build_demo_scenario().with_overrides(overrides)
+    errors = [msg for level, msg in sc.validate() if level == "error"]
+    assert any("physics steps" in msg for msg in errors)
+    with pytest.raises(ScenarioInvalid, match="physics steps"):
+        run(sc)
+
+
+def test_step_bound_admits_a_run_at_the_limit():
+    # 1e7 kinematic control steps validate; one more step's worth does not.
+    sc = build_demo_scenario()
+    at_limit = sc.with_overrides({"t_max": MAX_PHYSICS_STEPS * sc.dt_control})
+    assert not [msg for level, msg in at_limit.validate() if level == "error"]
+    over = sc.with_overrides({"t_max": (MAX_PHYSICS_STEPS + 1) * sc.dt_control})
+    assert any("physics steps" in msg for level, msg in over.validate() if level == "error")
+
+
+@pytest.mark.parametrize(
     "key", ["controller.eps_theta", "controller.eps_b", "controller.threshold_l", "vehicle.b_w"]
 )
 def test_nan_tuning_rejected_at_construction(key):
@@ -229,6 +255,29 @@ def test_sweep_deterministic_order_and_parallel_equivalence():
     assert serial == parallel
 
 
+def test_stop_reason_t_max():
+    tr = run(build_demo_scenario().with_overrides({"t_max": 1.0}))
+    assert len(tr.rows) == 101
+    assert tr.meta["stop_reason"] == "t_max"
+
+
+def test_stop_reason_converged():
+    tr = run(build_demo_scenario().with_overrides({"stop_when_converged": True}))
+    assert tr.rows[-1].maneuver != "stop"  # left before the path's end
+    assert tr.meta["stop_reason"] == "converged"
+
+
+def test_sweep_reports_no_error_for_a_converged_or_timed_out_run():
+    base = scenario(t_max=6.0, stop_when_converged=True)
+    grid = [
+        {"initial_frenet": {"s": 5.0, "l_norm": 0.5, "theta_tilde": 0.0}},
+        {"initial_frenet": {"s": 5.0, "l_norm": 3.0, "theta_tilde": 0.0}, "t_max": 0.5},
+    ]
+    converged, timed_out = sweep(base, grid)
+    assert converged.summary.converged and converged.error is None
+    assert not timed_out.summary.converged and timed_out.error is None
+
+
 def test_apply_overrides_parses_scalars():
     data = {"a": {"b": 1}}
     apply_overrides(data, {"a.b": "2.5", "c": "true", "name": "hello"})
@@ -238,6 +287,30 @@ def test_apply_overrides_parses_scalars():
 def test_scenario_round_trip():
     sc = build_demo_scenario()
     assert Scenario.from_dict(sc.to_dict()) == sc
+
+
+def test_from_dict_defaults_are_the_dataclass_defaults():
+    path = {"start_pose": [0, 0, 0], "segments": [{"kind": "line", "length": 10}]}
+    built = Scenario.from_dict({"path": path, "initial_pose": [0, 1, 0]})
+    assert built == Scenario(path_spec=path, initial_pose=(0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        build_demo_scenario(),
+        build_demo_scenario().with_overrides({
+            "mode": "dynamic", "brake_model": "viscous", "dt_physics": 0.0005,
+            "user.tau_r": 0.12, "user.tau_l": 0.1, "user.noise_amplitude": 0.05,
+            "seed": 3, "stop_when_converged": True, "converged_hold": 1.5,
+        }),
+    ],
+    ids=["demo", "dynamic"],
+)
+def test_to_dict_from_dict_round_trip(sc):
+    again = Scenario.from_dict(sc.to_dict())
+    assert again == sc
+    assert again.to_dict() == sc.to_dict()
 
 
 def test_demo_scenario_converges():
