@@ -18,6 +18,11 @@ CONV_L = 0.05
 CONV_THETA = 0.05
 CONV_WINDOW_FRAC = 0.05
 
+# The stop reasons of a run that played out.  Any other reason (a lost
+# projection, a non-finite state) means the run was aborted; a trace built
+# by hand carries no reason.
+_PLAYED_OUT = (None, "t_max", "path_end", "converged")
+
 
 class EmptyTrace(ValueError):
     """Raised when a summary is requested for a trace with no rows."""
@@ -26,6 +31,17 @@ class EmptyTrace(ValueError):
 def lyapunov(l_norm: float, theta_tilde: float) -> float:
     """Quadratic convergence measure ``(l~^2 + th~^2) / 2``."""
     return 0.5 * (l_norm * l_norm + theta_tilde * theta_tilde)
+
+
+def in_convergence_band(l: float, theta_tilde: float, radius: float) -> bool:
+    """``|l / radius| < CONV_L`` and ``|theta_tilde| < CONV_THETA``."""
+    return abs(l / radius) < CONV_L and abs(theta_tilde) < CONV_THETA
+
+
+def abort_reason(trace: "Trace") -> Optional[str]:
+    """The stop reason of an aborted run; None for a run that played out."""
+    reason = trace.meta.get("stop_reason")
+    return None if reason in _PLAYED_OUT else reason
 
 
 @dataclass(frozen=True)
@@ -99,25 +115,22 @@ def summarize(trace: "Trace") -> RunSummary:
 
     A run counts as converged when every row in the trailing 5% of the
     trace satisfies ``|l~| < 0.05`` and ``|th~| < 0.05``; ``t_converge`` is
-    the first time from which the thresholds hold through the end.  A run
-    aborted by a lost projection is never converged.
+    the first time from which the thresholds hold through the end.  An
+    aborted run (see ``abort_reason``) is never converged.
     """
     rows = trace.rows
     if not rows:
         raise EmptyTrace("trace has no rows")
     radius = float(trace.meta["radius"])
-    aborted = str(trace.meta.get("stop_reason") or "").startswith("projection lost")
-
-    def in_band(row) -> bool:
-        return abs(row.l / radius) < CONV_L and abs(row.theta_tilde) < CONV_THETA
-
     window = max(1, math.ceil(CONV_WINDOW_FRAC * len(rows)))
-    converged = not aborted and all(in_band(r) for r in rows[-window:])
+    converged = abort_reason(trace) is None and all(
+        in_convergence_band(r.l, r.theta_tilde, radius) for r in rows[-window:]
+    )
     t_converge = None
     if converged:
         t_converge = rows[-1].t
         for row in reversed(rows):
-            if not in_band(row):
+            if not in_convergence_band(row.l, row.theta_tilde, radius):
                 break
             t_converge = row.t
     switch_count = sum(

@@ -42,14 +42,19 @@ Two operating phases:
 
 The controller is a pure transition function: ``(FrenetState,
 ControllerState) -> (BrakeCommand, ControllerState)`` with no hidden state,
-so independent instances can run concurrently.  It never commands Stop;
+so independent instances can run concurrently.  ``select_maneuver`` first
+lets ``phase_switch`` pick the phase (a switch starts the new phase from a
+fresh ``ControllerState(phase)``), then runs that phase's step.  Every
+branch of ``_track_step`` and ``_approach_step`` returns its maneuver
+together with the next ``ControllerState``, built there in full, so each
+branch shows the state it moves to.  The controller never commands Stop;
 halting is a supervisor decision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -328,15 +333,9 @@ class ControllerConfig:
             raise ValueError("invalid phase-switch thresholds")
 
     def spec(self) -> dict:
-        return {
-            "radius": self.radius,
-            "delta_approach": self.delta_approach,
-            "delta_profile": self.delta_profile.spec(),
-            "eps_theta": self.eps_theta,
-            "eps_b": self.eps_b,
-            "threshold_l": self.threshold_l,
-            "re_approach_factor": self.re_approach_factor,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["delta_profile"] = self.delta_profile.spec()
+        return out
 
 
 @dataclass(frozen=True)
@@ -345,15 +344,10 @@ class ControllerState:
 
     phase: Phase = Phase.APPROACH
     hybrid_state: HybridState = HybridState.STRAIGHT
-    last_maneuver: Maneuver = Maneuver.GO_STRAIGHT
     turn_dir: int = 0                       # latched turn: +1 left, -1 right
     prev_err: Optional[float] = None        # last manifold error, wrapped
     prev_handoff: Optional[float] = None    # last final-turn boundary value
     prev_side: int = 0                      # sign of l~ at the last step
-
-    def _cleared(self, phase: Phase) -> "ControllerState":
-        return ControllerState(phase=phase, hybrid_state=HybridState.STRAIGHT,
-                               last_maneuver=self.last_maneuver)
 
 
 def phase_switch(
@@ -372,9 +366,9 @@ def phase_switch(
         raise ValueError("threshold_l must be positive")
     l_norm = abs(frenet.l / radius)
     if ctrl.phase is Phase.APPROACH and l_norm <= threshold_l:
-        return ctrl._cleared(Phase.TRACK)
+        return ControllerState(Phase.TRACK)
     if ctrl.phase is Phase.TRACK and l_norm > re_approach_factor * threshold_l:
-        return ctrl._cleared(Phase.APPROACH)
+        return ControllerState(Phase.APPROACH)
     return ctrl
 
 
@@ -411,29 +405,29 @@ def _relay(err: float, state: ControllerState, eps: float) -> tuple[Maneuver, Hy
 
 def _track_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
-) -> tuple[Maneuver, HybridState, int, float, Optional[float], int]:
+) -> tuple[Maneuver, ControllerState]:
     b = cfg.eps_b
     err = wrap_angle(th - cfg.delta_profile.value(l_norm))
     if abs(l_norm) <= b and abs(th) <= b:
-        return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0, err, None, 0
+        return Maneuver.GO_STRAIGHT, ControllerState(Phase.TRACK, HybridState.STRAIGHT, 0, err)
     # On a final-turn curve the vehicle rides it into the origin.  Within
     # sqrt(2 b) of the origin the curves blur into the band around it, so
     # the ride hands over to the band regulation there.
     th_clear = math.sqrt(2.0 * b)
     if abs(sigma_l(l_norm, th)) <= b and -math.pi < th < -th_clear:
-        return Maneuver.TURN_LEFT, HybridState.CONTROLLED, 0, err, None, 0
+        return Maneuver.TURN_LEFT, ControllerState(Phase.TRACK, HybridState.CONTROLLED, 0, err)
     if abs(sigma_r(l_norm, th)) <= b and th_clear < th:
-        return Maneuver.TURN_RIGHT, HybridState.CONTROLLED, 0, err, None, 0
+        return Maneuver.TURN_RIGHT, ControllerState(Phase.TRACK, HybridState.CONTROLLED, 0, err)
     action, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
-    return action, hybrid, turn_dir, err, None, 0
+    return action, ControllerState(Phase.TRACK, hybrid, turn_dir, err)
 
 
 def _approach_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
-) -> tuple[Maneuver, HybridState, int, float, Optional[float], int]:
+) -> tuple[Maneuver, ControllerState]:
     b = cfg.eps_b
     if abs(l_norm) <= b and abs(th) <= b:
-        return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0, th, None, 0
+        return Maneuver.GO_STRAIGHT, ControllerState(Phase.APPROACH, HybridState.STRAIGHT, 0, th)
     if l_norm > 0.0:
         side = 1
     elif l_norm < 0.0:
@@ -451,8 +445,12 @@ def _approach_step(
         and abs(handoff) <= _CONTROLLED_DRIFT_LIMIT
     ):
         if abs(th) <= cfg.eps_theta:
-            return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0, err, handoff, side
-        return final_turn, HybridState.CONTROLLED, 0, err, handoff, side
+            return Maneuver.GO_STRAIGHT, ControllerState(
+                Phase.APPROACH, HybridState.STRAIGHT, 0, err, handoff, side
+            )
+        return final_turn, ControllerState(
+            Phase.APPROACH, HybridState.CONTROLLED, 0, err, handoff, side
+        )
 
     receptive = (-math.pi < th < -b) if side > 0 else (b < th)
     if receptive:
@@ -463,10 +461,12 @@ def _approach_step(
         else:
             crossed = state.prev_handoff < -b and handoff >= -b
         if crossed:
-            return final_turn, HybridState.CONTROLLED, 0, err, handoff, side
+            return final_turn, ControllerState(
+                Phase.APPROACH, HybridState.CONTROLLED, 0, err, handoff, side
+            )
 
     action, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
-    return action, hybrid, turn_dir, err, handoff, side
+    return action, ControllerState(Phase.APPROACH, hybrid, turn_dir, err, handoff, side)
 
 
 def select_maneuver(
@@ -489,14 +489,5 @@ def select_maneuver(
     l_norm = frenet.l / params.radius
     th = wrap_angle(frenet.theta_tilde)
     step = _track_step if ctrl.phase is Phase.TRACK else _approach_step
-    action, hybrid, turn_dir, err, handoff, side = step(l_norm, th, ctrl, params)
-    new_state = replace(
-        ctrl,
-        hybrid_state=hybrid,
-        last_maneuver=action,
-        turn_dir=turn_dir,
-        prev_err=err,
-        prev_handoff=handoff,
-        prev_side=side,
-    )
-    return BrakeCommand(action), new_state
+    action, state = step(l_norm, th, ctrl, params)
+    return BrakeCommand(action), state

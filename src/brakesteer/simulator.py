@@ -13,13 +13,13 @@ import copy
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path as FilePath
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .analysis import CONV_L, CONV_THETA, RunSummary, lyapunov, summarize
+from .analysis import RunSummary, abort_reason, in_convergence_band, lyapunov, summarize
 from .controller import (
     ControllerConfig,
     ControllerState,
@@ -69,9 +69,7 @@ class TraceRow(NamedTuple):
     V: float
 
 
-TRACE_COLUMNS = (
-    "t,x,y,theta,v,omega,s,l,theta_tilde,maneuver,hybrid_state,phase,V"
-)
+TRACE_COLUMNS = ",".join(TraceRow._fields)
 
 
 @dataclass(frozen=True)
@@ -166,13 +164,9 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        p = self.vehicle
         out = {
             "path": copy.deepcopy(self.path_spec),
-            "vehicle": {
-                "m": p.m, "J": p.J, "J_w": p.J_w, "d": p.d,
-                "r": p.r, "b_w": p.b_w, "b_max": p.b_max,
-            },
+            "vehicle": asdict(self.vehicle),
             "controller": {
                 k: v for k, v in self.control.spec().items() if k != "radius"
             },
@@ -239,18 +233,18 @@ class Scenario:
             if not 0.0 < self.dt_physics <= self.dt_control:
                 issues.append(("error", "need 0 < dt_physics <= dt_control"))
             else:
-                ratio = self.dt_control / self.dt_physics
-                if ratio == math.inf or abs(ratio - round(ratio)) > 1e-9:
+                # An overflowed ratio is left to the physics-step bound below.
+                substeps = self.dt_control / self.dt_physics
+                if substeps < math.inf and abs(substeps - round(substeps)) > 1e-9:
                     issues.append(("error", "dt_control must be a multiple of dt_physics"))
-                else:
-                    substeps = ratio
         if t_ok and dt_ok:
             steps = self.t_max / self.dt_control * substeps
             if not steps <= MAX_PHYSICS_STEPS:
                 issues.append(
                     ("error",
                      f"run needs {steps:.3g} physics steps (t_max / dt_control control "
-                     f"steps times substeps); at most {MAX_PHYSICS_STEPS:.0e} are allowed")
+                     f"steps, times dt_control / dt_physics substeps in dynamic mode); "
+                     f"at most {MAX_PHYSICS_STEPS:.0e} are allowed")
                 )
         if not 0.0 < self.v_user < math.inf:
             issues.append(("error", "v_user must be positive and finite (forward motion only)"))
@@ -328,23 +322,41 @@ def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
     return data
 
 
-def _stop_row(t: float, state: VehicleState, s: float, l: float, th: float,
+def _stop_row(t: float, pose: tuple[float, float, float], s: float, l: float, th: float,
               phase: str, radius: float) -> TraceRow:
+    x, y, theta = pose
     return TraceRow(
-        t, state.x, state.y, state.theta, 0.0, 0.0, s, l, th,
+        t, x, y, theta, 0.0, 0.0, s, l, th,
         Maneuver.STOP.label, HybridState.STOPPED.label, phase,
         lyapunov(l / radius, th),
     )
+
+
+def _last_logged(
+    rows: list[TraceRow], state: VehicleState
+) -> tuple[tuple[float, float, float], float, float, float]:
+    """Pose, s, l and theta_tilde of the last row; the state's pose and zeros before it."""
+    if not rows:
+        return state.pose(), 0.0, 0.0, 0.0
+    last = rows[-1]
+    return (last.x, last.y, last.theta), last.s, last.l, last.theta_tilde
+
+
+def _nonfinite(layer: str, exc: Exception) -> str:
+    return f"nonfinite_state: {layer} raised {type(exc).__name__}: {exc}"
 
 
 def run(scenario: Scenario) -> Trace:
     """Execute one closed-loop run and return its trace.
 
     The loop terminates at ``t_max``, at the end of the path, on a latched
-    Stop (projection lost), or optionally once converged for
-    ``converged_hold`` seconds.  ``meta["stop_reason"]`` names the exit:
-    ``"t_max"``, ``"path_end"``, ``"converged"`` or ``"projection lost: ..."``.
-    A lost projection is logged as a Stop row rather than raised.
+    Stop, or optionally once converged for ``converged_hold`` seconds.
+    ``meta["stop_reason"]`` names the exit: ``"t_max"``, ``"path_end"``,
+    ``"converged"``, ``"projection lost: ..."`` or ``"nonfinite_state: ..."``
+    (the projection or the step overflowed or left the domain of a math
+    function).  Both of the last two end in a Stop row, with finite fields,
+    that repeats the last logged s, l and theta_tilde (0 before the first
+    row); after validation ``run`` does not raise.
     """
     issues, path = scenario._validate()
     errors = [msg for level, msg in issues if level == "error"]
@@ -383,17 +395,19 @@ def run(scenario: Scenario) -> Trace:
         try:
             fren = path.frenet_project(state.pose(), hint_s=hint, radius=radius)
         except (SingularProjection, AmbiguousProjection) as exc:
-            last = rows[-1] if rows else None
-            s_last = last.s if last else 0.0
-            l_last = last.l if last else 0.0
-            th_last = last.theta_tilde if last else 0.0
-            rows.append(_stop_row(t, state, s_last, l_last, th_last,
+            _, s_last, l_last, th_last = _last_logged(rows, state)
+            rows.append(_stop_row(t, state.pose(), s_last, l_last, th_last,
                                   ctrl.phase.label, radius))
             meta["stop_reason"] = f"projection lost: {exc}"
             break
+        except (OverflowError, ValueError) as exc:
+            # The pose may not be finite: stop at the last logged one.
+            rows.append(_stop_row(t, *_last_logged(rows, state), ctrl.phase.label, radius))
+            meta["stop_reason"] = _nonfinite("projection", exc)
+            break
         hint = fren.s
         if fren.s >= path.total_length - end_margin:
-            rows.append(_stop_row(t, state, fren.s, fren.l, fren.theta_tilde,
+            rows.append(_stop_row(t, state.pose(), fren.s, fren.l, fren.theta_tilde,
                                   ctrl.phase.label, radius))
             meta["stop_reason"] = "path_end"
             break
@@ -407,10 +421,7 @@ def run(scenario: Scenario) -> Trace:
             )
         )
         if scenario.stop_when_converged:
-            in_band = (
-                abs(fren.l / radius) < CONV_L and abs(fren.theta_tilde) < CONV_THETA
-            )
-            if in_band:
+            if in_convergence_band(fren.l, fren.theta_tilde, radius):
                 if in_band_since is None:
                     in_band_since = t
                 elif t - in_band_since >= scenario.converged_hold:
@@ -421,22 +432,30 @@ def run(scenario: Scenario) -> Trace:
         if k == n_steps:
             meta["stop_reason"] = "t_max"
             break
-        if scenario.mode == "kinematic":
-            v_k = scenario.v_user
-            if scenario.noise_amplitude > 0.0:
-                v_k = max(0.0, v_k * (1.0 + rng.uniform(-scenario.noise_amplitude,
-                                                        scenario.noise_amplitude)))
-            state = step_kinematic(state, cmd, v_k, dt, params)
-        else:
-            step_user = user
-            if scenario.noise_amplitude > 0.0:
-                step_user = UserInput(
-                    user.tau_r + rng.uniform(-scenario.noise_amplitude, scenario.noise_amplitude),
-                    user.tau_l + rng.uniform(-scenario.noise_amplitude, scenario.noise_amplitude),
-                )
-            for _ in range(n_sub):
-                state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
-                                     params, scenario.brake_model)
+        try:
+            if scenario.mode == "kinematic":
+                v_k = scenario.v_user
+                if scenario.noise_amplitude > 0.0:
+                    v_k = max(0.0, v_k * (1.0 + rng.uniform(-scenario.noise_amplitude,
+                                                            scenario.noise_amplitude)))
+                state = step_kinematic(state, cmd, v_k, dt, params)
+            else:
+                step_user = user
+                if scenario.noise_amplitude > 0.0:
+                    step_user = UserInput(
+                        user.tau_r + rng.uniform(-scenario.noise_amplitude,
+                                                 scenario.noise_amplitude),
+                        user.tau_l + rng.uniform(-scenario.noise_amplitude,
+                                                 scenario.noise_amplitude),
+                    )
+                for _ in range(n_sub):
+                    state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
+                                         params, scenario.brake_model)
+        except (OverflowError, ValueError) as exc:
+            rows.append(_stop_row((k + 1) * dt, *_last_logged(rows, state),
+                                  ctrl.phase.label, radius))
+            meta["stop_reason"] = _nonfinite("step", exc)
+            break
     return Trace(rows=tuple(rows), meta=meta)
 
 
@@ -452,9 +471,9 @@ def _sweep_one(args: tuple[dict, dict]) -> SweepResult:
     try:
         scenario = Scenario.from_dict(apply_overrides(copy.deepcopy(base_data), overrides))
         trace = run(scenario)
-        reason = trace.meta["stop_reason"]
-        error = reason if reason.startswith("projection lost") else None
-        return SweepResult(overrides=dict(overrides), summary=summarize(trace), error=error)
+        return SweepResult(
+            overrides=dict(overrides), summary=summarize(trace), error=abort_reason(trace)
+        )
     except Exception as exc:  # per-run isolation: a sweep never aborts
         return SweepResult(overrides=dict(overrides), summary=None, error=str(exc))
 

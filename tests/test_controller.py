@@ -1,8 +1,10 @@
 import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from brakesteer.controller import (
     ControllerConfig,
@@ -441,3 +443,182 @@ def test_infeasible_profile_reentry_contraction():
         assert th_b < th_a
     tail = rows[-500:]
     assert all(abs(r[1]) < 0.05 and abs(r[2]) < 0.05 for r in tail)
+
+
+# -- bitwise oracle for the transition ---------------------------------------
+#
+# The reference below is the transition as it was written when each phase
+# step returned a positional 6-tuple ``(action, hybrid, turn_dir, err,
+# handoff, side)`` that select_maneuver folded into the previous state with
+# dataclasses.replace.  select_maneuver must match it field for field.
+
+REF_FIELDS = ("phase", "hybrid_state", "turn_dir", "prev_err", "prev_handoff", "prev_side")
+
+
+@dataclass(frozen=True)
+class RefState:
+    phase: Phase = Phase.APPROACH
+    hybrid_state: HybridState = HybridState.STRAIGHT
+    turn_dir: int = 0
+    prev_err: Optional[float] = None
+    prev_handoff: Optional[float] = None
+    prev_side: int = 0
+
+
+def ref_latch_released(err, prev_err, turn_dir, eps):
+    if abs(err) <= eps:
+        return True
+    if prev_err is None:
+        return False
+    step = wrap_angle(err - prev_err)
+    if turn_dir > 0:
+        return err > eps and prev_err <= eps and 0.0 < step < PI / 2.0
+    return err < -eps and prev_err >= -eps and -PI / 2.0 < step < 0.0
+
+
+def ref_relay(err, state, eps):
+    if (
+        state.hybrid_state is HybridState.TURNING
+        and state.turn_dir != 0
+        and not ref_latch_released(err, state.prev_err, state.turn_dir, eps)
+    ):
+        action = Maneuver.TURN_LEFT if state.turn_dir > 0 else Maneuver.TURN_RIGHT
+        return action, HybridState.TURNING, state.turn_dir
+    if err > eps:
+        return Maneuver.TURN_RIGHT, HybridState.TURNING, -1
+    if err < -eps:
+        return Maneuver.TURN_LEFT, HybridState.TURNING, 1
+    return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0
+
+
+def ref_track_step(l_norm, th, state, cfg):
+    b = cfg.eps_b
+    err = wrap_angle(th - cfg.delta_profile.value(l_norm))
+    if abs(l_norm) <= b and abs(th) <= b:
+        return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0, err, None, 0
+    th_clear = math.sqrt(2.0 * b)
+    if abs(sigma_l(l_norm, th)) <= b and -math.pi < th < -th_clear:
+        return Maneuver.TURN_LEFT, HybridState.CONTROLLED, 0, err, None, 0
+    if abs(sigma_r(l_norm, th)) <= b and th_clear < th:
+        return Maneuver.TURN_RIGHT, HybridState.CONTROLLED, 0, err, None, 0
+    action, hybrid, turn_dir = ref_relay(err, state, cfg.eps_theta)
+    return action, hybrid, turn_dir, err, None, 0
+
+
+def ref_approach_step(l_norm, th, state, cfg):
+    b = cfg.eps_b
+    if abs(l_norm) <= b and abs(th) <= b:
+        return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0, th, None, 0
+    if l_norm > 0.0:
+        side = 1
+    elif l_norm < 0.0:
+        side = -1
+    else:
+        side = -1 if th > 0.0 else 1
+    handoff = sigma_l(l_norm, th) if side > 0 else sigma_r(l_norm, th)
+    final_turn = Maneuver.TURN_LEFT if side > 0 else Maneuver.TURN_RIGHT
+    target = -side * cfg.delta_approach
+    err = wrap_angle(th - target)
+    if (
+        state.hybrid_state is HybridState.CONTROLLED
+        and state.prev_side == side
+        and abs(handoff) <= 0.15
+    ):
+        if abs(th) <= cfg.eps_theta:
+            return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0, err, handoff, side
+        return final_turn, HybridState.CONTROLLED, 0, err, handoff, side
+    receptive = (-math.pi < th < -b) if side > 0 else (b < th)
+    if receptive:
+        if state.prev_handoff is None or state.prev_side != side:
+            crossed = abs(handoff) <= b
+        elif side > 0:
+            crossed = state.prev_handoff > b and handoff <= b
+        else:
+            crossed = state.prev_handoff < -b and handoff >= -b
+        if crossed:
+            return final_turn, HybridState.CONTROLLED, 0, err, handoff, side
+    action, hybrid, turn_dir = ref_relay(err, state, cfg.eps_theta)
+    return action, hybrid, turn_dir, err, handoff, side
+
+
+def ref_select_maneuver(frenet, ctrl, cfg):
+    offset = abs(frenet.l / cfg.radius)
+    if ctrl.phase is Phase.APPROACH and offset <= cfg.threshold_l:
+        ctrl = RefState(phase=Phase.TRACK)
+    elif ctrl.phase is Phase.TRACK and offset > cfg.re_approach_factor * cfg.threshold_l:
+        ctrl = RefState(phase=Phase.APPROACH)
+    l_norm = frenet.l / cfg.radius
+    th = wrap_angle(frenet.theta_tilde)
+    step = ref_track_step if ctrl.phase is Phase.TRACK else ref_approach_step
+    action, hybrid, turn_dir, err, handoff, side = step(l_norm, th, ctrl, cfg)
+    return action, replace(
+        ctrl, hybrid_state=hybrid, turn_dir=turn_dir,
+        prev_err=err, prev_handoff=handoff, prev_side=side,
+    )
+
+
+ORACLE_PROFILES = (
+    DeltaProfile.tanh(PI / 2, 1.0),
+    DeltaProfile.tanh(PI / 2, 10.0),
+    DeltaProfile.constant(PI / 4),
+    DeltaProfile.custom([0.0, 1.0, 3.0], [0.0, 0.8, 1.2]),
+)
+
+# A start at the origin, anywhere, or on a final-turn curve (sigma_L = 0
+# below the path's heading, sigma_R = 0 above it).
+oracle_starts = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-PI, PI)),
+    st.floats(0.05, 3.0).map(lambda th: (1.0 - math.cos(th), -th)),
+    st.floats(0.05, 3.0).map(lambda th: (math.cos(th) - 1.0, th)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=oracle_starts,
+    threshold=st.sampled_from([1e-4, 0.05, 0.5, 1.0, 1e9]),
+    delta=st.sampled_from([0.0, PI / 6, PI / 3, PI / 2]),
+    profile=st.sampled_from(ORACLE_PROFILES),
+    dt=st.sampled_from([0.005, 0.01, 0.02]),
+    kicks=st.dictionaries(
+        st.integers(1, 399), st.tuples(st.floats(-3.0, 3.0), st.floats(-PI, PI)), max_size=4
+    ),
+)
+@example(start=(4.0, 0.0), threshold=0.05, delta=PI / 3, profile=ORACLE_PROFILES[0],
+         dt=0.02, kicks={})
+@example(start=(-4.0, 0.0), threshold=0.05, delta=PI / 3, profile=ORACLE_PROFILES[0],
+         dt=0.02, kicks={})
+@example(start=(5e-4, 0.0), threshold=1e-4, delta=PI / 3, profile=ORACLE_PROFILES[0],
+         dt=0.01, kicks={200: (2.0, 0.0)})
+@example(start=(1.0 - math.cos(0.9), -0.9), threshold=1e9, delta=PI / 3,
+         profile=ORACLE_PROFILES[0], dt=0.01, kicks={})
+@example(start=(0.0, 0.0), threshold=0.5, delta=PI / 3, profile=ORACLE_PROFILES[0],
+         dt=0.01, kicks={100: (3.0, 0.0), 250: (-2.5, 1.0)})
+def test_select_maneuver_matches_reference_transition_bitwise(
+    start, threshold, delta, profile, dt, kicks
+):
+    # Closed loop on an ideal straight path, as in rollout(), with kicks
+    # that knock the state across the phase thresholds both ways.
+    cfg = ControllerConfig(
+        radius=0.3, delta_approach=delta, delta_profile=profile, threshold_l=threshold
+    )
+    turn = 1.0 / cfg.radius * dt
+    l_norm, th = start
+    ctrl, ref = ControllerState(), RefState()
+    for k in range(400):
+        dl, dth = kicks.get(k, (0.0, 0.0))
+        l_norm, th = l_norm + dl, wrap_angle(th + dth)
+        fren = FrenetState(s=0.0, l=l_norm * cfg.radius, theta_tilde=th)
+        cmd, ctrl = select_maneuver(fren, ctrl, cfg)
+        action, ref = ref_select_maneuver(fren, ref, cfg)
+        assert cmd.action is action, k
+        assert [getattr(ctrl, f) for f in REF_FIELDS] == [getattr(ref, f) for f in REF_FIELDS], k
+        if action is Maneuver.TURN_LEFT:
+            l_norm += math.cos(th) - math.cos(th + turn)
+            th = wrap_angle(th + turn)
+        elif action is Maneuver.TURN_RIGHT:
+            l_norm += math.cos(th - turn) - math.cos(th)
+            th = wrap_angle(th - turn)
+        else:
+            l_norm += turn * math.sin(th)

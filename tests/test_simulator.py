@@ -134,6 +134,7 @@ def test_validation_rejects_nonfinite_and_unknown_values(overrides, reason):
         {"mode": "dynamic", "dt_physics": 1e-300},  # ~1e298 substeps per control step
         {"dt_control": 1e-300},
         {"t_max": 1e300},
+        {"mode": "dynamic", "dt_physics": 5e-324},  # dt_control / dt_physics overflows
     ],
 )
 def test_validation_rejects_unfinishable_step_counts(overrides):
@@ -151,6 +152,31 @@ def test_step_bound_admits_a_run_at_the_limit():
     assert not [msg for level, msg in at_limit.validate() if level == "error"]
     over = sc.with_overrides({"t_max": (MAX_PHYSICS_STEPS + 1) * sc.dt_control})
     assert any("physics steps" in msg for level, msg in over.validate() if level == "error")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # OverflowError in the projection's squared distance
+        {"mode": "dynamic", "user.tau_r": 1e300, "user.tau_l": 1e300, "t_max": 2},
+        # ValueError (math domain error) from cos in the RK4 step
+        {"mode": "dynamic", "user.tau_r": 1e308, "user.tau_l": 1e308, "t_max": 2},
+        # OverflowError in the first, global projection
+        {"initial_pose": [1e300, 0, 0]},
+    ],
+)
+def test_run_ends_a_nonfinite_state_with_a_finite_stop_row(overrides):
+    sc = build_demo_scenario().with_overrides(overrides)
+    assert sc.validate() == []
+    tr = run(sc)
+    assert tr.meta["stop_reason"].startswith("nonfinite_state: ")
+    last = tr.rows[-1]
+    assert last.maneuver == "stop" and last.hybrid_state == "stopped"
+    assert all(math.isfinite(v) for v in last if isinstance(v, float))
+    assert not summarize(tr).converged
+    (result,) = sweep(build_demo_scenario(), [overrides])
+    assert result.error == tr.meta["stop_reason"]
+    assert not result.summary.converged
 
 
 @pytest.mark.parametrize(
