@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .controller import DeltaProfile, Region, classify, sigma_l, sigma_n, sigma_p, sigma_r
+from .controller import (
+    ControllerConfig, DeltaProfile, Region, classify, sigma_l, sigma_n, sigma_p, sigma_r,
+)
 from .path_geometry import wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,15 +57,7 @@ class RunSummary:
     lyapunov_violations: int
 
     def as_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "t_converge": self.t_converge,
-            "path_length": self.path_length,
-            "switch_count": self.switch_count,
-            "max_V": self.max_V,
-            "final_V": self.final_V,
-            "lyapunov_violations": self.lyapunov_violations,
-        }
+        return asdict(self)
 
 
 def ripple_bound(l_norm: float, eps_theta: float, dt: float, v: float, radius: float) -> float:
@@ -177,7 +171,9 @@ class GridSpec:
             raise ValueError("grid needs at least 2 points per axis")
 
 
-def field_dump(delta: float, grid: GridSpec, band: float = 1e-3) -> list[FieldSample]:
+def field_dump(
+    delta: float, grid: GridSpec, band: float = ControllerConfig.eps_b
+) -> list[FieldSample]:
     """Evaluate all boundary functions and region labels on a grid.
 
     Rows vary ``theta_tilde`` fastest; the output is suitable for contour

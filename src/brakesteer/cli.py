@@ -13,15 +13,16 @@ Exit codes: 0 success (converged), 1 error, 2 ran but did not converge.
 from __future__ import annotations
 
 import argparse
+import csv
+import inspect
 import json
-import math
 import sys
 from pathlib import Path as FilePath
 
 import numpy as np
 
 from .analysis import GridSpec, field_dump, summarize
-from .controller import curvature_feasible
+from .controller import ControllerConfig, curvature_feasible
 from .simulator import (
     Scenario,
     ScenarioInvalid,
@@ -99,25 +100,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     results = sweep(scenario, grid, parallel=args.parallel)
     out_dir = FilePath(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["l_norm,theta_tilde,converged,t_converge,path_length,switch_count,final_V,error"]
     all_converged = True
-    for res in results:
-        ic = res.overrides["initial_frenet"]
-        if res.summary is None:
-            all_converged = False
-            lines.append(
-                f"{ic['l_norm']:.9g},{ic['theta_tilde']:.9g},,,,,,\"{res.error}\""
-            )
-            continue
-        s = res.summary
-        all_converged &= s.converged
-        t_conv = f"{s.t_converge:.9g}" if s.t_converge is not None else ""
-        note = f'"{res.error}"' if res.error else ""
-        lines.append(
-            f"{ic['l_norm']:.9g},{ic['theta_tilde']:.9g},{int(s.converged)},"
-            f"{t_conv},{s.path_length:.9g},{s.switch_count},{s.final_V:.9g},{note}"
-        )
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with (out_dir / "sweep.csv").open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["l_norm", "theta_tilde", "converged", "t_converge", "path_length",
+                         "switch_count", "final_V", "error"])
+        for res in results:
+            ic = res.overrides["initial_frenet"]
+            s = res.summary
+            if s is None:
+                all_converged = False
+                cells = [""] * 5
+            else:
+                all_converged &= s.converged
+                t_conv = f"{s.t_converge:.9g}" if s.t_converge is not None else ""
+                cells = [int(s.converged), t_conv, f"{s.path_length:.9g}", s.switch_count,
+                         f"{s.final_V:.9g}"]
+            writer.writerow([f"{ic['l_norm']:.9g}", f"{ic['theta_tilde']:.9g}", *cells,
+                             res.error or ""])
     n_ok = sum(1 for r in results if r.summary and r.summary.converged)
     print(f"{n_ok}/{len(results)} runs converged")
     return EXIT_OK if all_converged else EXIT_NOT_CONVERGED
@@ -202,17 +202,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--grid-l", default="-4:4:9", help="l~ grid as min:max:n")
     p_sweep.add_argument("--grid-theta", default="-3:3:9", help="th~ grid as min:max:n")
-    p_sweep.add_argument("--grid-s", type=float, default=10.0, help="start abscissa")
+    p_sweep.add_argument("--grid-s", type=float,
+                         default=inspect.signature(frenet_grid).parameters["s0"].default,
+                         help="start abscissa")
     p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_field = sub.add_parser("field", help="dump boundary functions on a grid")
-    p_field.add_argument("--delta", type=float, default=math.pi / 3.0,
+    p_field.add_argument("--delta", type=float, default=ControllerConfig.delta_approach,
                          help="approach angle, rad")
-    p_field.add_argument("--l-min", type=float, default=-4.0)
-    p_field.add_argument("--l-max", type=float, default=4.0)
-    p_field.add_argument("--theta-min", type=float, default=-math.pi)
-    p_field.add_argument("--theta-max", type=float, default=math.pi)
+    p_field.add_argument("--l-min", type=float, default=GridSpec.l_min)
+    p_field.add_argument("--l-max", type=float, default=GridSpec.l_max)
+    p_field.add_argument("--theta-min", type=float, default=GridSpec.theta_min)
+    p_field.add_argument("--theta-max", type=float, default=GridSpec.theta_max)
     p_field.add_argument("--resolution", type=int, default=201)
     p_field.add_argument("--out", default="field.csv")
     p_field.set_defaults(func=_cmd_field)

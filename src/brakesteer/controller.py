@@ -142,38 +142,6 @@ def sigma(name: str, l_norm: float, theta_tilde: float, delta: float = 0.0) -> f
     raise ValueError(f"unknown boundary function {name!r}")
 
 
-def classify(l_norm: float, theta_tilde: float, delta: float, band: float = 1e-3) -> Region:
-    """Assign a state to exactly one partition region.
-
-    ``band`` is the numerical thickness given to the measure-zero curves.
-    The labeling is odd-symmetric: mirroring ``(l~, th~, delta)`` to
-    ``(-l~, -th~, -delta)`` swaps R with L labels and keeps the rest.
-    """
-    if band <= 0.0:
-        raise ValueError("band must be positive")
-    if abs(l_norm) <= band and abs(theta_tilde) <= band:
-        return Region.ON_DELTA_LINE  # origin: converged, all curves meet here
-    s_r = sigma_r(l_norm, theta_tilde)
-    s_l = sigma_l(l_norm, theta_tilde)
-    on_r = abs(s_r) <= band
-    on_l = abs(s_l) <= band
-    if on_r or on_l:
-        if on_r and not on_l:
-            return Region.ON_SIGMA_R
-        if on_l and not on_r:
-            return Region.ON_SIGMA_L
-        if abs(s_r) != abs(s_l):
-            return Region.ON_SIGMA_R if abs(s_r) < abs(s_l) else Region.ON_SIGMA_L
-        return Region.ON_SIGMA_R if theta_tilde > 0.0 else Region.ON_SIGMA_L
-    if abs(wrap_angle(theta_tilde - delta)) <= band:
-        return Region.ON_DELTA_LINE
-    if s_r < 0.0 and sigma_n(l_norm, theta_tilde, delta) < 0.0:
-        return Region.RIGHT_TURN_FIRST
-    if s_l > 0.0 and sigma_p(l_norm, theta_tilde, delta) > 0.0:
-        return Region.LEFT_TURN_FIRST
-    return Region.INTERIOR
-
-
 # -- approach-angle profiles -----------------------------------------------
 
 
@@ -370,6 +338,43 @@ def phase_switch(
     if ctrl.phase is Phase.TRACK and l_norm > re_approach_factor * threshold_l:
         return ControllerState(Phase.APPROACH)
     return ctrl
+
+
+# -- switching partition ----------------------------------------------------
+
+
+def classify(
+    l_norm: float, theta_tilde: float, delta: float, band: float = ControllerConfig.eps_b
+) -> Region:
+    """Assign a state to exactly one partition region.
+
+    ``band`` is the numerical thickness given to the measure-zero curves.
+    The labeling is odd-symmetric: mirroring ``(l~, th~, delta)`` to
+    ``(-l~, -th~, -delta)`` swaps R with L labels and keeps the rest.
+    """
+    if band <= 0.0:
+        raise ValueError("band must be positive")
+    if abs(l_norm) <= band and abs(theta_tilde) <= band:
+        return Region.ON_DELTA_LINE  # origin: converged, all curves meet here
+    s_r = sigma_r(l_norm, theta_tilde)
+    s_l = sigma_l(l_norm, theta_tilde)
+    on_r = abs(s_r) <= band
+    on_l = abs(s_l) <= band
+    if on_r or on_l:
+        if on_r and not on_l:
+            return Region.ON_SIGMA_R
+        if on_l and not on_r:
+            return Region.ON_SIGMA_L
+        if abs(s_r) != abs(s_l):
+            return Region.ON_SIGMA_R if abs(s_r) < abs(s_l) else Region.ON_SIGMA_L
+        return Region.ON_SIGMA_R if theta_tilde > 0.0 else Region.ON_SIGMA_L
+    if abs(wrap_angle(theta_tilde - delta)) <= band:
+        return Region.ON_DELTA_LINE
+    if s_r < 0.0 and sigma_n(l_norm, theta_tilde, delta) < 0.0:
+        return Region.RIGHT_TURN_FIRST
+    if s_l > 0.0 and sigma_p(l_norm, theta_tilde, delta) > 0.0:
+        return Region.LEFT_TURN_FIRST
+    return Region.INTERIOR
 
 
 # -- relay with latched hysteresis ------------------------------------------

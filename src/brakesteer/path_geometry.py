@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 # Joint matching tolerances for chained segments.
@@ -229,8 +227,8 @@ class Path:
     segments: tuple[PathSegment, ...]
     total_length: float
     cumulative_s: tuple[float, ...]
-    _scan_s: np.ndarray = field(repr=False, compare=False)
-    _scan_xy: np.ndarray = field(repr=False, compare=False)
+    # Coarse scan: path points at s = j * step, the last at total_length.
+    _scan_xy: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
 
     # -- queries ---------------------------------------------------------
 
@@ -300,18 +298,20 @@ class Path:
         return FrenetState(s, l, wrap_angle(th - thd))
 
     def _global_minimum(self, x: float, y: float, radius: float) -> float:
-        d2 = (self._scan_xy[:, 0] - x) ** 2 + (self._scan_xy[:, 1] - y) ** 2
-        # Local minima of the sampled distance, refined independently.
-        interior = np.r_[False, (d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:]), False]
-        interior[0] = d2[0] <= d2[1]
-        interior[-1] = d2[-1] <= d2[-2]
-        idx = np.flatnonzero(interior)
-        step = self._scan_s[1] - self._scan_s[0] if len(self._scan_s) > 1 else self.total_length
+        # Squares as products: those are exactly rounded everywhere, while
+        # ``** 2`` calls libm's pow, which can be an ulp off and so break a
+        # near-tie between two samples differently.
+        d2 = [(sx - x) * (sx - x) + (sy - y) * (sy - y) for sx, sy in self._scan_xy]
+        last = len(d2) - 1
+        step = self.total_length / last
+        # Local minima of the sampled distance, ties included, refined
+        # independently.
         candidates = []
-        for i in idx:
-            lo = max(0.0, self._scan_s[i] - step)
-            hi = min(self.total_length, self._scan_s[i] + step)
-            candidates.append(self._best_in_window(x, y, lo, hi))
+        for j, d in enumerate(d2):
+            if (j == 0 or d <= d2[j - 1]) and (j == last or d <= d2[j + 1]):
+                s = j * step if j < last else self.total_length
+                lo, hi = max(0.0, s - step), min(self.total_length, s + step)
+                candidates.append(self._best_in_window(x, y, lo, hi))
         candidates.sort(key=lambda c: c[1])
         s_best, d_best = candidates[0]
         for s_other, d_other in candidates[1:]:
@@ -512,16 +512,15 @@ def build_path(
     total = cumulative[-1]
     scan_step = min(0.25, max(total / 1000.0, 1e-3))
     n = max(2, math.ceil(total / scan_step))
-    scan_s = np.linspace(0.0, total, n + 1)
-    scan_xy = np.empty((n + 1, 2))
-    for j, s in enumerate(scan_s):
+    step = total / n
+    scan_xy = []
+    for j in range(n + 1):
+        s = j * step if j < n else total
         i = min(bisect.bisect_right(cumulative, s) - 1, len(segments) - 1)
-        scan_xy[j] = segments[i].point(s - cumulative[i])
+        scan_xy.append(segments[i].point(s - cumulative[i]))
     return Path(
         segments=tuple(segments),
         total_length=total,
         cumulative_s=tuple(cumulative[:-1]),
-        _scan_s=scan_s,
-        _scan_xy=scan_xy,
+        _scan_xy=tuple(scan_xy),
     )
-

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -126,3 +127,21 @@ def test_set_overrides_apply_before_validation(tmp_path, demo_config):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(demo_config), "--out", str(out),
                  "--set", "t_max=-5"]) == 1
+
+
+@pytest.mark.parametrize("brake_model", ['x",y', 'a"b'])
+def test_sweep_csv_error_field_round_trips(tmp_path, demo_config, brake_model):
+    # The error message quotes the bad value, so the field holds a quote
+    # and, for the first model, a comma.
+    data = json.loads(demo_config.read_text())
+    data["brake_model"] = brake_model
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "sweep"
+    main(["sweep", "--config", str(cfg), "--out", str(out),
+          "--grid-l=1:1:1", "--grid-theta=0:0:1"])
+    with (out / "sweep.csv").open(newline="", encoding="utf-8") as f:
+        header, row = csv.reader(f)
+    assert len(header) == len(row) == 8
+    assert row[:7] == ["1", "0", "", "", "", "", ""]
+    assert f"unknown brake model {brake_model!r}" in row[7]

@@ -17,6 +17,7 @@ from brakesteer.path_geometry import (
     build_path,
     wrap_angle,
 )
+from brakesteer.simulator import build_demo_scenario
 
 
 def mixed_path():
@@ -370,7 +371,12 @@ def reference_project(path, pose, hint_s=None, radius=0.3):
         lo, hi = max(0.0, hint_s - radius), min(path.total_length, hint_s + radius)
         s = reference_window(path, x, y, lo, hi)[0]
     else:
-        xy, scan_s = path._scan_xy, path._scan_s
+        # build_path's scan: the path point every ~0.25 m (finer on short
+        # paths), at np.linspace's abscissae.
+        total = path.total_length
+        n = max(2, math.ceil(total / min(0.25, max(total / 1000.0, 1e-3))))
+        scan_s = np.linspace(0.0, total, n + 1)
+        xy = np.array([path.pose_at(s)[:2] for s in scan_s])
         d2 = (xy[:, 0] - x) ** 2 + (xy[:, 1] - y) ** 2
         local_min = np.r_[False, (d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:]), False]
         local_min[0] = d2[0] <= d2[1]
@@ -463,8 +469,20 @@ def outcome(project):
 @example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], 2.0, 0.3, heading=1.0), 2.45))
 # hi on the clothoid wins, and s0 + (hi - s0) != hi there.
 @example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 3.3, 0.2, heading=0.4), 2.7506))
+# An exact tie between scan samples 10.0 and 10.25: both are local minima.
+@example((build_path([{"kind": "line", "length": 256.0}]), (10.125, 1.0, 0.0), None))
 def test_projection_matches_reference_window_search_bitwise(query):
     path, pose, hint = query
     got = outcome(lambda: path.frenet_project(pose, hint_s=hint, radius=0.3))
     want = outcome(lambda: reference_project(path, pose, hint_s=hint, radius=0.3))
     assert got == want
+
+
+def test_global_projection_returns_python_floats():
+    # The unhinted search works in plain floats throughout, so no numpy
+    # scalar reaches the result.  At this pose near the demo course a
+    # numpy coarse scan made s a numpy.float64.
+    path = build_demo_scenario().build_path()
+    f = path.frenet_project((20.197401659079283, 1.092016168567227, 0.3819557256764625))
+    assert [type(v) for v in (f.s, f.l, f.theta_tilde)] == [float, float, float]
+    assert f.s == 17.99677956757714
