@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .controller import (
     ControllerConfig, DeltaProfile, Region, classify, sigma_l, sigma_n, sigma_p, sigma_r,
@@ -143,8 +143,7 @@ def summarize(trace: "Trace") -> RunSummary:
     )
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     l_norm: float
     theta_tilde: float
     sigma_r: float
@@ -186,13 +185,13 @@ def field_dump(
             th = grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
             out.append(
                 FieldSample(
-                    l_norm=l_norm,
-                    theta_tilde=th,
-                    sigma_r=sigma_r(l_norm, th),
-                    sigma_l=sigma_l(l_norm, th),
-                    sigma_n=sigma_n(l_norm, th, delta),
-                    sigma_p=sigma_p(l_norm, th, delta),
-                    region=classify(l_norm, th, delta, band),
+                    l_norm,
+                    th,
+                    sigma_r(l_norm, th),
+                    sigma_l(l_norm, th),
+                    sigma_n(l_norm, th, delta),
+                    sigma_p(l_norm, th, delta),
+                    classify(l_norm, th, delta, band),
                 )
             )
     return out

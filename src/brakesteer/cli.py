@@ -97,6 +97,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = frenet_grid(
         _parse_linspace(args.grid_l), _parse_linspace(args.grid_theta), s0=args.grid_s
     )
+    # The grid sets only the initial condition, so one point's validation
+    # covers everything its points share.
+    errors = [msg for level, msg in scenario.with_overrides(grid[0]).validate()
+              if level == "error"]
+    if errors:
+        raise ScenarioInvalid(errors)
     results = sweep(scenario, grid, parallel=args.parallel)
     out_dir = FilePath(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -47,8 +47,11 @@ lets ``phase_switch`` pick the phase (a switch starts the new phase from a
 fresh ``ControllerState(phase)``), then runs that phase's step.  Every
 branch of ``_track_step`` and ``_approach_step`` returns its maneuver
 together with the next ``ControllerState``, built there in full, so each
-branch shows the state it moves to.  The controller never commands Stop;
-halting is a supervisor decision.
+branch shows the state it moves to.  ``FrenetState`` and ``ControllerState``
+are immutable NamedTuples, and the command is one of the four interned
+``dynamics.COMMANDS``, so nothing the transition hands out can be changed
+after the fact.  The controller never commands Stop; halting is a
+supervisor decision.
 """
 
 from __future__ import annotations
@@ -56,11 +59,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import BrakeCommand, Maneuver
+from .dynamics import COMMANDS, BrakeCommand, Maneuver
 from .path_geometry import FrenetState, wrap_angle
 
 HALF_PI = math.pi / 2.0
@@ -167,18 +170,21 @@ class DeltaProfile:
     table_delta: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        # Comparisons are written so that NaN fails them.
         if self.kind == "constant":
             if not 0.0 <= self.delta0 < math.pi:
                 raise ValueError("constant profile needs delta0 in [0, pi)")
         elif self.kind == "tanh":
             if not 0.0 < self.amplitude < math.pi:
                 raise ValueError("tanh profile needs amplitude in (0, pi)")
-            if self.gain <= 0.0:
-                raise ValueError("tanh profile needs gain > 0")
+            if not 0.0 < self.gain < math.inf:
+                raise ValueError("tanh profile needs a finite gain > 0")
         elif self.kind == "custom":
             ls, ds = self.table_l, self.table_delta
             if len(ls) < 2 or len(ls) != len(ds):
                 raise ValueError("custom profile needs matching tables, >= 2 points")
+            if not all(math.isfinite(v) for v in (*ls, *ds)):
+                raise ValueError("custom profile tables must be finite")
             if ls[0] != 0.0 or ds[0] != 0.0:
                 raise ValueError("custom profile tables must start at (0, 0)")
             if any(b <= a for a, b in zip(ls, ls[1:])):
@@ -306,8 +312,7 @@ class ControllerConfig:
         return out
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """Discrete controller memory carried between steps."""
 
     phase: Phase = Phase.APPROACH
@@ -495,4 +500,4 @@ def select_maneuver(
     th = wrap_angle(frenet.theta_tilde)
     step = _track_step if ctrl.phase is Phase.TRACK else _approach_step
     action, state = step(l_norm, th, ctrl, params)
-    return BrakeCommand(action), state
+    return COMMANDS[action], state

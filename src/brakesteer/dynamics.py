@@ -16,8 +16,9 @@ as a strong viscous dissipator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class NonPositiveDt(ValueError):
@@ -73,6 +74,11 @@ class BrakeCommand:
         )
 
 
+# The four commands, built once: the controller hands these out rather than
+# building a new command every step.
+COMMANDS = {action: BrakeCommand(action) for action in Maneuver}
+
+
 @dataclass(frozen=True)
 class VehicleParams:
     """Physical parameters (SI units).
@@ -110,8 +116,7 @@ class UserInput:
     tau_l: float = 0.0
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     """World pose, body rates and wheel rates."""
 
     x: float
@@ -194,7 +199,7 @@ def step_kinematic(
     if dt <= 0.0:
         raise NonPositiveDt(f"dt={dt}")
     if command.action is Maneuver.STOP:
-        return replace(state, v=0.0, omega=0.0, alpha_dot_r=0.0, alpha_dot_l=0.0)
+        return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
     v = max(0.0, v_user)
     if command.action is Maneuver.GO_STRAIGHT:
         omega = 0.0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,8 +75,7 @@ def wrap_angle(angle: float) -> float:
     return (angle + math.pi) % TWO_PI - math.pi
 
 
-@dataclass(frozen=True)
-class FrenetState:
+class FrenetState(NamedTuple):
     """Path-relative coordinates of a world pose.
 
     ``s`` is arc length along the path, ``l`` the signed lateral offset

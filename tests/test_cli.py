@@ -5,7 +5,7 @@ import math
 import pytest
 
 from brakesteer.cli import main
-from brakesteer.simulator import build_demo_scenario
+from brakesteer.simulator import ScenarioInvalid, SweepResult, build_demo_scenario
 
 
 @pytest.fixture()
@@ -130,18 +130,34 @@ def test_set_overrides_apply_before_validation(tmp_path, demo_config):
 
 
 @pytest.mark.parametrize("brake_model", ['x",y', 'a"b'])
-def test_sweep_csv_error_field_round_trips(tmp_path, demo_config, brake_model):
+def test_sweep_csv_error_field_round_trips(tmp_path, demo_config, monkeypatch, brake_model):
     # The error message quotes the bad value, so the field holds a quote
-    # and, for the first model, a comma.
-    data = json.loads(demo_config.read_text())
-    data["brake_model"] = brake_model
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    # and, for the first model, a comma.  The CLI rejects such a scenario
+    # before sweeping, so the error row comes from a stubbed sweep carrying
+    # the message a run of it raises.
+    bad = build_demo_scenario().with_overrides({"brake_model": brake_model})
+    message = str(ScenarioInvalid([msg for level, msg in bad.validate() if level == "error"]))
+    monkeypatch.setattr(
+        "brakesteer.cli.sweep",
+        lambda base, grid, parallel=1: [SweepResult(dict(grid[0]), None, message)],
+    )
     out = tmp_path / "sweep"
-    main(["sweep", "--config", str(cfg), "--out", str(out),
+    main(["sweep", "--config", str(demo_config), "--out", str(out),
           "--grid-l=1:1:1", "--grid-theta=0:0:1"])
     with (out / "sweep.csv").open(newline="", encoding="utf-8") as f:
         header, row = csv.reader(f)
     assert len(header) == len(row) == 8
     assert row[:7] == ["1", "0", "", "", "", "", ""]
     assert f"unknown brake model {brake_model!r}" in row[7]
+
+
+def test_sweep_rejects_an_invalid_scenario_before_running(tmp_path, demo_config, capsys):
+    data = json.loads(demo_config.read_text())
+    data["brake_model"] = "bogus"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--grid-l=1:2:2", "--grid-theta=0:0:1"]) == 1
+    assert "unknown brake model 'bogus'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()

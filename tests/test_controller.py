@@ -24,7 +24,8 @@ from brakesteer.controller import (
     sigma_p,
     sigma_r,
 )
-from brakesteer.dynamics import Maneuver
+from brakesteer.analysis import FieldSample
+from brakesteer.dynamics import BrakeCommand, Maneuver, VehicleState
 from brakesteer.path_geometry import FrenetState, wrap_angle
 
 PI = math.pi
@@ -236,6 +237,30 @@ def test_profile_validation():
         DeltaProfile(kind="spline")
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("gain", [NAN, INF])
+def test_tanh_profile_rejects_nonfinite_gain(gain):
+    with pytest.raises(ValueError, match="gain"):
+        DeltaProfile.tanh(gain=gain)
+
+
+@pytest.mark.parametrize(
+    "offsets, magnitudes",
+    [
+        ([0.0, 1.0, NAN], [0.0, 0.5, 0.6]),
+        ([0.0, 1.0, INF], [0.0, 0.5, 0.6]),
+        ([0.0, NAN, 2.0], [0.0, 0.5, 0.6]),
+        ([0.0, 1.0, 2.0], [0.0, NAN, 0.6]),
+        ([0.0, 1.0, 2.0], [0.0, 0.5, NAN]),
+    ],
+)
+def test_custom_profile_rejects_nonfinite_tables(offsets, magnitudes):
+    with pytest.raises(ValueError, match="finite"):
+        DeltaProfile.custom(offsets, magnitudes)
+
+
 def test_profile_spec_round_trip():
     for prof in (
         DeltaProfile.constant(0.7),
@@ -326,6 +351,51 @@ def test_band_regulation_directions():
     below = FrenetState(0.0, l_norm * cfg.radius, delta - 5 * cfg.eps_theta)
     assert select_maneuver(above, ControllerState(), cfg)[0].action is Maneuver.TURN_RIGHT
     assert select_maneuver(below, ControllerState(), cfg)[0].action is Maneuver.TURN_LEFT
+
+
+# -- the records the loop hands out ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        FrenetState(0.0, 0.1, 0.2),
+        ControllerState(),
+        VehicleState(0.0, 0.0, 0.0, 1.0, 0.0, 10.0, 10.0),
+        FieldSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, Region.INTERIOR),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_are_immutable_values(record):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 1.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1.0
+    assert hash(record) == hash(tuple(record))
+
+
+def test_controller_state_defaults_and_keyword_construction():
+    state = ControllerState()
+    assert (state.phase, state.hybrid_state, state.turn_dir) == (
+        Phase.APPROACH, HybridState.STRAIGHT, 0
+    )
+    assert (state.prev_err, state.prev_handoff, state.prev_side) == (None, None, 0)
+    assert ControllerState(phase=Phase.TRACK, prev_err=0.5) == ControllerState(
+        Phase.TRACK, HybridState.STRAIGHT, 0, 0.5, None, 0
+    )
+
+
+def test_select_maneuver_hands_out_one_command_per_action():
+    cfg = ControllerConfig()
+    handed_out = {}
+    for _ in range(2):
+        for l_norm in np.linspace(-1.5, 1.5, 7):
+            for th in np.linspace(-3.0, 3.0, 7):
+                fren = FrenetState(0.0, float(l_norm) * cfg.radius, float(th))
+                cmd, _ = select_maneuver(fren, ControllerState(), cfg)
+                assert cmd == BrakeCommand(cmd.action)
+                assert handed_out.setdefault(cmd.action, cmd) is cmd
+    assert set(handed_out) == {Maneuver.GO_STRAIGHT, Maneuver.TURN_LEFT, Maneuver.TURN_RIGHT}
 
 
 def test_projection_lost_on_nonfinite_state():

@@ -187,6 +187,24 @@ def test_nan_tuning_rejected_at_construction(key):
         build_demo_scenario().with_overrides({key: NAN})
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"kind": "tanh", "amplitude": 1.5, "gain": NAN},
+        {"kind": "tanh", "amplitude": 1.5, "gain": INF},
+        {"kind": "custom", "table_l": [0.0, 1.0, INF], "table_delta": [0.0, 0.5, 0.6]},
+        {"kind": "custom", "table_l": [0.0, 1.0, 2.0], "table_delta": [0.0, NAN, 0.6]},
+    ],
+)
+def test_from_dict_rejects_a_nonfinite_delta_profile(profile):
+    # Such a profile makes every manifold error NaN, and the relay then goes
+    # straight until the path ends.
+    data = build_demo_scenario().to_dict()
+    data["controller"]["delta_profile"] = profile
+    with pytest.raises(ValueError, match="finite"):
+        Scenario.from_dict(data)
+
+
 def test_validate_flags_excess_curvature():
     sc = scenario(path={"start_pose": [0, 0, 0], "segments": [
         {"kind": "line", "length": 5},
