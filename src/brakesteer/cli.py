@@ -19,10 +19,9 @@ import json
 import sys
 from pathlib import Path as FilePath
 
-import numpy as np
-
 from .analysis import GridSpec, field_dump, summarize
 from .controller import ControllerConfig, curvature_feasible
+from .path_geometry import linspace
 from .simulator import (
     Scenario,
     ScenarioInvalid,
@@ -86,10 +85,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 def _parse_linspace(spec: str) -> list[float]:
     lo, hi, n = spec.split(":")
-    n = int(n)
-    if n < 1:
-        raise ValueError("grid needs at least one point")
-    return [float(v) for v in np.linspace(float(lo), float(hi), n)]
+    return linspace(float(lo), float(hi), int(n))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -56,15 +56,14 @@ supervisor decision.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .dynamics import COMMANDS, BrakeCommand, Maneuver
-from .path_geometry import FrenetState, wrap_angle
+from .path_geometry import FrenetState, linspace, wrap_angle
 
 HALF_PI = math.pi / 2.0
 
@@ -213,7 +212,19 @@ class DeltaProfile:
             return -math.copysign(self.delta0, l_norm)
         if self.kind == "tanh":
             return -self.amplitude * math.tanh(self.gain * l_norm)
-        mag = float(np.interp(abs(l_norm), self.table_l, self.table_delta))
+        # Linear interpolation in np.interp's operations and order: the knot
+        # value on a knot, the slope form between knots, the last magnitude
+        # past the last knot.
+        x = abs(l_norm)
+        ls, ds = self.table_l, self.table_delta
+        if x < ls[-1]:
+            j = bisect.bisect_right(ls, x) - 1
+            if ls[j] == x:
+                mag = ds[j]
+            else:
+                mag = (ds[j + 1] - ds[j]) / (ls[j + 1] - ls[j]) * (x - ls[j]) + ds[j]
+        else:
+            mag = ds[-1] if x >= ls[-1] else x  # a NaN offset stays NaN
         return -math.copysign(mag, l_norm) if l_norm != 0.0 else 0.0
 
     def slope(self, l_norm: float) -> float:
@@ -259,19 +270,28 @@ def curvature_feasible(
     On the manifold the required heading rate is ``delta'(l~) * v/R *
     sin(delta(l~))``, so the speed and radius cancel and the condition is
     ``|delta'(l~) * sin(delta(l~))| <= 1``.  Returns the verdict and the
-    smallest offset where it fails (inf when feasible everywhere).
+    smallest offset where it fails (inf when feasible everywhere), checked
+    at ``samples`` evenly spaced offsets in ``[0, l_max]``.
+
+    Raises ValueError unless ``v``, ``turning_radius`` and ``l_max`` are
+    positive and finite and ``samples >= 2``, so that no verdict is given
+    about an empty or undefined range.
     """
-    if v <= 0.0 or turning_radius <= 0.0:
-        raise ValueError("v and turning_radius must be positive")
-    grid = np.linspace(0.0, l_max, samples)
+    # Comparisons are written so that NaN fails them.
+    if not (0.0 < v < math.inf and 0.0 < turning_radius < math.inf):
+        raise ValueError("v and turning_radius must be positive and finite")
+    if not 0.0 < l_max < math.inf:
+        raise ValueError("l_max must be positive and finite")
+    if not samples >= 2:
+        raise ValueError("samples must be at least 2")
     worst = 0.0
     l_hat = math.inf
-    for l_norm in grid:
-        g = abs(profile.slope(float(l_norm)) * math.sin(profile.value(float(l_norm))))
+    for l_norm in linspace(0.0, l_max, samples):
+        g = abs(profile.slope(l_norm) * math.sin(profile.value(l_norm)))
         if g > worst:
             worst = g
         if g > 1.0 and l_hat == math.inf:
-            l_hat = float(l_norm)
+            l_hat = l_norm
     return worst <= 1.0, l_hat
 
 

@@ -75,6 +75,30 @@ def wrap_angle(angle: float) -> float:
     return (angle + math.pi) % TWO_PI - math.pi
 
 
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` evenly spaced floats from ``lo`` to ``hi``, both ends included.
+
+    Point ``i`` is ``i * step + lo`` with ``step = (hi - lo) / (n - 1)``, and
+    the last point is ``hi`` itself.  These are ``numpy.linspace``'s
+    operations, so the result equals it bit for bit.
+    """
+    if not n >= 1:
+        raise ValueError(f"linspace needs at least one point, got {n}")
+    lo, hi = float(lo), float(hi)
+    delta = hi - lo
+    if n == 1:
+        return [0.0 * delta + lo]  # as numpy: a lo of -0.0 comes out as 0.0
+    div = n - 1
+    step = delta / div
+    if step == 0.0:
+        # The step underflowed: numpy scales i / div by the range instead.
+        out = [i / div * delta + lo for i in range(n)]
+    else:
+        out = [i * step + lo for i in range(n)]
+    out[-1] = hi
+    return out
+
+
 class FrenetState(NamedTuple):
     """Path-relative coordinates of a world pose.
 
@@ -226,7 +250,9 @@ class Path:
     segments: tuple[PathSegment, ...]
     total_length: float
     cumulative_s: tuple[float, ...]
-    # Coarse scan: path points at s = j * step, the last at total_length.
+    # Coarse scan: the abscissae linspace(0, total_length, n + 1) and the
+    # path point at each.
+    _scan_s: tuple[float, ...] = field(repr=False, compare=False)
     _scan_xy: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
 
     # -- queries ---------------------------------------------------------
@@ -308,7 +334,7 @@ class Path:
         candidates = []
         for j, d in enumerate(d2):
             if (j == 0 or d <= d2[j - 1]) and (j == last or d <= d2[j + 1]):
-                s = j * step if j < last else self.total_length
+                s = self._scan_s[j]
                 lo, hi = max(0.0, s - step), min(self.total_length, s + step)
                 candidates.append(self._best_in_window(x, y, lo, hi))
         candidates.sort(key=lambda c: c[1])
@@ -511,15 +537,15 @@ def build_path(
     total = cumulative[-1]
     scan_step = min(0.25, max(total / 1000.0, 1e-3))
     n = max(2, math.ceil(total / scan_step))
-    step = total / n
+    scan_s = linspace(0.0, total, n + 1)
     scan_xy = []
-    for j in range(n + 1):
-        s = j * step if j < n else total
+    for s in scan_s:
         i = min(bisect.bisect_right(cumulative, s) - 1, len(segments) - 1)
         scan_xy.append(segments[i].point(s - cumulative[i]))
     return Path(
         segments=tuple(segments),
         total_length=total,
         cumulative_s=tuple(cumulative[:-1]),
+        _scan_s=tuple(scan_s),
         _scan_xy=tuple(scan_xy),
     )

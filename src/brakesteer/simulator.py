@@ -12,12 +12,9 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path as FilePath
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .analysis import RunSummary, abort_reason, in_convergence_band, lyapunov, summarize
 from .controller import (
@@ -369,7 +366,11 @@ def run(scenario: Scenario) -> Trace:
     cfg = scenario.control
     radius = params.R
     dt = scenario.dt_control
-    rng = np.random.default_rng(scenario.seed)
+    if scenario.noise_amplitude > 0.0:
+        # Only a noisy run draws numbers, so only it pays for importing numpy.
+        import numpy as np
+
+        rng = np.random.default_rng(scenario.seed)
     state = scenario.initial_state(path)
     ctrl = ControllerState()
     user = UserInput(*scenario.user_torques)
@@ -488,6 +489,8 @@ def sweep(
         raise ValueError("sweep grid is empty")
     jobs = [(base.to_dict(), dict(ov)) for ov in grid]
     if parallel > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(_sweep_one, jobs))
     return [_sweep_one(job) for job in jobs]

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brakesteer
 from brakesteer.cli import main
 from brakesteer.simulator import ScenarioInvalid, SweepResult, build_demo_scenario
 
@@ -161,3 +166,39 @@ def test_sweep_rejects_an_invalid_scenario_before_running(tmp_path, demo_config,
                  "--grid-l=1:2:2", "--grid-theta=0:0:1"]) == 1
     assert "unknown brake model 'bogus'" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+# Each stage prints which of the two modules it has loaded so far.
+START_UP = """
+import sys
+
+def loaded():
+    print(*("numpy" in sys.modules, "concurrent.futures" in sys.modules))
+
+import brakesteer
+loaded()
+import brakesteer.cli
+loaded()
+from brakesteer import build_demo_scenario, run
+run(build_demo_scenario().with_overrides({"t_max": 0.5}))
+loaded()
+run(build_demo_scenario().with_overrides({"t_max": 0.5, "user.noise_amplitude": 0.05}))
+loaded()
+"""
+
+
+def test_numpy_loads_only_for_a_noisy_run():
+    src = str(Path(brakesteer.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", START_UP], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == [
+        "False False",  # import brakesteer
+        "False False",  # import brakesteer.cli
+        "False False",  # a run without noise
+        "True False",  # a noisy run draws from numpy's generator
+    ]

@@ -293,6 +293,66 @@ def test_tanh_high_gain_infeasible_near_origin():
     assert 0.0 < l_hat < 0.5
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"v": NAN}, {"v": INF}, {"v": 0.0}, {"v": -1.0},
+        {"turning_radius": NAN}, {"turning_radius": INF}, {"turning_radius": 0.0},
+        {"l_max": NAN}, {"l_max": INF}, {"l_max": 0.0}, {"l_max": -1.0},
+        {"samples": 0}, {"samples": 1},
+    ],
+    ids=lambda bad: "{}={}".format(*next(iter(bad.items()))),
+)
+def test_curvature_feasible_rejects_an_undefined_check(bad):
+    # The profile is infeasible near 0, so a vacuous (True, inf) is wrong.
+    args = {"v": 1.0, "turning_radius": 0.3, "l_max": 10.0, "samples": 4001, **bad}
+    with pytest.raises(ValueError):
+        curvature_feasible(DeltaProfile.tanh(PI / 2, 10.0), **args)
+
+
+def interp_reference(offsets, magnitudes, l_norm):
+    """The custom profile's value, computed with np.interp."""
+    mag = float(np.interp(abs(l_norm), offsets, magnitudes))
+    return -math.copysign(mag, l_norm) if l_norm != 0.0 else 0.0
+
+
+@st.composite
+def custom_profile_query(draw):
+    knots = draw(st.lists(st.floats(1e-6, 100.0), min_size=1, max_size=6, unique=True))
+    offsets = [0.0, *sorted(knots)]
+    magnitudes = [0.0, *sorted(
+        draw(st.lists(st.floats(0.0, 3.1), min_size=len(knots), max_size=len(knots)))
+    )]
+    knot = draw(st.sampled_from(offsets))
+    x = draw(st.one_of(
+        st.just(knot),
+        st.just(math.nextafter(knot, math.inf)),
+        st.just(math.nextafter(knot, -math.inf)),
+        st.floats(0.0, 2.0 * offsets[-1]),
+    ))
+    return offsets, magnitudes, draw(st.sampled_from([1.0, -1.0])) * x
+
+
+@settings(max_examples=500, deadline=None)
+@given(custom_profile_query())
+@example(([0.0, 1.0, 3.0], [0.0, 0.8, 1.2], 1.0))  # on a knot
+@example(([0.0, 1.0, 3.0], [0.0, 0.8, 1.2], -math.nextafter(1.0, 2.0)))
+@example(([0.0, 1.0, 3.0], [0.0, 0.8, 1.2], math.nextafter(1.0, 0.0)))
+@example(([0.0, 1.0, 3.0], [0.0, 0.8, 1.2], 3.0))  # the last knot
+@example(([0.0, 1.0, 3.0], [0.0, 0.8, 1.2], -7.5))  # past it
+@example(([0.0, 1.0, 3.0], [0.0, 0.8, 1.2], 0.0))
+@example(([0.0, 1.0, 3.0], [0.0, 0.8, 1.2], -0.0))
+@example(([0.0, 0.1, 0.7], [0.0, 1.1, 1.1], 0.3))  # a flat stretch
+def test_custom_profile_value_is_np_interp_bitwise(query):
+    offsets, magnitudes, l_norm = query
+    got = DeltaProfile.custom(offsets, magnitudes).value(l_norm)
+    assert got.hex() == interp_reference(offsets, magnitudes, l_norm).hex()
+
+
+def test_custom_profile_value_keeps_nan():
+    assert math.isnan(DeltaProfile.custom([0.0, 1.0], [0.0, 0.5]).value(NAN))
+
+
 # -- phase switching -----------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from brakesteer.path_geometry import (
     PathError,
     SingularProjection,
     build_path,
+    linspace,
     wrap_angle,
 )
 from brakesteer.simulator import build_demo_scenario
@@ -56,6 +57,33 @@ def test_wrap_range_and_periodicity(theta):
 
 
 # -- construction ----------------------------------------------------------
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=1, max_value=2000),
+)
+@example(0.0, 0.0, 1)
+@example(-0.0, 1.0, 1)  # numpy turns the lone -0.0 into 0.0
+@example(2.5, 2.5, 7)  # an empty range
+@example(3.0, -7.5, 4)  # a falling range
+@example(-40.0, -1.0, 9)
+@example(0.0, 5e-324, 3)  # the step underflows to 0
+@example(-1e300, 1e300, 11)
+@example(0.0, 1234.56789, 4940)  # build_path's scan of a 1.2 km path
+def test_linspace_is_numpy_linspace_bitwise(lo, hi, n):
+    # A range wider than the largest float overflows to inf on both sides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [v.hex() for v in np.linspace(lo, hi, n).tolist()]
+    assert [v.hex() for v in linspace(lo, hi, n)] == expected
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_linspace_needs_a_point(n):
+    with pytest.raises(ValueError, match="at least one point"):
+        linspace(0.0, 1.0, n)
 
 
 def test_single_line():
