@@ -228,8 +228,9 @@ def step_dynamic(
     dt: float,
     params: VehicleParams,
     brake_model: str = "instant",
+    substeps: int = 1,
 ) -> VehicleState:
-    """Advance the full dynamic state over dt with fixed-step RK4.
+    """Advance the full dynamic state by ``substeps`` fixed RK4 steps of dt.
 
     ``brake_model="instant"`` locks a braked wheel immediately (snapping its
     spin rate to zero and projecting the body rates) and then integrates the
@@ -238,18 +239,22 @@ def step_dynamic(
     exponential transient with time constant ~ J_w / b_max.  The forward
     speed is clamped nonnegative; reverse motion is out of scope.
 
-    The brake settings, user torques and other per-step constants are
-    resolved once, and the four RK4 stages run on plain floats.  Each
-    expression keeps the operand order of :func:`wheel_rates`,
-    :func:`effective_wheel_torque` and :func:`torques_to_wrench`, so the
-    result is bitwise that of an RK4 step built from those helpers.
+    The checks, the brake settings, user torques and other constants are
+    resolved once per call, and the substeps then run the four RK4 stages on
+    plain floats; one ``VehicleState`` is built, at the end.  Each expression
+    keeps the operand order of :func:`wheel_rates`,
+    :func:`effective_wheel_torque` and :func:`torques_to_wrench`, so every
+    substep is bitwise an RK4 step built from those helpers, and one call
+    with ``substeps=n`` equals ``n`` chained calls bit for bit.
     """
     if dt <= 0.0:
         raise NonPositiveDt(f"dt={dt}")
     if brake_model not in ("instant", "viscous"):
         raise ValueError(f"unknown brake model {brake_model!r}")
+    if type(substeps) is not int or substeps < 1:
+        raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
     action = command.action
-    x0, y0, th0 = state.x, state.y, state.theta
+    x, y, th = state.x, state.y, state.theta
     r, d, b_w = params.r, params.d, params.b_w
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -257,77 +262,88 @@ def step_dynamic(
 
     if brake_model == "instant" and action is not Maneuver.GO_STRAIGHT:
         if action is Maneuver.STOP:
-            return VehicleState(x0, y0, th0, 0.0, 0.0, 0.0, 0.0)
+            return VehicleState(x, y, th, 0.0, 0.0, 0.0, 0.0)
         # One wheel locked: the free wheel's rate u is the only degree of
         # freedom, with v = r u / 2 and omega = sr u / d about the locked wheel.
-        if action is Maneuver.TURN_RIGHT:
+        right = action is Maneuver.TURN_RIGHT
+        if right:
             sr, u, tau = -r, state.alpha_dot_l, user.tau_l
         else:
             sr, u, tau = r, state.alpha_dot_r, user.tau_r
-        # Snap the braked wheel to rest and read the free wheel's rate back
-        # through wheel_rates; the sign of omega cancels the wheel's side.
-        u0 = (r * u / 2.0 + r * u / d * d / 2.0) / r
         m_eff = params.m * r**2 / 4.0 + params.J * r**2 / d**2
 
-        v = r * u0 / 2.0
-        dx1, dy1 = v * cos(th0), v * sin(th0)
-        dth1, du1 = sr * u0 / d, (tau - b_w * u0) / m_eff
-        th, u = th0 + half * dth1, u0 + half * du1
-        v = r * u / 2.0
-        dx2, dy2 = v * cos(th), v * sin(th)
-        dth2, du2 = sr * u / d, (tau - b_w * u) / m_eff
-        th, u = th0 + half * dth2, u0 + half * du2
-        v = r * u / 2.0
-        dx3, dy3 = v * cos(th), v * sin(th)
-        dth3, du3 = sr * u / d, (tau - b_w * u) / m_eff
-        th, u = th0 + dt * dth3, u0 + dt * du3
-        v = r * u / 2.0
-        dx4, dy4 = v * cos(th), v * sin(th)
-        dth4, du4 = sr * u / d, (tau - b_w * u) / m_eff
+        for _ in range(substeps):
+            # Snap the braked wheel to rest and read the free wheel's rate
+            # back through wheel_rates; the sign of omega cancels the side.
+            u0 = (r * u / 2.0 + r * u / d * d / 2.0) / r
+            th0 = th
 
-        u = u0 + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
-        if not u > 0.0:  # max(0.0, u), which also maps NaN to 0
-            u = 0.0
-        v = r * u / 2.0
-        omega = sr * u / d
+            v = r * u0 / 2.0
+            dx1, dy1 = v * cos(th0), v * sin(th0)
+            dth1, du1 = sr * u0 / d, (tau - b_w * u0) / m_eff
+            th, u = th0 + half * dth1, u0 + half * du1
+            v = r * u / 2.0
+            dx2, dy2 = v * cos(th), v * sin(th)
+            dth2, du2 = sr * u / d, (tau - b_w * u) / m_eff
+            th, u = th0 + half * dth2, u0 + half * du2
+            v = r * u / 2.0
+            dx3, dy3 = v * cos(th), v * sin(th)
+            dth3, du3 = sr * u / d, (tau - b_w * u) / m_eff
+            th, u = th0 + dt * dth3, u0 + dt * du3
+            v = r * u / 2.0
+            dx4, dy4 = v * cos(th), v * sin(th)
+            dth4, du4 = sr * u / d, (tau - b_w * u) / m_eff
+
+            u = u0 + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+            if not u > 0.0:  # max(0.0, u), which also maps NaN to 0
+                u = 0.0
+            v = r * u / 2.0
+            omega = sr * u / d
+            x += sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+            y += sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+            th = th0 + sixth * (dth1 + 2.0 * dth2 + 2.0 * dth3 + dth4)
+            # The next substep starts from the free wheel's rate as the
+            # VehicleState field would store it.
+            u = (v - omega * d / 2.0) / r if right else (v + omega * d / 2.0) / r
     else:
         (b_r, c_r), (b_l, c_l) = command.wheel_settings(params.b_max)
         tau_r, tau_l = user.tau_r, user.tau_l
         held_r, held_l = (1.0 - c_r) * tau_r, (1.0 - c_l) * tau_l
         m, J, two_r = params.m, params.J, 2.0 * r
-        v0, w0 = state.v, state.omega
+        v, omega = state.v, state.omega
 
-        adr, adl = (v0 + w0 * d / 2.0) / r, (v0 - w0 * d / 2.0) / r
-        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
-        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
-        dx1, dy1 = v0 * cos(th0), v0 * sin(th0)
-        dv1, dw1 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-        th, v2, w2 = th0 + half * w0, v0 + half * dv1, w0 + half * dw1
-        adr, adl = (v2 + w2 * d / 2.0) / r, (v2 - w2 * d / 2.0) / r
-        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
-        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
-        dx2, dy2 = v2 * cos(th), v2 * sin(th)
-        dv2, dw2 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-        th, v3, w3 = th0 + half * w2, v0 + half * dv2, w0 + half * dw2
-        adr, adl = (v3 + w3 * d / 2.0) / r, (v3 - w3 * d / 2.0) / r
-        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
-        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
-        dx3, dy3 = v3 * cos(th), v3 * sin(th)
-        dv3, dw3 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-        th, v4, w4 = th0 + dt * w3, v0 + dt * dv3, w0 + dt * dw3
-        adr, adl = (v4 + w4 * d / 2.0) / r, (v4 - w4 * d / 2.0) / r
-        tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
-        tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
-        dx4, dy4 = v4 * cos(th), v4 * sin(th)
-        dv4, dw4 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-        dth1, dth2, dth3, dth4 = w0, w2, w3, w4
+        for _ in range(substeps):
+            th0, v0, w0 = th, v, omega
+            adr, adl = (v0 + w0 * d / 2.0) / r, (v0 - w0 * d / 2.0) / r
+            tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+            tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+            dx1, dy1 = v0 * cos(th0), v0 * sin(th0)
+            dv1, dw1 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+            th, v2, w2 = th0 + half * w0, v0 + half * dv1, w0 + half * dw1
+            adr, adl = (v2 + w2 * d / 2.0) / r, (v2 - w2 * d / 2.0) / r
+            tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+            tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+            dx2, dy2 = v2 * cos(th), v2 * sin(th)
+            dv2, dw2 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+            th, v3, w3 = th0 + half * w2, v0 + half * dv2, w0 + half * dw2
+            adr, adl = (v3 + w3 * d / 2.0) / r, (v3 - w3 * d / 2.0) / r
+            tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+            tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+            dx3, dy3 = v3 * cos(th), v3 * sin(th)
+            dv3, dw3 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+            th, v4, w4 = th0 + dt * w3, v0 + dt * dv3, w0 + dt * dw3
+            adr, adl = (v4 + w4 * d / 2.0) / r, (v4 - w4 * d / 2.0) / r
+            tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
+            tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
+            dx4, dy4 = v4 * cos(th), v4 * sin(th)
+            dv4, dw4 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
 
-        v = v0 + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-        omega = w0 + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
-        if v < 0.0:
-            v = 0.0
+            v = v0 + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+            omega = w0 + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+            if v < 0.0:
+                v = 0.0
+            x += sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+            y += sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+            th = th0 + sixth * (w0 + 2.0 * w2 + 2.0 * w3 + w4)
 
-    x = x0 + sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-    y = y0 + sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
-    th = th0 + sixth * (dth1 + 2.0 * dth2 + 2.0 * dth3 + dth4)
     return VehicleState(x, y, th, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)

@@ -449,9 +449,8 @@ def run(scenario: Scenario) -> Trace:
                         user.tau_l + rng.uniform(-scenario.noise_amplitude,
                                                  scenario.noise_amplitude),
                     )
-                for _ in range(n_sub):
-                    state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
-                                         params, scenario.brake_model)
+                state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
+                                     params, scenario.brake_model, n_sub)
         except (OverflowError, ValueError) as exc:
             rows.append(_stop_row((k + 1) * dt, *_last_logged(rows, state),
                                   ctrl.phase.label, radius))

@@ -134,6 +134,14 @@ def test_nonpositive_dt_rejected():
         step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), -0.1, PARAMS)
 
 
+@pytest.mark.parametrize("substeps", [0, -1, 2.0])
+def test_step_dynamic_rejects_bad_substeps(substeps):
+    # substeps=0 would otherwise hand the state back unchanged.
+    with pytest.raises(ValueError, match="substeps"):
+        step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), 1e-3, PARAMS,
+                     "viscous", substeps)
+
+
 # -- dynamic stepping ---------------------------------------------------------
 
 
@@ -279,10 +287,10 @@ def reference_step_dynamic(state, command, user, dt, p, brake_model):
 # 0 reaches the holding branch.  Near rest the RK4 increment is as large as
 # the state itself, so a change of summation order shows in the last bit.
 RATE = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-2.0, 2.0))
-
-
-@settings(max_examples=500)
-@given(
+# On this axle the locked-wheel snap of an already snapped rate moves it
+# again for about one rate in 200.
+NARROW_AXLE = VehicleParams(d=0.45)
+STEP_DRAWS = dict(
     action=st.sampled_from(list(Maneuver)),
     brake_model=st.sampled_from(["instant", "viscous"]),
     dt=st.floats(1e-4, 2e-2),
@@ -290,8 +298,14 @@ RATE = st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3), st.floats(-2.0, 2.0))
     v=RATE,
     omega=RATE,
     torques=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-    params=st.sampled_from([PARAMS, VehicleParams(b_w=0.0, b_max=2.0, d=0.5, r=0.15)]),
+    params=st.sampled_from(
+        [PARAMS, VehicleParams(b_w=0.0, b_max=2.0, d=0.5, r=0.15), NARROW_AXLE]
+    ),
 )
+
+
+@settings(max_examples=500)
+@given(**STEP_DRAWS)
 # Both wheels at rest under a push: the holding branch, then the v < 0 clamp.
 @example(Maneuver.GO_STRAIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, -1.0), PARAMS)
 @example(Maneuver.TURN_RIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, 1.0), PARAMS)
@@ -304,3 +318,28 @@ def test_step_dynamic_matches_helper_reference_bitwise(
     state = VehicleState.from_body_rates(*pose, v, omega, params)
     args = (state, BrakeCommand(action), UserInput(*torques), dt, params, brake_model)
     assert step_dynamic(*args) == reference_step_dynamic(*args)
+
+
+@settings(max_examples=500)
+@given(n=st.sampled_from([1, 2, 3, 10, 25]), **STEP_DRAWS)
+# Locking a wheel at 0.95 m/s: the snap moves the free wheel's rate by one bit.
+@example(Maneuver.TURN_LEFT, "instant", 10, 1e-3, (0.0, 0.0, 0.0), 0.95, 0.0, (0.1, 0.1), PARAMS)
+# On NARROW_AXLE a loop that snaps only once, or carries u instead of reading
+# it back from (v, omega), drifts from the chained calls.
+@example(Maneuver.TURN_LEFT, "instant", 10, 1e-3, (0.0, 0.0, 0.0), 0.95, 0.0, (0.1, 0.1),
+         NARROW_AXLE)
+# A push from rest: the braked wheel takes the holding branch.
+@example(Maneuver.TURN_RIGHT, "viscous", 10, 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, 1.0), PARAMS)
+# Rolling slowly against a backward push: the v < 0 clamp is reached mid-sequence.
+@example(Maneuver.GO_STRAIGHT, "viscous", 25, 1e-3, (0.0, 0.0, 0.0), 0.005, 0.0, (-1.0, -1.0),
+         PARAMS)
+def test_substeps_equal_chained_calls_bitwise(
+    action, brake_model, n, dt, pose, v, omega, torques, params
+):
+    state = VehicleState.from_body_rates(*pose, v, omega, params)
+    command, user = BrakeCommand(action), UserInput(*torques)
+    chained = state
+    for _ in range(n):
+        chained = step_dynamic(chained, command, user, dt, params, brake_model)
+    looped = step_dynamic(state, command, user, dt, params, brake_model, n)
+    assert [f.hex() for f in looped] == [f.hex() for f in chained]

@@ -80,6 +80,20 @@ def test_noisy_demo_trace_bytes_are_pinned(overrides, digest):
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "brake_model, digest",
+    [("instant", "7cae37682a88d4f330275a81f652cfbebb111a9a9fe271257b647cb554b7222b"),
+     ("viscous", "8f6da23f555963321b1793ec95defb05f8450411016a847820e9603caabf5133")],
+)
+def test_dynamic_demo_trace_bytes_are_pinned(brake_model, digest):
+    # run hands step_dynamic a whole control step of substeps; these digests
+    # hold the noise-free trace to the bits of one call per substep.
+    overrides = {"mode": "dynamic", "brake_model": brake_model,
+                 "user.tau_r": 0.12, "user.tau_l": 0.12}
+    csv = run(build_demo_scenario().with_overrides(overrides)).to_csv()
+    assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
+
+
 def test_run_terminates_at_path_end():
     tr = run(scenario(t_max=500.0))
     assert tr.rows[-1].maneuver == "stop"
