@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .controller import (
@@ -166,32 +169,79 @@ class GridSpec:
         for v in (self.l_min, self.l_max, self.theta_min, self.theta_max):
             if not math.isfinite(v):
                 raise ValueError("grid bounds must be finite")
-        if self.n_l < 2 or self.n_theta < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        for n in (self.n_l, self.n_theta):
+            if type(n) is not int or n < 2:
+                raise ValueError(f"grid needs an int of at least 2 points per axis, got {n!r}")
+
+
+# Region codes of a field dump index this tuple.
+REGIONS = tuple(Region)
+_REGION_CODE = {region: code for code, region in enumerate(REGIONS)}
+
+
+class FieldDump(Sequence):
+    """A sampled switching field, held in columns.
+
+    Six ``array('d')`` columns (``l_norm`` ... ``sigma_p``) and
+    ``region_codes``, one byte per sample indexing :data:`REGIONS`.
+    Indexing and iteration build each :class:`FieldSample` on access;
+    every value was computed by :func:`field_dump`.
+    """
+
+    __slots__ = ("l_norm", "theta_tilde", "sigma_r", "sigma_l", "sigma_n", "sigma_p",
+                 "region_codes")
+
+    def __init__(self, l_norm: array, theta_tilde: array, sigma_r: array, sigma_l: array,
+                 sigma_n: array, sigma_p: array, region_codes: bytes) -> None:
+        self.l_norm = l_norm
+        self.theta_tilde = theta_tilde
+        self.sigma_r = sigma_r
+        self.sigma_l = sigma_l
+        self.sigma_n = sigma_n
+        self.sigma_p = sigma_p
+        self.region_codes = region_codes
+
+    def __len__(self) -> int:
+        return len(self.region_codes)
+
+    def __getitem__(self, index: int | slice) -> FieldSample | list[FieldSample]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return FieldSample(
+            self.l_norm[index], self.theta_tilde[index], self.sigma_r[index],
+            self.sigma_l[index], self.sigma_n[index], self.sigma_p[index],
+            REGIONS[self.region_codes[index]],
+        )
+
+    def __iter__(self) -> Iterator[FieldSample]:
+        for l_norm, th, s_r, s_l, s_n, s_p, code in zip(
+            self.l_norm, self.theta_tilde, self.sigma_r, self.sigma_l,
+            self.sigma_n, self.sigma_p, self.region_codes,
+        ):
+            yield FieldSample(l_norm, th, s_r, s_l, s_n, s_p, REGIONS[code])
 
 
 def field_dump(
     delta: float, grid: GridSpec, band: float = ControllerConfig.eps_b
-) -> list[FieldSample]:
+) -> FieldDump:
     """Evaluate all boundary functions and region labels on a grid.
 
     Rows vary ``theta_tilde`` fastest; the output is suitable for contour
-    or heat-map replotting of the switching partition.
+    or heat-map replotting of the switching partition.  Every value is
+    computed here; the returned sequence only stores them.
     """
-    out = []
+    thetas = [
+        grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
+        for j in range(grid.n_theta)
+    ]
+    l_col, s_r, s_l, s_n, s_p = (array("d") for _ in range(5))
+    codes = bytearray()
     for i in range(grid.n_l):
         l_norm = grid.l_min + (grid.l_max - grid.l_min) * i / (grid.n_l - 1)
-        for j in range(grid.n_theta):
-            th = grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
-            out.append(
-                FieldSample(
-                    l_norm,
-                    th,
-                    sigma_r(l_norm, th),
-                    sigma_l(l_norm, th),
-                    sigma_n(l_norm, th, delta),
-                    sigma_p(l_norm, th, delta),
-                    classify(l_norm, th, delta, band),
-                )
-            )
-    return out
+        l_col.extend(repeat(l_norm, grid.n_theta))
+        s_r.extend([sigma_r(l_norm, th) for th in thetas])
+        s_l.extend([sigma_l(l_norm, th) for th in thetas])
+        s_n.extend([sigma_n(l_norm, th, delta) for th in thetas])
+        s_p.extend([sigma_p(l_norm, th, delta) for th in thetas])
+        codes.extend([_REGION_CODE[classify(l_norm, th, delta, band)] for th in thetas])
+    return FieldDump(l_col, array("d", thetas) * grid.n_l, s_r, s_l, s_n, s_p, bytes(codes))

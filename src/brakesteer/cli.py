@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path as FilePath
 
-from .analysis import GridSpec, field_dump, summarize
+from .analysis import REGIONS, GridSpec, field_dump, summarize
 from .controller import ControllerConfig, curvature_feasible
 from .path_geometry import linspace
 from .simulator import (
@@ -134,17 +134,20 @@ def _cmd_field(args: argparse.Namespace) -> int:
         theta_min=args.theta_min, theta_max=args.theta_max,
         n_l=args.resolution, n_theta=args.resolution,
     )
-    samples = field_dump(args.delta, grid)
+    field = field_dump(args.delta, grid)
     out = FilePath(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["l_norm,theta_tilde,sigma_r,sigma_l,sigma_n,sigma_p,region"]
-    for s in samples:
-        lines.append(
-            f"{s.l_norm:.9g},{s.theta_tilde:.9g},{s.sigma_r:.9g},{s.sigma_l:.9g},"
-            f"{s.sigma_n:.9g},{s.sigma_p:.9g},{s.region.label}"
+    labels = [region.label for region in REGIONS]
+    with out.open("w", encoding="utf-8") as f:
+        f.write("l_norm,theta_tilde,sigma_r,sigma_l,sigma_n,sigma_p,region\n")
+        f.writelines(
+            f"{l_norm:.9g},{th:.9g},{s_r:.9g},{s_l:.9g},{s_n:.9g},{s_p:.9g},{labels[code]}\n"
+            for l_norm, th, s_r, s_l, s_n, s_p, code in zip(
+                field.l_norm, field.theta_tilde, field.sigma_r, field.sigma_l,
+                field.sigma_n, field.sigma_p, field.region_codes,
+            )
         )
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(samples)} grid points to {out}")
+    print(f"wrote {len(field)} grid points to {out}")
     return EXIT_OK
 
 

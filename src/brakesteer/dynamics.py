@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 
 class NonPositiveDt(ValueError):
-    """Raised when a stepping function receives dt <= 0."""
+    """Raised when a stepping function receives a dt that is not positive and finite."""
 
 
 class Maneuver(Enum):
@@ -196,7 +196,7 @@ def step_kinematic(
     ``+v/R`` turning left; Stop halts instantly (wheel lock time is treated
     as negligible) and leaves the pose unchanged.
     """
-    if dt <= 0.0:
+    if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
     if command.action is Maneuver.STOP:
         return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
@@ -247,7 +247,7 @@ def step_dynamic(
     substep is bitwise an RK4 step built from those helpers, and one call
     with ``substeps=n`` equals ``n`` chained calls bit for bit.
     """
-    if dt <= 0.0:
+    if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
     if brake_model not in ("instant", "viscous"):
         raise ValueError(f"unknown brake model {brake_model!r}")

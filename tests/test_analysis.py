@@ -1,17 +1,22 @@
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from brakesteer.analysis import (
     EmptyTrace,
+    FieldSample,
     GridSpec,
     field_dump,
     lyapunov,
     ripple_bound,
     summarize,
 )
-from brakesteer.controller import Region, classify
+from brakesteer.controller import (
+    ControllerConfig, Region, classify, sigma_l, sigma_n, sigma_p, sigma_r,
+)
 from brakesteer.simulator import Trace, TraceRow
 
 META = {
@@ -136,8 +141,102 @@ def test_field_dump_mirror_symmetry():
         assert m.sigma_n == pytest.approx(-s.sigma_p, abs=1e-12)
 
 
+def reference_field_dump(delta, grid, band=ControllerConfig.eps_b):
+    """The list-building field_dump that the column version replaced."""
+    out = []
+    for i in range(grid.n_l):
+        l_norm = grid.l_min + (grid.l_max - grid.l_min) * i / (grid.n_l - 1)
+        for j in range(grid.n_theta):
+            th = grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
+            out.append(
+                FieldSample(
+                    l_norm,
+                    th,
+                    sigma_r(l_norm, th),
+                    sigma_l(l_norm, th),
+                    sigma_n(l_norm, th, delta),
+                    sigma_p(l_norm, th, delta),
+                    classify(l_norm, th, delta, band),
+                )
+            )
+    return out
+
+
+def assert_same_sample(got, want):
+    assert type(got) is FieldSample
+    assert [float.hex(v) for v in got[:6]] == [float.hex(v) for v in want[:6]]
+    assert got.region is want.region
+
+
+_bound = st.floats(-6.0, 6.0)
+_grid = st.builds(
+    GridSpec, l_min=_bound, l_max=_bound, theta_min=_bound, theta_max=_bound,
+    n_l=st.integers(2, 25), n_theta=st.integers(2, 25),
+)
+_delta = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+
+
+@given(_grid, _delta, st.sampled_from([1e-6, ControllerConfig.eps_b, 0.05, 0.4]))
+@example(GridSpec(n_l=9, n_theta=9), 0.0, ControllerConfig.eps_b)
+@example(GridSpec(n_l=9, n_theta=9), -0.0, ControllerConfig.eps_b)
+@example(GridSpec(l_min=3.0, l_max=-3.0, theta_min=2.5, theta_max=-2.5, n_l=7, n_theta=5),
+         -1.2, 0.05)
+def test_field_dump_matches_reference_bitwise(grid, delta, band):
+    want = reference_field_dump(delta, grid, band)
+    got = field_dump(delta, grid, band)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):  # iteration
+        assert_same_sample(g, w)
+    for k in range(-len(want), len(want)):  # indexing, negative indices included
+        assert_same_sample(got[k], want[k])
+
+
+def test_field_dump_is_a_read_only_sequence():
+    grid = GridSpec(n_l=11, n_theta=7)
+    got = field_dump(math.pi / 3, grid)
+    want = reference_field_dump(math.pi / 3, grid)
+    assert isinstance(got, Sequence)
+    assert len(got) == 77
+    for index in (slice(None, None, 13), slice(5, 2, -1), slice(-3, None), slice(70, 99),
+                  slice(4, 4)):
+        part = got[index]
+        assert len(part) == len(want[index])
+        for g, w in zip(part, want[index]):
+            assert_same_sample(g, w)
+    assert_same_sample(got[-1], want[-1])
+    assert_same_sample(got[-77], want[0])
+    for k in (77, -78):
+        with pytest.raises(IndexError):
+            got[k]
+    assert list(got) == want
+    assert [s.region for s in reversed(got)] == [s.region for s in reversed(want)]
+    with pytest.raises(TypeError):
+        got[0] = want[1]
+    with pytest.raises(TypeError):
+        del got[0]
+
+
+def test_field_dump_memory_stays_compact():
+    # 90,601 FieldSample tuples took a 21 MB peak; the columns take about 4.8 MB.
+    grid = GridSpec(n_l=301, n_theta=301)
+    tracemalloc.start()
+    try:
+        field = field_dump(math.pi / 3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(field) == 301 * 301
+    assert peak < 6e6
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(n_l=1)
     with pytest.raises(ValueError):
         GridSpec(l_min=math.inf)
+    for size in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError):
+            GridSpec(n_l=size)
+        with pytest.raises(ValueError):
+            GridSpec(n_theta=size)
+    assert GridSpec(n_l=2, n_theta=2).n_l == 2

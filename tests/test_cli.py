@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -60,6 +61,18 @@ def test_field_grid_output(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 21 * 21
     assert lines[0] == "l_norm,theta_tilde,sigma_r,sigma_l,sigma_n,sigma_p,region"
+
+
+def test_field_csv_bytes_pinned(tmp_path):
+    # Digest of the 301x301 field at the default delta, taken from the
+    # list-building field_dump before the columns replaced it.
+    out = tmp_path / "field.csv"
+    assert main(["field", "--resolution", "301", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1 + 301 * 301
+    assert hashlib.sha256(data).hexdigest() == (
+        "8898c55663d28f2ea6abc100897c4d0b94e088b4192d07eaedbdd490e0d74fbc"
+    )
 
 
 def test_field_rejects_tiny_resolution(tmp_path):

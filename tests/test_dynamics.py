@@ -134,6 +134,16 @@ def test_nonpositive_dt_rejected():
         step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), -0.1, PARAMS)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_nonfinite_dt_rejected(dt):
+    # A NaN dt used to pass the guard and return an all-NaN state.
+    with pytest.raises(NonPositiveDt):
+        step_kinematic(state_at(), BrakeCommand.turn_left(), 1.0, dt, PARAMS)
+    for model in ("instant", "viscous"):
+        with pytest.raises(NonPositiveDt):
+            step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), dt, PARAMS, model)
+
+
 @pytest.mark.parametrize("substeps", [0, -1, 2.0])
 def test_step_dynamic_rejects_bad_substeps(substeps):
     # substeps=0 would otherwise hand the state back unchanged.
