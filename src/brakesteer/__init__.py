@@ -31,7 +31,6 @@ from .controller import (
     curvature_feasible,
     phase_switch,
     select_maneuver,
-    sigma,
     sigma_l,
     sigma_n,
     sigma_p,

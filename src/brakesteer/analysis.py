@@ -228,8 +228,14 @@ def field_dump(
 
     Rows vary ``theta_tilde`` fastest; the output is suitable for contour
     or heat-map replotting of the switching partition.  Every value is
-    computed here; the returned sequence only stores them.
+    computed here; the returned sequence only stores them.  A non-finite
+    ``delta`` or a ``band`` outside (0, inf) raises ValueError.
     """
+    # Comparisons are written so that NaN fails them.
+    if not -math.inf < delta < math.inf:
+        raise ValueError(f"delta must be finite, got {delta!r}")
+    if not 0.0 < band < math.inf:
+        raise ValueError(f"band must be positive and finite, got {band!r}")
     thetas = [
         grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
         for j in range(grid.n_theta)

@@ -126,9 +126,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_field(args: argparse.Namespace) -> int:
-    if args.resolution < 2:
-        print("resolution must be >= 2", file=sys.stderr)
-        return EXIT_ERROR
     grid = GridSpec(
         l_min=args.l_min, l_max=args.l_max,
         theta_min=args.theta_min, theta_max=args.theta_max,

@@ -130,20 +130,6 @@ def sigma_p(l_norm: float, theta_tilde: float, delta: float) -> float:
     return l_norm - 1.0 + 2.0 * math.cos(delta) - math.cos(theta_tilde)
 
 
-def sigma(name: str, l_norm: float, theta_tilde: float, delta: float = 0.0) -> float:
-    """Boundary function by name: R, L, N or P."""
-    key = name.upper()
-    if key == "R":
-        return sigma_r(l_norm, theta_tilde)
-    if key == "L":
-        return sigma_l(l_norm, theta_tilde)
-    if key == "N":
-        return sigma_n(l_norm, theta_tilde, delta)
-    if key == "P":
-        return sigma_p(l_norm, theta_tilde, delta)
-    raise ValueError(f"unknown boundary function {name!r}")
-
-
 # -- approach-angle profiles -----------------------------------------------
 
 
@@ -377,7 +363,7 @@ def classify(
     The labeling is odd-symmetric: mirroring ``(l~, th~, delta)`` to
     ``(-l~, -th~, -delta)`` swaps R with L labels and keeps the rest.
     """
-    if band <= 0.0:
+    if not band > 0.0:
         raise ValueError("band must be positive")
     if abs(l_norm) <= band and abs(theta_tilde) <= band:
         return Region.ON_DELTA_LINE  # origin: converged, all curves meet here

@@ -295,6 +295,8 @@ class Path:
         (continuity mode for tracking loops); otherwise a global coarse
         scan seeds local refinement.  ``radius`` also sets the separation
         beyond which two equally near minima raise AmbiguousProjection.
+        A finite pose so far from the path that its offset overflows
+        raises OverflowError.
         """
         x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
@@ -315,6 +317,9 @@ class Path:
         thd = seg.heading(u)
         nx, ny = -math.sin(thd), math.cos(thd)
         l = (x - px) * nx + (y - py) * ny
+        if not math.isfinite(l):
+            # A finite pose far enough from the path overflows x - px quietly.
+            raise OverflowError(f"lateral offset {l} is not finite (s={s:.6f})")
         c = seg.curvature(u)
         if 1.0 - c * l <= 1e-12:
             raise SingularProjection(

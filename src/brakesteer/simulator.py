@@ -319,26 +319,6 @@ def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
     return data
 
 
-def _stop_row(t: float, pose: tuple[float, float, float], s: float, l: float, th: float,
-              phase: str, radius: float) -> TraceRow:
-    x, y, theta = pose
-    return TraceRow(
-        t, x, y, theta, 0.0, 0.0, s, l, th,
-        Maneuver.STOP.label, HybridState.STOPPED.label, phase,
-        lyapunov(l / radius, th),
-    )
-
-
-def _last_logged(
-    rows: list[TraceRow], state: VehicleState
-) -> tuple[tuple[float, float, float], float, float, float]:
-    """Pose, s, l and theta_tilde of the last row; the state's pose and zeros before it."""
-    if not rows:
-        return state.pose(), 0.0, 0.0, 0.0
-    last = rows[-1]
-    return (last.x, last.y, last.theta), last.s, last.l, last.theta_tilde
-
-
 def _nonfinite(layer: str, exc: Exception) -> str:
     return f"nonfinite_state: {layer} raised {type(exc).__name__}: {exc}"
 
@@ -350,10 +330,15 @@ def run(scenario: Scenario) -> Trace:
     Stop, or optionally once converged for ``converged_hold`` seconds.
     ``meta["stop_reason"]`` names the exit: ``"t_max"``, ``"path_end"``,
     ``"converged"``, ``"projection lost: ..."`` or ``"nonfinite_state: ..."``
-    (the projection or the step overflowed or left the domain of a math
-    function).  Both of the last two end in a Stop row, with finite fields,
-    that repeats the last logged s, l and theta_tilde (0 before the first
-    row); after validation ``run`` does not raise.
+    (the projection or the step overflowed, left the domain of a math
+    function or gave a non-finite offset).  Every exit but ``"t_max"`` and
+    ``"converged"`` names the pose, s, l and theta_tilde its Stop row
+    repeats, and one place after the loop appends that row:
+    ``"path_end"`` repeats the current pose and its projection, a lost
+    projection the current pose and the last logged s, l and theta_tilde,
+    and a non-finite state the whole last logged row (the initial pose and
+    zeros before the first row).  Every Stop row has finite fields, and a
+    scenario that passes validation never makes ``run`` raise.
     """
     issues, path = scenario._validate()
     errors = [msg for level, msg in issues if level == "error"]
@@ -386,31 +371,49 @@ def run(scenario: Scenario) -> Trace:
         "delta_profile": cfg.delta_profile.spec(),
         "mode": scenario.mode,
         "seed": scenario.seed,
-        "stop_reason": None,
     }
     hint = None
     in_band_since = None
+    # What the Stop row repeats: (pose, (s, l, theta_tilde)), where None
+    # stands for the last logged row's.  None itself means no Stop row.
+    stop = None
     n_steps = int(math.floor(scenario.t_max / dt + 1e-9))
     for k in range(n_steps + 1):
         t = k * dt
+        if k:
+            try:
+                if scenario.mode == "kinematic":
+                    v_k = scenario.v_user
+                    if scenario.noise_amplitude > 0.0:
+                        v_k = max(0.0, v_k * (1.0 + rng.uniform(-scenario.noise_amplitude,
+                                                                scenario.noise_amplitude)))
+                    state = step_kinematic(state, cmd, v_k, dt, params)
+                else:
+                    step_user = user
+                    if scenario.noise_amplitude > 0.0:
+                        step_user = UserInput(
+                            user.tau_r + rng.uniform(-scenario.noise_amplitude,
+                                                     scenario.noise_amplitude),
+                            user.tau_l + rng.uniform(-scenario.noise_amplitude,
+                                                     scenario.noise_amplitude),
+                        )
+                    state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
+                                         params, scenario.brake_model, n_sub)
+            except (OverflowError, ValueError) as exc:
+                reason, stop = _nonfinite("step", exc), (None, None)
+                break
         try:
             fren = path.frenet_project(state.pose(), hint_s=hint, radius=radius)
         except (SingularProjection, AmbiguousProjection) as exc:
-            _, s_last, l_last, th_last = _last_logged(rows, state)
-            rows.append(_stop_row(t, state.pose(), s_last, l_last, th_last,
-                                  ctrl.phase.label, radius))
-            meta["stop_reason"] = f"projection lost: {exc}"
+            reason, stop = f"projection lost: {exc}", (state.pose(), None)
             break
         except (OverflowError, ValueError) as exc:
             # The pose may not be finite: stop at the last logged one.
-            rows.append(_stop_row(t, *_last_logged(rows, state), ctrl.phase.label, radius))
-            meta["stop_reason"] = _nonfinite("projection", exc)
+            reason, stop = _nonfinite("projection", exc), (None, None)
             break
         hint = fren.s
         if fren.s >= path.total_length - end_margin:
-            rows.append(_stop_row(t, state.pose(), fren.s, fren.l, fren.theta_tilde,
-                                  ctrl.phase.label, radius))
-            meta["stop_reason"] = "path_end"
+            reason, stop = "path_end", (state.pose(), fren)
             break
         cmd, ctrl = select_maneuver(fren, ctrl, cfg)
         rows.append(
@@ -426,36 +429,27 @@ def run(scenario: Scenario) -> Trace:
                 if in_band_since is None:
                     in_band_since = t
                 elif t - in_band_since >= scenario.converged_hold:
-                    meta["stop_reason"] = "converged"
+                    reason = "converged"
                     break
             else:
                 in_band_since = None
-        if k == n_steps:
-            meta["stop_reason"] = "t_max"
-            break
-        try:
-            if scenario.mode == "kinematic":
-                v_k = scenario.v_user
-                if scenario.noise_amplitude > 0.0:
-                    v_k = max(0.0, v_k * (1.0 + rng.uniform(-scenario.noise_amplitude,
-                                                            scenario.noise_amplitude)))
-                state = step_kinematic(state, cmd, v_k, dt, params)
-            else:
-                step_user = user
-                if scenario.noise_amplitude > 0.0:
-                    step_user = UserInput(
-                        user.tau_r + rng.uniform(-scenario.noise_amplitude,
-                                                 scenario.noise_amplitude),
-                        user.tau_l + rng.uniform(-scenario.noise_amplitude,
-                                                 scenario.noise_amplitude),
-                    )
-                state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
-                                     params, scenario.brake_model, n_sub)
-        except (OverflowError, ValueError) as exc:
-            rows.append(_stop_row((k + 1) * dt, *_last_logged(rows, state),
-                                  ctrl.phase.label, radius))
-            meta["stop_reason"] = _nonfinite("step", exc)
-            break
+    else:
+        reason = "t_max"
+    if stop is not None:
+        pose, fren = stop
+        if rows:
+            last = rows[-1]
+            x, y, theta = (last.x, last.y, last.theta) if pose is None else pose
+            s, l, th = (last.s, last.l, last.theta_tilde) if fren is None else fren
+        else:
+            x, y, theta = state.pose() if pose is None else pose
+            s, l, th = (0.0, 0.0, 0.0) if fren is None else fren
+        rows.append(TraceRow(
+            t, x, y, theta, 0.0, 0.0, s, l, th,
+            Maneuver.STOP.label, HybridState.STOPPED.label, ctrl.phase.label,
+            lyapunov(l / radius, th),
+        ))
+    meta["stop_reason"] = reason
     return Trace(rows=tuple(rows), meta=meta)
 
 

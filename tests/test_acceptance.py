@@ -17,7 +17,6 @@ from brakesteer.controller import (
     Region,
     classify,
     curvature_feasible,
-    sigma,
     sigma_l,
     sigma_n,
     sigma_p,
@@ -109,10 +108,10 @@ def test_criterion_04_boundary_algebra():
         de = float(rng.uniform(-math.pi, math.pi))
         worst = max(
             worst,
-            abs(sigma("R", l, th) - (l + 1 - math.cos(th))),
-            abs(sigma("L", l, th) - (l - 1 + math.cos(th))),
-            abs(sigma("N", l, th, de) - (l + 1 - 2 * math.cos(de) + math.cos(th))),
-            abs(sigma("P", l, th, de) - (l - 1 + 2 * math.cos(de) - math.cos(th))),
+            abs(sigma_r(l, th) - (l + 1 - math.cos(th))),
+            abs(sigma_l(l, th) - (l - 1 + math.cos(th))),
+            abs(sigma_n(l, th, de) - (l + 1 - 2 * math.cos(de) + math.cos(th))),
+            abs(sigma_p(l, th, de) - (l - 1 + 2 * math.cos(de) - math.cos(th))),
             # zero-angle collapse: the generalized boundaries fold onto the
             # final-turn curves (N onto L and P onto R; cos(0) = 1)
             abs(sigma_n(l, th, 0.0) - sigma_l(l, th)),

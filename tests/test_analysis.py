@@ -114,6 +114,17 @@ def test_field_dump_shape_and_content():
         assert s.region is classify(s.l_norm, s.theta_tilde, math.pi / 3)
 
 
+@pytest.mark.parametrize(
+    "delta, band",
+    [(math.nan, ControllerConfig.eps_b), (math.inf, ControllerConfig.eps_b),
+     (-math.inf, ControllerConfig.eps_b), (0.5, 0.0), (0.5, -0.1), (0.5, math.nan),
+     (0.5, math.inf)],
+)
+def test_field_dump_rejects_a_bad_delta_or_band(delta, band):
+    with pytest.raises(ValueError):
+        field_dump(delta, GridSpec(n_l=3, n_theta=3), band)
+
+
 def test_field_dump_zero_delta_collapse():
     # cos(0) folds the generalized boundaries onto the final-turn curves
     samples = field_dump(0.0, GridSpec(n_l=21, n_theta=21))

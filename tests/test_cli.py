@@ -75,8 +75,15 @@ def test_field_csv_bytes_pinned(tmp_path):
     )
 
 
-def test_field_rejects_tiny_resolution(tmp_path):
-    assert main(["field", "--resolution", "1", "--out", str(tmp_path / "f.csv")]) == 1
+@pytest.mark.parametrize(
+    "option, value",
+    [("--resolution", "1"), ("--delta", "nan"), ("--delta", "inf")],
+    ids=["resolution-1", "delta-nan", "delta-inf"],
+)
+def test_field_rejects_bad_arguments(tmp_path, option, value):
+    out = tmp_path / "f.csv"
+    assert main(["field", option, value, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_field_zero_delta_columns_collapse(tmp_path):

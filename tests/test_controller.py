@@ -18,7 +18,6 @@ from brakesteer.controller import (
     curvature_feasible,
     phase_switch,
     select_maneuver,
-    sigma,
     sigma_l,
     sigma_n,
     sigma_p,
@@ -87,10 +86,10 @@ def hybrid_sequence(rows):
 
 
 def test_sigma_spec_points():
-    assert sigma("R", 0, 0) == 0.0
-    assert sigma("L", 0, 0) == 0.0
-    assert sigma("N", 0, 0, PI / 3) == pytest.approx(1.0)
-    assert sigma("P", 2, PI / 2, PI / 2) == pytest.approx(1.0)
+    assert sigma_r(0, 0) == 0.0
+    assert sigma_l(0, 0) == 0.0
+    assert sigma_n(0, 0, PI / 3) == pytest.approx(1.0)
+    assert sigma_p(2, PI / 2, PI / 2) == pytest.approx(1.0)
 
 
 @given(
@@ -131,11 +130,6 @@ def test_sigma_right_angle_specialization(l, th):
     assert sigma_p(l, th, PI / 2) == pytest.approx(sigma_l(l, wrap_angle(th + PI)), abs=1e-12)
 
 
-def test_sigma_unknown_name():
-    with pytest.raises(ValueError):
-        sigma("Q", 0, 0)
-
-
 # -- classification ----------------------------------------------------------
 
 
@@ -158,8 +152,9 @@ def test_classify_known_regions():
 
 
 def test_classify_requires_positive_band():
-    with pytest.raises(ValueError):
-        classify(0, 0, 0, band=0.0)
+    for band in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            classify(0, 0, 0, band=band)
 
 
 def test_classify_partition_and_symmetry_on_grid():

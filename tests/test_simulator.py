@@ -102,17 +102,19 @@ def test_run_terminates_at_path_end():
     assert tr.rows[-1].t < 130
 
 
+# Tight half-circle with the start pose at its center of curvature.
+SINGULAR_START = {
+    "path": {"start_pose": [0, 0, 0],
+             "segments": [{"kind": "arc", "length": math.pi, "curvature": 1.0}]},
+    "initial_pose": [0.0, 1.0, 0.0],
+    "user": {"v": 1.0},
+    "t_max": 5.0,
+    "dt_control": 0.01,
+}
+
+
 def test_singular_projection_logs_stop():
-    # Tight half-circle with the start pose at its center of curvature.
-    data = {
-        "path": {"start_pose": [0, 0, 0],
-                 "segments": [{"kind": "arc", "length": math.pi, "curvature": 1.0}]},
-        "initial_pose": [0.0, 1.0, 0.0],
-        "user": {"v": 1.0},
-        "t_max": 5.0,
-        "dt_control": 0.01,
-    }
-    tr = run(Scenario.from_dict(data))
+    tr = run(Scenario.from_dict(SINGULAR_START))
     assert len(tr.rows) == 1
     assert tr.rows[0].maneuver == "stop"
 
@@ -187,15 +189,24 @@ def test_step_bound_admits_a_run_at_the_limit():
     assert any("physics steps" in msg for level, msg in over.validate() if level == "error")
 
 
+# OverflowError in the projection's squared distance
+NONFINITE_PROJECTION = {"mode": "dynamic", "user.tau_r": 1e300, "user.tau_l": 1e300, "t_max": 2}
+# ValueError (math domain error) from cos in the RK4 step
+NONFINITE_STEP = {"mode": "dynamic", "user.tau_r": 1e308, "user.tau_l": 1e308, "t_max": 2}
+# OverflowError in the first, global projection
+NONFINITE_START = {"initial_pose": [1e300, 0, 0]}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
-        # OverflowError in the projection's squared distance
-        {"mode": "dynamic", "user.tau_r": 1e300, "user.tau_l": 1e300, "t_max": 2},
-        # ValueError (math domain error) from cos in the RK4 step
-        {"mode": "dynamic", "user.tau_r": 1e308, "user.tau_l": 1e308, "t_max": 2},
-        # OverflowError in the first, global projection
-        {"initial_pose": [1e300, 0, 0]},
+        NONFINITE_PROJECTION,
+        NONFINITE_STEP,
+        NONFINITE_START,
+        # Finite poses whose offset from the path overflows quietly: x - px
+        # is inf, and inf * -0.0 gives l = nan; on the y axis l = inf.
+        {"path.start_pose": [-1.7e308, 0, 0], "initial_pose": [1.7e308, 0, 0]},
+        {"path.start_pose": [0, -1.5e308, 0], "initial_pose": [0, 1.5e308, 0]},
     ],
 )
 def test_run_ends_a_nonfinite_state_with_a_finite_stop_row(overrides):
@@ -210,6 +221,37 @@ def test_run_ends_a_nonfinite_state_with_a_finite_stop_row(overrides):
     (result,) = sweep(build_demo_scenario(), [overrides])
     assert result.error == tr.meta["stop_reason"]
     assert not result.summary.converged
+
+
+@pytest.mark.parametrize(
+    "sc, reason, digest",
+    [
+        (build_demo_scenario().with_overrides(NONFINITE_PROJECTION),
+         "nonfinite_state: projection raised OverflowError: ",
+         "d4b5ace7ee3d3dc4494aa0745560bc6f3d59987b47ae0b47700afa6f91bef58d"),
+        (build_demo_scenario().with_overrides(NONFINITE_STEP),
+         "nonfinite_state: step raised ValueError: ",
+         "d4b5ace7ee3d3dc4494aa0745560bc6f3d59987b47ae0b47700afa6f91bef58d"),
+        (build_demo_scenario().with_overrides(NONFINITE_START),
+         "nonfinite_state: projection raised OverflowError: ",
+         "0801a925701e2d607ac92557f1dadf5c99a150371bba4b218b532042ddeab7b8"),
+        (Scenario.from_dict(SINGULAR_START),
+         "projection lost: pose at or beyond center of curvature",
+         "1da13364fa1885401668e4b6c30079ffbde9a0a60642e3ac536bf384f27164e6"),
+        (build_demo_scenario().with_overrides({"t_max": 1.0}), "t_max",
+         "65c5e208d52b386fdd896c246f68622e2a94e2a7ff68bbc8586bad93369770b0"),
+        (build_demo_scenario().with_overrides({"stop_when_converged": True}), "converged",
+         "cd168600f6b369f392291dff5027198e0a74d8652cbbc81fbd57a8d3b07e1968"),
+    ],
+    ids=["nonfinite-projection", "nonfinite-step", "nonfinite-start", "singular-start",
+         "t_max", "converged"],
+)
+def test_stop_rows_are_pinned(sc, reason, digest):
+    # Each way a run stops, held to the bytes of trace.csv from before its
+    # exits shared one Stop-row path.
+    tr = run(sc)
+    assert tr.meta["stop_reason"].startswith(reason)
+    assert hashlib.sha256(tr.to_csv().encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
