@@ -65,7 +65,7 @@ class RunSummary:
 
 def ripple_bound(l_norm: float, eps_theta: float, dt: float, v: float, radius: float) -> float:
     """Allowed Lyapunov increase between samples due to band + step quantization."""
-    return 0.5 * (eps_theta**2 + 2.0 * abs(l_norm) * dt * v / radius)
+    return 0.5 * (eps_theta * eps_theta + 2.0 * abs(l_norm) * dt * v / radius)
 
 
 def _lyapunov_samples(trace: "Trace") -> list[int]:

@@ -330,23 +330,18 @@ class ControllerState(NamedTuple):
 
 
 def phase_switch(
-    frenet: FrenetState,
-    ctrl: ControllerState,
-    threshold_l: float,
-    re_approach_factor: float = 2.0,
-    radius: float = 1.0,
+    frenet: FrenetState, ctrl: ControllerState, cfg: ControllerConfig
 ) -> ControllerState:
     """Approach/track arbitration on the normalized offset, with hysteresis.
 
-    Approach hands over to track at ``|l~| <= threshold_l``; track falls
-    back only beyond ``re_approach_factor * threshold_l``.
+    Approach hands over to track at ``|l~| <= cfg.threshold_l``; track falls
+    back only beyond ``cfg.re_approach_factor * cfg.threshold_l``.  The
+    thresholds are checked once, when the config is built.
     """
-    if threshold_l <= 0.0:
-        raise ValueError("threshold_l must be positive")
-    l_norm = abs(frenet.l / radius)
-    if ctrl.phase is Phase.APPROACH and l_norm <= threshold_l:
+    l_norm = abs(frenet.l / cfg.radius)
+    if ctrl.phase is Phase.APPROACH and l_norm <= cfg.threshold_l:
         return ControllerState(Phase.TRACK)
-    if ctrl.phase is Phase.TRACK and l_norm > re_approach_factor * threshold_l:
+    if ctrl.phase is Phase.TRACK and l_norm > cfg.re_approach_factor * cfg.threshold_l:
         return ControllerState(Phase.APPROACH)
     return ctrl
 
@@ -499,9 +494,7 @@ def select_maneuver(
         math.isfinite(frenet.s) and math.isfinite(frenet.l) and math.isfinite(frenet.theta_tilde)
     ):
         raise ProjectionLost(f"invalid frenet state {frenet}")
-    ctrl = phase_switch(
-        frenet, ctrl, params.threshold_l, params.re_approach_factor, params.radius
-    )
+    ctrl = phase_switch(frenet, ctrl, params)
     l_norm = frenet.l / params.radius
     th = wrap_angle(frenet.theta_tilde)
     step = _track_step if ctrl.phase is Phase.TRACK else _approach_step

@@ -143,7 +143,7 @@ class VehicleState(NamedTuple):
         return abs(v - self.v) <= tol and abs(w - self.omega) <= tol
 
     def kinetic_energy(self, params: VehicleParams) -> float:
-        return 0.5 * params.m * self.v**2 + 0.5 * params.J * self.omega**2
+        return 0.5 * params.m * (self.v * self.v) + 0.5 * params.J * (self.omega * self.omega)
 
 
 def wheel_rates(v: float, omega: float, params: VehicleParams) -> tuple[float, float]:
@@ -270,7 +270,7 @@ def step_dynamic(
             sr, u, tau = -r, state.alpha_dot_l, user.tau_l
         else:
             sr, u, tau = r, state.alpha_dot_r, user.tau_r
-        m_eff = params.m * r**2 / 4.0 + params.J * r**2 / d**2
+        m_eff = params.m * (r * r) / 4.0 + params.J * (r * r) / (d * d)
 
         for _ in range(substeps):
             # Snap the braked wheel to rest and read the free wheel's rate

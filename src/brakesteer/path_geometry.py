@@ -12,6 +12,9 @@ Conventions
 * The lateral offset ``l`` is positive on the left of the tangent direction
   (along the Frenet Y axis), so that ``dl/dt = v * sin(theta_tilde)``.
 * ``theta_tilde`` is always wrapped to ``[-pi, pi)``.
+* Squared distances are products, ``dx * dx + dy * dy``: exactly rounded
+  everywhere, where the ``**`` operator calls libm's pow, which can be an
+  ulp off and so break a near-tie differently.  Products overflow quietly.
 """
 
 from __future__ import annotations
@@ -294,9 +297,12 @@ class Path:
         With ``hint_s`` the search is restricted to ``hint_s +- radius``
         (continuity mode for tracking loops); otherwise a global coarse
         scan seeds local refinement.  ``radius`` also sets the separation
-        beyond which two equally near minima raise AmbiguousProjection.
-        A finite pose so far from the path that its offset overflows
-        raises OverflowError.
+        beyond which two equally near minima raise AmbiguousProjection.  A
+        pose at or beyond its nearest point's center of curvature raises
+        SingularProjection instead, ambiguous or not.  A finite pose whose
+        squared distance to the path overflows raises OverflowError("pose
+        too far from the path to project"); a finite one bounds
+        ``|x - px|``, so ``l`` is finite.
         """
         x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
@@ -306,9 +312,11 @@ class Path:
                 raise OutOfRange(f"hint_s={hint_s} outside path domain")
             lo = max(0.0, hint_s - radius)
             hi = min(self.total_length, hint_s + radius)
-            s_best, _ = self._best_in_window(x, y, lo, hi)
+            s_best, d2 = self._best_in_window(x, y, lo, hi)
         else:
-            s_best = self._global_minimum(x, y, radius)
+            s_best, d2 = self._global_minimum(x, y, th, radius)
+        if not d2 < math.inf:
+            raise OverflowError("pose too far from the path to project")
         return self._finish(x, y, th, s_best)
 
     def _finish(self, x: float, y: float, th: float, s: float) -> FrenetState:
@@ -317,9 +325,6 @@ class Path:
         thd = seg.heading(u)
         nx, ny = -math.sin(thd), math.cos(thd)
         l = (x - px) * nx + (y - py) * ny
-        if not math.isfinite(l):
-            # A finite pose far enough from the path overflows x - px quietly.
-            raise OverflowError(f"lateral offset {l} is not finite (s={s:.6f})")
         c = seg.curvature(u)
         if 1.0 - c * l <= 1e-12:
             raise SingularProjection(
@@ -327,10 +332,9 @@ class Path:
             )
         return FrenetState(s, l, wrap_angle(th - thd))
 
-    def _global_minimum(self, x: float, y: float, radius: float) -> float:
-        # Squares as products: those are exactly rounded everywhere, while
-        # ``** 2`` calls libm's pow, which can be an ulp off and so break a
-        # near-tie between two samples differently.
+    def _global_minimum(
+        self, x: float, y: float, th: float, radius: float
+    ) -> tuple[float, float]:
         d2 = [(sx - x) * (sx - x) + (sy - y) * (sy - y) for sx, sy in self._scan_xy]
         last = len(d2) - 1
         step = self.total_length / last
@@ -349,18 +353,12 @@ class Path:
                 math.sqrt(d_other) - math.sqrt(d_best)
             ) <= 1e-9:
                 # A pose at/beyond a center of curvature is equidistant from a
-                # whole arc; report that as the singularity it is.
-                px, py, thd = self.pose_at(s_best)
-                l = -(x - px) * math.sin(thd) + (y - py) * math.cos(thd)
-                c, _ = self.curvature(s_best)
-                if 1.0 - c * l <= 1e-9:
-                    raise SingularProjection(
-                        f"pose at or beyond center of curvature (s={s_best:.6f})"
-                    )
+                # whole arc: _finish reports that as the singularity it is.
+                self._finish(x, y, th, s_best)
                 raise AmbiguousProjection(
                     f"equidistant projections at s={s_best:.6f} and s={s_other:.6f}"
                 )
-        return s_best
+        return s_best, d_best
 
     def _best_in_window(self, x: float, y: float, lo: float, hi: float) -> tuple[float, float]:
         """Minimize squared distance to the path over ``[lo, hi]``.
@@ -380,7 +378,7 @@ class Path:
         cum = self.cumulative_s
         first = bisect.bisect_right(cum, lo) - 1
         px, py = self.segments[first].point(lo - cum[first])
-        best_s, best_d2 = lo, (x - px) ** 2 + (y - py) ** 2
+        best_s, best_d2 = lo, (x - px) * (x - px) + (y - py) * (y - py)
         for i in range(first, len(self.segments)):
             s0 = cum[i]
             if s0 > hi - 1e-12:
@@ -416,7 +414,7 @@ class Path:
         while i + 1 < len(cum) and cum[i + 1] <= s:
             i += 1
         px, py = self.segments[i].point(min(s, self.total_length) - cum[i])
-        return (x - px) ** 2 + (y - py) ** 2
+        return (x - px) * (x - px) + (y - py) * (y - py)
 
     @staticmethod
     def _project_arc(seg: PathSegment, x: float, y: float, ua: float, ub: float) -> list[float]:
@@ -514,7 +512,7 @@ class Path:
     @staticmethod
     def _seg_d2(seg: PathSegment, x: float, y: float, u: float) -> float:
         px, py = seg.point(u)
-        return (x - px) ** 2 + (y - py) ** 2
+        return (x - px) * (x - px) + (y - py) * (y - py)
 
 
 def build_path(

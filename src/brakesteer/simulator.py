@@ -330,8 +330,8 @@ def run(scenario: Scenario) -> Trace:
     Stop, or optionally once converged for ``converged_hold`` seconds.
     ``meta["stop_reason"]`` names the exit: ``"t_max"``, ``"path_end"``,
     ``"converged"``, ``"projection lost: ..."`` or ``"nonfinite_state: ..."``
-    (the projection or the step overflowed, left the domain of a math
-    function or gave a non-finite offset).  Every exit but ``"t_max"`` and
+    (the projection or the step overflowed or left the domain of a math
+    function).  Every exit but ``"t_max"`` and
     ``"converged"`` names the pose, s, l and theta_tilde its Stop row
     repeats, and one place after the loop appends that row:
     ``"path_end"`` repeats the current pose and its projection, a lost

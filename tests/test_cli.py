@@ -188,6 +188,23 @@ def test_sweep_rejects_an_invalid_scenario_before_running(tmp_path, demo_config,
     assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_csv_carries_the_fixed_overflow_reason(tmp_path, demo_config):
+    # Torques of 1e300 N m fling the cart out of reach in one step.  The
+    # error cell holds the projection's own overflow verdict, the same text
+    # on every platform, and no C library error text.
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(demo_config), "--out", str(out),
+                 "--set", "mode=dynamic", "--set", "user.tau_r=1e300",
+                 "--set", "user.tau_l=1e300", "--set", "t_max=2",
+                 "--grid-l=-1:-1:1", "--grid-theta=0:0:1"])
+    assert code == 2
+    with (out / "sweep.csv").open(newline="", encoding="utf-8") as f:
+        header, row = csv.reader(f)
+    assert row[7] == (
+        "nonfinite_state: projection raised OverflowError: pose too far from the path to project"
+    )
+
+
 # Each stage prints which of the two modules it has loaded so far.
 START_UP = """
 import sys

@@ -358,12 +358,17 @@ def fren(l_norm, th=0.0, radius=1.0):
 def test_phase_switch_spec_cases():
     approach = ControllerState(phase=Phase.APPROACH)
     track = ControllerState(phase=Phase.TRACK)
-    assert phase_switch(fren(0.5), approach, 1.0).phase is Phase.TRACK
-    assert phase_switch(fren(1.05), track, 1.0, 2.0).phase is Phase.TRACK
-    assert phase_switch(fren(2.5), track, 1.0, 2.0).phase is Phase.APPROACH
-    assert phase_switch(fren(2.5), approach, 1.0).phase is Phase.APPROACH
-    with pytest.raises(ValueError):
-        phase_switch(fren(1.0), approach, 0.0)
+    cfg = ControllerConfig(radius=1.0, threshold_l=1.0, re_approach_factor=2.0)
+    assert phase_switch(fren(0.5), approach, cfg).phase is Phase.TRACK
+    assert phase_switch(fren(1.05), track, cfg).phase is Phase.TRACK
+    assert phase_switch(fren(2.5), track, cfg).phase is Phase.APPROACH
+    assert phase_switch(fren(2.5), approach, cfg).phase is Phase.APPROACH
+    # The offset is normalized by the config's turning radius.
+    cfg = ControllerConfig(threshold_l=1.0)
+    assert phase_switch(fren(0.5, radius=cfg.radius), approach, cfg).phase is Phase.TRACK
+    assert phase_switch(fren(1.5, radius=cfg.radius), approach, cfg).phase is Phase.APPROACH
+    with pytest.raises(ValueError, match="thresholds"):
+        ControllerConfig(threshold_l=0.0)
 
 
 # -- maneuver selection ---------------------------------------------------------

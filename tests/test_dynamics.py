@@ -266,7 +266,7 @@ def reference_step_dynamic(state, command, user, dt, p, brake_model):
         adr, adl = wheel_rates(p.r * u / 2.0, sign * p.r * u / p.d, p)
         u = adl if right else adr
         tau = user.tau_l if right else user.tau_r
-        m_eff = p.m * p.r**2 / 4.0 + p.J * p.r**2 / p.d**2
+        m_eff = p.m * (p.r * p.r) / 4.0 + p.J * (p.r * p.r) / (p.d * p.d)
 
         def locked(w):
             v = p.r * w[3] / 2.0

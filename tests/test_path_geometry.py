@@ -356,6 +356,16 @@ def test_projection_rejects_nonfinite_pose():
         p.frenet_project((math.nan, 0, 0))
 
 
+@pytest.mark.parametrize("hint", [5.0, None], ids=["hinted", "global"])
+def test_projection_of_a_far_pose_overflows_with_one_fixed_message(hint):
+    # 1e200 squared overflows quietly to inf; frenet_project alone turns the
+    # infinite best distance into an error, with no C library text in it.
+    p = build_path([{"kind": "line", "length": 10}])
+    with pytest.raises(OverflowError) as exc:
+        p.frenet_project((5.0, 1e200, 0.0), hint_s=hint)
+    assert str(exc.value) == "pose too far from the path to project"
+
+
 # -- bitwise oracle: the window search before its single pass --------------
 
 
@@ -365,7 +375,7 @@ def reference_window(path, x, y, lo, hi):
 
     def dist2(s):
         px, py, _ = path.pose_at(s)
-        return (x - px) ** 2 + (y - py) ** 2
+        return (x - px) * (x - px) + (y - py) * (y - py)
 
     cum = path.cumulative_s
     i_lo = max(0, bisect.bisect_right(cum, lo) - 1)
