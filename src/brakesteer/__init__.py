@@ -43,12 +43,9 @@ from .dynamics import (
     UserInput,
     VehicleParams,
     VehicleState,
-    effective_wheel_torque,
     step_dynamic,
     step_kinematic,
-    torques_to_wrench,
     wheel_rates,
-    wrench_to_torques,
 )
 from .path_geometry import (
     AmbiguousProjection,

@@ -151,38 +151,6 @@ def wheel_rates(v: float, omega: float, params: VehicleParams) -> tuple[float, f
     return (v + omega * params.d / 2.0) / params.r, (v - omega * params.d / 2.0) / params.r
 
 
-def torques_to_wrench(tau_r: float, tau_l: float, params: VehicleParams) -> tuple[float, float]:
-    """Map wheel torques to body force and yaw torque."""
-    force = (tau_r + tau_l) / params.r
-    torque = (tau_r - tau_l) * params.d / (2.0 * params.r)
-    return force, torque
-
-
-def wrench_to_torques(force: float, torque: float, params: VehicleParams) -> tuple[float, float]:
-    """Exact inverse of :func:`torques_to_wrench`."""
-    tau_r = (force * params.r + 2.0 * torque * params.r / params.d) / 2.0
-    tau_l = (force * params.r - 2.0 * torque * params.r / params.d) / 2.0
-    return tau_r, tau_l
-
-
-def effective_wheel_torque(
-    tau_h: float,
-    brake: tuple[float, float],
-    alpha_dot: float,
-    params: VehicleParams,
-) -> float:
-    """Net torque on one wheel given its brake setting ``(b_brake, c_hold)``.
-
-    A spinning wheel sees the user torque minus brake and rolling viscous
-    drag.  A wheel at rest is held by the engaged brake (the holding torque
-    cancels the user torque), or passes the user torque through when free.
-    """
-    b_brake, c_hold = brake
-    if alpha_dot != 0.0:
-        return tau_h - b_brake * alpha_dot - params.b_w * alpha_dot
-    return (1.0 - c_hold) * tau_h
-
-
 def step_kinematic(
     state: VehicleState,
     command: BrakeCommand,
@@ -242,10 +210,11 @@ def step_dynamic(
     The checks, the brake settings, user torques and other constants are
     resolved once per call, and the substeps then run the four RK4 stages on
     plain floats; one ``VehicleState`` is built, at the end.  Each expression
-    keeps the operand order of :func:`wheel_rates`,
-    :func:`effective_wheel_torque` and :func:`torques_to_wrench`, so every
-    substep is bitwise an RK4 step built from those helpers, and one call
-    with ``substeps=n`` equals ``n`` chained calls bit for bit.
+    keeps the operand order of :func:`wheel_rates` and of the textbook
+    per-wheel torque and wrench formulas, so every substep is bitwise an RK4
+    step built from those formulas one derivative call per stage, as the
+    reference in ``tests/test_dynamics.py`` builds it, and one call with
+    ``substeps=n`` equals ``n`` chained calls bit for bit.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")

@@ -132,6 +132,9 @@ class PathSegment:
     _node_xy: tuple[tuple[float, float], ...] = field(default=(), repr=False, compare=False)
     # (cos, sin) of the start heading, computed once for line and arc queries.
     _dir: tuple[float, float] = field(default=(1.0, 0.0), repr=False, compare=False)
+    # A line's heading and left normal (-sin, cos), as heading(u) gives them
+    # for every finite u: th0 + 0.0, which turns a -0.0 start heading to 0.0.
+    _frame: tuple[float, float, float] = field(default=(0.0, 0.0, 1.0), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("line", "arc", "clothoid"):
@@ -147,6 +150,9 @@ class PathSegment:
                 raise ValueError("arc segments need nonzero curvature")
         th0 = self.start_pose[2]
         object.__setattr__(self, "_dir", (math.cos(th0), math.sin(th0)))
+        if self.kind == "line":
+            h = th0 + 0.0
+            object.__setattr__(self, "_frame", (h, -math.sin(h), math.cos(h)))
         if self.kind == "clothoid":
             object.__setattr__(self, "_node_xy", self._integrate_nodes())
 
@@ -302,30 +308,45 @@ class Path:
         SingularProjection instead, ambiguous or not.  A finite pose whose
         squared distance to the path overflows raises OverflowError("pose
         too far from the path to project"); a finite one bounds
-        ``|x - px|``, so ``l`` is finite.
+        ``|x - px|``, so ``l`` is finite.  A negative or NaN ``radius``
+        raises ValueError.
         """
         x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
             raise ValueError("pose must be finite")
+        if not radius >= 0.0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
         if hint_s is not None:
             if hint_s < -1e-9 or hint_s > self.total_length + 1e-9:
                 raise OutOfRange(f"hint_s={hint_s} outside path domain")
-            lo = max(0.0, hint_s - radius)
-            hi = min(self.total_length, hint_s + radius)
-            s_best, d2 = self._best_in_window(x, y, lo, hi)
+            # max(0.0, hint_s - radius) and min(total_length, hint_s + radius),
+            # spelled out here and below: on the path every control step
+            # takes, a call to the builtin costs ten times the comparison.
+            lo = hint_s - radius
+            lo = lo if lo > 0.0 else 0.0
+            hi = hint_s + radius
+            hi = hi if hi < self.total_length else self.total_length
+            s_best, d2, i = self._best_in_window(x, y, lo, hi)
         else:
-            s_best, d2 = self._global_minimum(x, y, th, radius)
+            s_best, d2, i = self._global_minimum(x, y, th, radius)
         if not d2 < math.inf:
             raise OverflowError("pose too far from the path to project")
-        return self._finish(x, y, th, s_best)
+        return self._finish(x, y, th, s_best, i)
 
-    def _finish(self, x: float, y: float, th: float, s: float) -> FrenetState:
-        seg, u, _ = self._locate(s)
+    def _finish(self, x: float, y: float, th: float, s: float, i: int) -> FrenetState:
+        """Frenet coordinates of the pose at ``s``, on segment ``i`` that holds it."""
+        seg = self.segments[i]
+        end = self.total_length
+        u = (0.0 if s < 0.0 else end if s > end else s) - self.cumulative_s[i]
         px, py = seg.point(u)
-        thd = seg.heading(u)
-        nx, ny = -math.sin(thd), math.cos(thd)
+        if seg.kind == "line":
+            thd, nx, ny = seg._frame
+            c = 0.0
+        else:
+            thd = seg.heading(u)
+            nx, ny = -math.sin(thd), math.cos(thd)
+            c = seg.curvature(u)
         l = (x - px) * nx + (y - py) * ny
-        c = seg.curvature(u)
         if 1.0 - c * l <= 1e-12:
             raise SingularProjection(
                 f"pose at or beyond center of curvature (s={s:.6f}, c={c:.6f}, l={l:.6f})"
@@ -334,7 +355,7 @@ class Path:
 
     def _global_minimum(
         self, x: float, y: float, th: float, radius: float
-    ) -> tuple[float, float]:
+    ) -> tuple[float, float, int]:
         d2 = [(sx - x) * (sx - x) + (sy - y) * (sy - y) for sx, sy in self._scan_xy]
         last = len(d2) - 1
         step = self.total_length / last
@@ -343,88 +364,139 @@ class Path:
         candidates = []
         for j, d in enumerate(d2):
             if (j == 0 or d <= d2[j - 1]) and (j == last or d <= d2[j + 1]):
+                if not d < math.inf and not min(d2) < math.inf:
+                    # Every sample overflowed, and so would every window.
+                    return 0.0, math.inf, 0
                 s = self._scan_s[j]
                 lo, hi = max(0.0, s - step), min(self.total_length, s + step)
                 candidates.append(self._best_in_window(x, y, lo, hi))
         candidates.sort(key=lambda c: c[1])
-        s_best, d_best = candidates[0]
-        for s_other, d_other in candidates[1:]:
+        s_best, d_best, i_best = candidates[0]
+        for s_other, d_other, _ in candidates[1:]:
             if abs(s_other - s_best) > radius and abs(
                 math.sqrt(d_other) - math.sqrt(d_best)
             ) <= 1e-9:
                 # A pose at/beyond a center of curvature is equidistant from a
                 # whole arc: _finish reports that as the singularity it is.
-                self._finish(x, y, th, s_best)
+                self._finish(x, y, th, s_best, i_best)
                 raise AmbiguousProjection(
                     f"equidistant projections at s={s_best:.6f} and s={s_other:.6f}"
                 )
-        return s_best, d_best
+        return s_best, d_best, i_best
 
-    def _best_in_window(self, x: float, y: float, lo: float, hi: float) -> tuple[float, float]:
+    def _best_in_window(
+        self, x: float, y: float, lo: float, hi: float
+    ) -> tuple[float, float, int]:
         """Minimize squared distance to the path over ``[lo, hi]``.
 
-        One bisect finds the segment holding ``lo``, and one pass walks the
+        Returns ``(s, d2, i)``, with ``i`` the segment holding ``s``.  One
+        bisect finds the segment holding ``lo``, and one pass walks the
         segments the window touches.  Each offers its own nearest point on
         its part ``[ua, ub]`` of the window: a line its foot point, an arc
         its stationary points, a clothoid its tangency root, clamped to the
-        part and offered as ``s0 + u``.  The window's ends are offered as
-        ``lo`` first and ``hi`` last.  A joint inside the window needs no
+        part and offered as ``s0 + u``.  A joint inside the window needs no
         offer: the path is G1 there, so a nearest point on it is a
         stationary point of a segment.  Each offer is scored at ``s - s0``
         on the segment holding ``s``, as ``pose_at`` locates it (scoring at
         ``u`` itself moves the last bits and can flip a near-tie next to a
-        joint), and the first strictly smaller squared distance wins.
+        joint), and the first strictly smaller squared distance wins.  The
+        window's ends then compete as if offered first and last: ``lo``
+        wins a tie, ``hi`` must score strictly smaller.
+
+        The ends are left out when neither can win: the window lies inside
+        one segment, that segment makes one offer (at ``s``, scoring
+        ``d2``), the offer lies ``m`` or more inside both ends of ``[ua,
+        ub]``, and ``w * m * m > 2**-30 * (d2 + scale * scale)``.  An end
+        ``D >= m`` from the offer is farther in exact squared distance by
+        ``D * D`` on a line (``w = 1``).  On an arc of curvature ``c`` whose
+        center lies ``rho`` from the pose it is farther by ``4 * rho / |c|
+        * sin(|c| * D / 2)**2``, at least ``0.4 * rho * |c| * D * D``
+        (``w``) while ``|c| * D < 3``, as in a window under ``3 / |c|``.
+        ``scale`` sums the magnitudes that enter a score, ``|x| + |y| +
+        |x0| + |y0| + s``, plus ``(2 + |th0|) / |c|`` for an arc's sines and
+        heading.  So each computed score is within a few times 2**-52 of
+        ``d2 + scale * scale`` (plus ``D * D`` at an end) of its exact
+        value, and the gap exceeds both errors by a factor near 2**20,
+        however far the pose lies.  A fixed margin would not do: 1e6 m from
+        a line the scores round at about 1e-4, and an end 2 mm from the
+        foot point can win.
         """
         cum = self.cumulative_s
+        n = len(cum)
         first = bisect.bisect_right(cum, lo) - 1
-        px, py = self.segments[first].point(lo - cum[first])
-        best_s, best_d2 = lo, (x - px) * (x - px) + (y - py) * (y - py)
-        for i in range(first, len(self.segments)):
+        # The window lies inside segment ``first``: ``hi`` is scored there too.
+        inside = first + 1 == n or hi < cum[first + 1]
+        best_s, best_d2, best_i = lo, math.inf, first
+        ends = True
+        for i in range(first, n):
             s0 = cum[i]
             if s0 > hi - 1e-12:
                 break
             seg = self.segments[i]
-            ua = max(0.0, lo - s0)
-            ub = min(seg.length, hi - s0)
+            ua = lo - s0
+            ua = ua if ua > 0.0 else 0.0
+            ub = hi - s0
+            ub = ub if ub < seg.length else seg.length
             if ub <= ua:
                 continue
+            x0, y0, th0 = seg.start_pose
+            w = reach = 0.0  # the gap weight and the arc's extra scale
             if seg.kind == "line":
-                x0, y0, _ = seg.start_pose
                 inner = ((x - x0) * seg._dir[0] + (y - y0) * seg._dir[1],)
+                w = 1.0
             elif seg.kind == "arc":
-                inner = self._project_arc(seg, x, y, ua, ub)
+                inner, rho = self._project_arc(seg, x, y, ua, ub)
+                c = abs(seg.curvature_start)
+                if (ub - ua) * c < 3.0:
+                    w, reach = 0.4 * rho * c, (2.0 + abs(th0)) / c
             else:
                 u = self._project_clothoid(seg, x, y, ua, ub)
                 inner = () if u is None else (u,)
             for u in inner:
-                s = s0 + min(max(u, ua), ub)
-                d2 = self._d2_from(i, x, y, s)
+                u = ua if u < ua else ub if u > ub else u
+                s = s0 + u
+                d2, j = self._d2_from(i, x, y, s)
                 if d2 < best_d2:
-                    best_s, best_d2 = s, d2
-        d2 = self._d2_from(first, x, y, hi)
-        if d2 < best_d2:
-            best_s, best_d2 = hi, d2
-        return best_s, best_d2
+                    best_s, best_d2, best_i = s, d2, j
+            if inside and w > 0.0 and len(inner) == 1:
+                m = u - ua if u - ua < ub - u else ub - u
+                scale = abs(x) + abs(y) + abs(x0) + abs(y0) + s + reach
+                ends = not w * m * m > 2.0**-30 * (d2 + scale * scale)
+        if ends:
+            px, py = self.segments[first].point(lo - cum[first])
+            d2 = (x - px) * (x - px) + (y - py) * (y - py)
+            if d2 <= best_d2:
+                best_s, best_d2, best_i = lo, d2, first
+            d2, j = self._d2_from(first, x, y, hi)
+            if d2 < best_d2:
+                best_s, best_d2, best_i = hi, d2, j
+        return best_s, best_d2, best_i
 
-    def _d2_from(self, i: int, x: float, y: float, s: float) -> float:
-        """Squared distance to the path point at ``s``, located as
-        ``_locate`` does, walking on from segment ``i`` (at or before the
-        segment holding ``s``) instead of bisecting."""
+    def _d2_from(self, i: int, x: float, y: float, s: float) -> tuple[float, int]:
+        """Squared distance to the path point at ``s`` and the index of the
+        segment holding ``s``, located as ``_locate`` does, walking on from
+        segment ``i`` (at or before it) instead of bisecting."""
         cum = self.cumulative_s
         while i + 1 < len(cum) and cum[i + 1] <= s:
             i += 1
-        px, py = self.segments[i].point(min(s, self.total_length) - cum[i])
-        return (x - px) * (x - px) + (y - py) * (y - py)
+        end = self.total_length
+        px, py = self.segments[i].point((end if end < s else s) - cum[i])
+        return (x - px) * (x - px) + (y - py) * (y - py), i
 
     @staticmethod
-    def _project_arc(seg: PathSegment, x: float, y: float, ua: float, ub: float) -> list[float]:
+    def _project_arc(
+        seg: PathSegment, x: float, y: float, ua: float, ub: float
+    ) -> tuple[list[float], float]:
+        """The arc's nearest points to the pose on ``[ua, ub]`` and the
+        pose's distance ``rho`` from the arc's center."""
         c = seg.curvature_start
         x0, y0, th0 = seg.start_pose
         cos0, sin0 = seg._dir
         cx = x0 - sin0 / c
         cy = y0 + cos0 / c
-        if math.hypot(x - cx, y - cy) < 1e-15:
-            return [0.5 * (ua + ub)]  # at the center: every arc point equidistant
+        rho = math.hypot(x - cx, y - cy)
+        if rho < 1e-15:
+            return [0.5 * (ua + ub)], rho  # at the center: every arc point equidistant
         phi = math.atan2(y - cy, x - cx)
         # Heading at the nearest circle point: phi + pi/2 * sign(c).
         th_target = phi + math.copysign(0.5 * math.pi, c)
@@ -437,7 +509,7 @@ class Path:
             u = u0 + k * period
             if ua - 1e-12 <= u <= ub + 1e-12:
                 out.append(min(max(u, ua), ub))
-        return out
+        return out, rho
 
     def _project_clothoid(
         self, seg: PathSegment, x: float, y: float, ua: float, ub: float

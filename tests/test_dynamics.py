@@ -11,15 +11,47 @@ from brakesteer.dynamics import (
     UserInput,
     VehicleParams,
     VehicleState,
-    effective_wheel_torque,
     step_dynamic,
     step_kinematic,
-    torques_to_wrench,
     wheel_rates,
-    wrench_to_torques,
 )
 
 PARAMS = VehicleParams()
+
+
+# -- the wheel-torque and wrench formulas of the RK4 reference ---------------
+
+
+def torques_to_wrench(tau_r: float, tau_l: float, params: VehicleParams) -> tuple[float, float]:
+    """Map wheel torques to body force and yaw torque."""
+    force = (tau_r + tau_l) / params.r
+    torque = (tau_r - tau_l) * params.d / (2.0 * params.r)
+    return force, torque
+
+
+def wrench_to_torques(force: float, torque: float, params: VehicleParams) -> tuple[float, float]:
+    """Exact inverse of :func:`torques_to_wrench`."""
+    tau_r = (force * params.r + 2.0 * torque * params.r / params.d) / 2.0
+    tau_l = (force * params.r - 2.0 * torque * params.r / params.d) / 2.0
+    return tau_r, tau_l
+
+
+def effective_wheel_torque(
+    tau_h: float,
+    brake: tuple[float, float],
+    alpha_dot: float,
+    params: VehicleParams,
+) -> float:
+    """Net torque on one wheel given its brake setting ``(b_brake, c_hold)``.
+
+    A spinning wheel sees the user torque minus brake and rolling viscous
+    drag.  A wheel at rest is held by the engaged brake (the holding torque
+    cancels the user torque), or passes the user torque through when free.
+    """
+    b_brake, c_hold = brake
+    if alpha_dot != 0.0:
+        return tau_h - b_brake * alpha_dot - params.b_w * alpha_dot
+    return (1.0 - c_hold) * tau_h
 
 
 def state_at(v=1.0, omega=0.0, x=0.0, y=0.0, theta=0.0, params=PARAMS):

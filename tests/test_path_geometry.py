@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from brakesteer.path_geometry import (
     AmbiguousProjection,
@@ -366,6 +366,28 @@ def test_projection_of_a_far_pose_overflows_with_one_fixed_message(hint):
     assert str(exc.value) == "pose too far from the path to project"
 
 
+def test_projection_of_a_pose_too_far_gives_up_before_any_window_pass(monkeypatch):
+    # Every coarse-scan distance overflows, so every sample ties as a local
+    # minimum; refining each of them would find only infinities again.
+    calls = []
+    window = Path._best_in_window
+    monkeypatch.setattr(
+        Path, "_best_in_window", lambda self, *args: calls.append(args) or window(self, *args)
+    )
+    path = build_demo_scenario().build_path()
+    with pytest.raises(OverflowError, match="^pose too far from the path to project$"):
+        path.frenet_project((1e300, 0.0, 0.0))
+    assert calls == []
+
+
+@pytest.mark.parametrize("radius", [-0.3, math.nan])
+@pytest.mark.parametrize("hint", [5.0, None], ids=["hinted", "global"])
+def test_projection_rejects_a_negative_or_nan_radius(hint, radius):
+    p = build_path([{"kind": "line", "length": 10}])
+    with pytest.raises(ValueError, match="radius"):
+        p.frenet_project((5.0, 1.0, 0.0), hint_s=hint, radius=radius)
+
+
 # -- bitwise oracle: the window search before its single pass --------------
 
 
@@ -390,7 +412,7 @@ def reference_window(path, x, y, lo, hi):
             x0, y0, th0 = seg.start_pose
             us = [(x - x0) * math.cos(th0) + (y - y0) * math.sin(th0)]
         elif seg.kind == "arc":
-            us = Path._project_arc(seg, x, y, ua, ub)
+            us = Path._project_arc(seg, x, y, ua, ub)[0]
         else:
             u = path._project_clothoid(seg, x, y, ua, ub)
             us = [] if u is None else [u]
@@ -501,6 +523,29 @@ def outcome(project):
     return tuple(float(v).hex() for v in (f.s, f.l, f.theta_tilde))
 
 
+LINE_250 = build_path([{"kind": "line", "length": 250.0}])
+ARC_6 = build_path([{"kind": "arc", "length": 6.0, "curvature": 1.0}])
+ARC_TIGHT = build_path([{"kind": "arc", "length": 2.0, "curvature": 12.0}])
+# A hint whose window lies inside the last line of ORACLE_PATHS[0].
+MARGIN_HINT = math.sqrt(2.0) + 2.1 + 2.5
+
+
+def margin_pose(path, hint, end, factor, l=0.3):
+    """A pose ``l`` left of a line, its foot ``factor`` skip margins inside
+    the end ``hint + end * 0.3`` of the hinted window (``end`` is -1 for lo,
+    +1 for hi).  The margin is ``2**-15 * sqrt(d2 + scale**2)``, with
+    ``scale = |x| + |y| + |x0| + |y0| + s``, as ``Path._best_in_window``
+    states it; a few fixed-point passes settle ``scale`` at the pose."""
+    s_end = hint + end * 0.3
+    x0, y0, _ = path.segments[bisect.bisect_right(path.cumulative_s, hint) - 1].start_pose
+    s = s_end
+    for _ in range(3):
+        x, y, _ = offset_pose(path, s, l)
+        scale = abs(x) + abs(y) + abs(x0) + abs(y0) + s
+        s = s_end - end * factor * 2.0**-15 * math.sqrt(l * l + scale * scale)
+    return offset_pose(path, s, l, heading=0.2)
+
+
 @settings(max_examples=400, deadline=None)
 @given(oracle_query())
 # lo on the arc wins: the foot point lies before the window.
@@ -509,11 +554,95 @@ def outcome(project):
 @example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 3.3, 0.2, heading=0.4), 2.7506))
 # An exact tie between scan samples 10.0 and 10.25: both are local minima.
 @example((build_path([{"kind": "line", "length": 256.0}]), (10.125, 1.0, 0.0), None))
+# A line's foot just within and just beyond the skip margin, at lo and at hi.
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], MARGIN_HINT, -1, 0.9), MARGIN_HINT))
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], MARGIN_HINT, -1, 1.1), MARGIN_HINT))
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], MARGIN_HINT, 1, 0.9), MARGIN_HINT))
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], MARGIN_HINT, 1, 1.1), MARGIN_HINT))
+# Windows across the line -> arc and the arc -> line joint.
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], math.sqrt(2.0) + 0.05, 0.2),
+          math.sqrt(2.0)))
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], math.sqrt(2.0) + 2.05, -0.2),
+          math.sqrt(2.0) + 2.1))
+# Across the line -> arc joint, 325 m to the left: the line's foot lies
+# well inside its part, yet hi on the arc is nearer (and singular).
+@example((ORACLE_PATHS[0], (0.9599907362034998, 325.29766788667416, -1.684124997242204),
+          1.1509883469601703))
+# Hints at the path's two ends.
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], 0.1, 0.3), 0.0))
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], ORACLE_PATHS[0].total_length - 0.1, -0.3),
+          ORACLE_PATHS[0].total_length))
+# 1e6 m off a line the scores round at about 1e-4: lo wins against a foot
+# 2 mm inside the window, which only the scaled margin leaves to the ends.
+@example((LINE_250, (99.702, 1e6, 0.0), 100.0))
+# Arc windows: an ordinary one; one whose pose lies 2.7e-12 m from the
+# center, where the scores hardly vary and lo wins against the stationary
+# point 5.8 mm inside; and one longer than 3 / |c|, where hi lies 4.4e-12 m
+# short of the next stationary point (too far for that to be offered) and
+# wins against the one 76 mm inside.
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], math.sqrt(2.0) + 1.0, 0.4),
+          math.sqrt(2.0) + 1.05))
+@example((ARC_6, (1.2663821125330031e-12, 1.0000000000027196, 0.0), 3.0))
+@example((ARC_TIGHT, (0.02037320187588751, 0.27130451608233386, 0.0), 1.0))
 def test_projection_matches_reference_window_search_bitwise(query):
     path, pose, hint = query
     got = outcome(lambda: path.frenet_project(pose, hint_s=hint, radius=0.3))
     want = outcome(lambda: reference_project(path, pose, hint_s=hint, radius=0.3))
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_query())
+# The foot lies past the joint that ends the window: the clamped offer is
+# the joint, which belongs to the next segment.
+@example((ORACLE_PATHS[0], (math.sqrt(2.0) + 0.1, -0.5, 0.0), math.sqrt(2.0) - 0.15))
+def test_window_search_returns_the_segment_that_holds_its_answer(query):
+    path, (x, y, _), hint = query
+    if hint is None:
+        hint = path.total_length / 2.0
+    lo, hi = max(0.0, hint - 0.15), min(path.total_length, hint + 0.15)
+    s, d2, i = path._best_in_window(x, y, lo, hi)
+    assert i == path._locate(s)[2]
+
+
+@pytest.mark.parametrize("end", [-1, 1], ids=["lo", "hi"])
+@pytest.mark.parametrize("factor, scored", [(0.9, 2), (1.1, 1)], ids=["within", "beyond"])
+def test_window_search_scores_the_ends_only_within_the_margin(monkeypatch, end, factor, scored):
+    # Beyond the margin only the foot point is scored; within it, the end
+    # offer is scored too (lo by its own point, hi through _d2_from).  The
+    # result carries its segment, so no projection locates it again.
+    pose = margin_pose(ORACLE_PATHS[0], MARGIN_HINT, end, factor)
+    calls = []
+    d2_from = Path._d2_from
+    monkeypatch.setattr(
+        Path, "_d2_from", lambda self, *args: calls.append(args) or d2_from(self, *args)
+    )
+    monkeypatch.setattr(Path, "_locate", lambda *args: pytest.fail("located again"))
+    ORACLE_PATHS[0].frenet_project(pose, hint_s=MARGIN_HINT)
+    assert len(calls) == scored
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.floats(-math.pi, math.pi),
+    st.floats(1.0, 500.0),
+    st.floats(0.0, 1.0),
+    st.floats(-0.05, 1.05),
+    st.floats(-20.0, 20.0),
+)
+def test_hinted_line_projection_is_the_clamped_foot_point(x0, y0, th0, length, h, f, l):
+    path = build_path([{"kind": "line", "length": length}], start_pose=(x0, y0, th0))
+    hint = h * length
+    lo, hi = max(0.0, hint - 0.3), min(length, hint + 0.3)
+    u = f * length
+    x = x0 + u * math.cos(th0) - l * math.sin(th0)
+    y = y0 + u * math.sin(th0) + l * math.cos(th0)
+    foot = (x - x0) * math.cos(th0) + (y - y0) * math.sin(th0)
+    # A foot a hair inside the window can tie with an end by rounding.
+    assume(not lo < foot < hi or min(foot - lo, hi - foot) > 1e-4)
+    assert path.frenet_project((x, y, 0.0), hint_s=hint).s == min(max(foot, lo), hi)
 
 
 def test_global_projection_returns_python_floats():

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from brakesteer.analysis import summarize
 from brakesteer.simulator import (
     MAX_PHYSICS_STEPS,
     Scenario,
     ScenarioInvalid,
+    Trace,
+    TraceRow,
     apply_overrides,
     build_demo_scenario,
     frenet_grid,
@@ -92,6 +95,22 @@ def test_dynamic_demo_trace_bytes_are_pinned(brake_model, digest):
                  "user.tau_r": 0.12, "user.tau_l": 0.12}
     csv = run(build_demo_scenario().with_overrides(overrides)).to_csv()
     assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+LABEL = st.sampled_from(("go_straight", "turn_right", "turn_left", "stop", "tracking"))
+
+
+@given(st.lists(st.tuples(*[ANY_FLOAT] * 9, LABEL, LABEL, LABEL, ANY_FLOAT), max_size=5))
+def test_trace_csv_formats_each_row_as_the_field_by_field_f_string(rows):
+    # to_csv formats a row with one %-format; this is the f-string it replaced.
+    want = ["t,x,y,theta,v,omega,s,l,theta_tilde,maneuver,hybrid_state,phase,V"] + [
+        f"{r[0]:.9g},{r[1]:.9g},{r[2]:.9g},{r[3]:.9g},{r[4]:.9g},{r[5]:.9g},"
+        f"{r[6]:.9g},{r[7]:.9g},{r[8]:.9g},{r[9]},{r[10]},{r[11]},{r[12]:.9g}"
+        for r in rows
+    ]
+    trace = Trace(rows=tuple(TraceRow(*r) for r in rows), meta={})
+    assert trace.to_csv() == "\n".join(want) + "\n"
 
 
 def test_run_terminates_at_path_end():
