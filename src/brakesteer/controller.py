@@ -63,7 +63,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 from .dynamics import COMMANDS, BrakeCommand, Maneuver
-from .path_geometry import FrenetState, linspace, wrap_angle
+from .path_geometry import TWO_PI, FrenetState, linspace, wrap_angle
 
 HALF_PI = math.pi / 2.0
 
@@ -80,9 +80,8 @@ class Phase(Enum):
     APPROACH = "approach"
     TRACK = "track"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str) -> None:
+        self.label = label  # the value, as a plain attribute
 
 
 class HybridState(Enum):
@@ -91,9 +90,8 @@ class HybridState(Enum):
     CONTROLLED = "controlled"
     STOPPED = "stopped"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str) -> None:
+        self.label = label  # the value, as a plain attribute
 
 
 class Region(Enum):
@@ -106,9 +104,8 @@ class Region(Enum):
     ON_DELTA_LINE = "on_delta_line"
     INTERIOR = "interior"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str) -> None:
+        self.label = label  # the value, as a plain attribute
 
 
 # -- switching boundary functions ----------------------------------------
@@ -311,6 +308,9 @@ class ControllerConfig:
             raise ValueError("hysteresis bands must be positive")
         if not (self.threshold_l > 0.0 and self.re_approach_factor >= 1.0):
             raise ValueError("invalid phase-switch thresholds")
+        # Where the final-turn rides hand over to the band regulation (see
+        # _track_step): a plain attribute, not a field, so spec() omits it.
+        object.__setattr__(self, "_th_clear", math.sqrt(2.0 * self.eps_b))
 
     def spec(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -386,27 +386,29 @@ def classify(
 # -- relay with latched hysteresis ------------------------------------------
 
 
-def _latch_released(err: float, prev_err: Optional[float], turn_dir: int, eps: float) -> bool:
-    if abs(err) <= eps:
-        return True
-    if prev_err is None:
-        return False
-    step = wrap_angle(err - prev_err)
-    if turn_dir > 0:
-        # left turn normally raises the error; release on a single-step
-        # overshoot through the band, never on a wrap of the error angle
-        return err > eps and prev_err <= eps and 0.0 < step < HALF_PI
-    return err < -eps and prev_err >= -eps and -HALF_PI < step < 0.0
-
-
 def _relay(err: float, state: ControllerState, eps: float) -> tuple[Maneuver, HybridState, int]:
-    if (
-        state.hybrid_state is HybridState.TURNING
-        and state.turn_dir != 0
-        and not _latch_released(err, state.prev_err, state.turn_dir, eps)
-    ):
-        action = Maneuver.TURN_LEFT if state.turn_dir > 0 else Maneuver.TURN_RIGHT
-        return action, HybridState.TURNING, state.turn_dir
+    turn_dir = state.turn_dir
+    if state.hybrid_state is HybridState.TURNING and turn_dir != 0 and not abs(err) <= eps:
+        # The latched turn holds outside the band.  A left turn normally
+        # raises the error, so it is also released on a single-step
+        # overshoot through the band (the wrapped step lies in (0, pi/2)),
+        # never on a wrap of the error angle; a right turn mirrors it.
+        prev = state.prev_err
+        if prev is None:
+            released = False
+        elif turn_dir > 0:
+            released = (
+                err > eps and prev <= eps
+                and 0.0 < (err - prev + math.pi) % TWO_PI - math.pi < HALF_PI
+            )
+        else:
+            released = (
+                err < -eps and prev >= -eps
+                and -HALF_PI < (err - prev + math.pi) % TWO_PI - math.pi < 0.0
+            )
+        if not released:
+            action = Maneuver.TURN_LEFT if turn_dir > 0 else Maneuver.TURN_RIGHT
+            return action, HybridState.TURNING, turn_dir
     if err > eps:
         return Maneuver.TURN_RIGHT, HybridState.TURNING, -1
     if err < -eps:
@@ -418,16 +420,18 @@ def _track_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
 ) -> tuple[Maneuver, ControllerState]:
     b = cfg.eps_b
-    err = wrap_angle(th - cfg.delta_profile.value(l_norm))
+    err = (th - cfg.delta_profile.value(l_norm) + math.pi) % TWO_PI - math.pi  # wrap_angle
     if abs(l_norm) <= b and abs(th) <= b:
         return Maneuver.GO_STRAIGHT, ControllerState(Phase.TRACK, HybridState.STRAIGHT, 0, err)
     # On a final-turn curve the vehicle rides it into the origin.  Within
     # sqrt(2 b) of the origin the curves blur into the band around it, so
-    # the ride hands over to the band regulation there.
-    th_clear = math.sqrt(2.0 * b)
-    if abs(sigma_l(l_norm, th)) <= b and -math.pi < th < -th_clear:
+    # the ride hands over to the band regulation there.  One cosine serves
+    # sigma_L = l~ - 1 + cos(th~) and sigma_R = l~ + 1 - cos(th~).
+    th_clear = cfg._th_clear
+    cos_th = math.cos(th)
+    if abs(l_norm - 1.0 + cos_th) <= b and -math.pi < th < -th_clear:
         return Maneuver.TURN_LEFT, ControllerState(Phase.TRACK, HybridState.CONTROLLED, 0, err)
-    if abs(sigma_r(l_norm, th)) <= b and th_clear < th:
+    if abs(l_norm + 1.0 - cos_th) <= b and th_clear < th:
         return Maneuver.TURN_RIGHT, ControllerState(Phase.TRACK, HybridState.CONTROLLED, 0, err)
     action, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
     return action, ControllerState(Phase.TRACK, hybrid, turn_dir, err)
@@ -448,7 +452,7 @@ def _approach_step(
     handoff = sigma_l(l_norm, th) if side > 0 else sigma_r(l_norm, th)
     final_turn = Maneuver.TURN_LEFT if side > 0 else Maneuver.TURN_RIGHT
     target = -side * cfg.delta_approach
-    err = wrap_angle(th - target)
+    err = (th - target + math.pi) % TWO_PI - math.pi  # wrap_angle
 
     if (
         state.hybrid_state is HybridState.CONTROLLED
@@ -490,13 +494,12 @@ def select_maneuver(
     Raises ProjectionLost on a non-finite Frenet state, in which case the
     caller is expected to command Stop.
     """
-    if not (
-        math.isfinite(frenet.s) and math.isfinite(frenet.l) and math.isfinite(frenet.theta_tilde)
-    ):
+    s, l, theta_tilde = frenet
+    if not (math.isfinite(s) and math.isfinite(l) and math.isfinite(theta_tilde)):
         raise ProjectionLost(f"invalid frenet state {frenet}")
     ctrl = phase_switch(frenet, ctrl, params)
-    l_norm = frenet.l / params.radius
-    th = wrap_angle(frenet.theta_tilde)
+    l_norm = l / params.radius
+    th = (theta_tilde + math.pi) % TWO_PI - math.pi  # wrap_angle
     step = _track_step if ctrl.phase is Phase.TRACK else _approach_step
     action, state = step(l_norm, th, ctrl, params)
     return COMMANDS[action], state

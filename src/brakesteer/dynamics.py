@@ -33,9 +33,8 @@ class Maneuver(Enum):
     TURN_LEFT = "turn_left"
     STOP = "stop"
 
-    @property
-    def label(self) -> str:
-        return self.value
+    def __init__(self, label: str) -> None:
+        self.label = label  # the value, as a plain attribute
 
 
 @dataclass(frozen=True)
@@ -162,31 +161,30 @@ def step_kinematic(
 
     The command fixes the angular rate: 0 when free, ``-v/R`` turning right,
     ``+v/R`` turning left; Stop halts instantly (wheel lock time is treated
-    as negligible) and leaves the pose unchanged.
+    as negligible) and leaves the pose unchanged.  The wheel rates are
+    :func:`wheel_rates`' expressions, in its operand order.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
-    if command.action is Maneuver.STOP:
-        return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
-    v = max(0.0, v_user)
-    if command.action is Maneuver.GO_STRAIGHT:
+    action = command.action
+    x, y, theta = state.x, state.y, state.theta
+    if action is Maneuver.STOP:
+        return VehicleState(x, y, theta, 0.0, 0.0, 0.0, 0.0)
+    v = v_user if v_user > 0.0 else 0.0  # max(0.0, v_user), which also maps NaN to 0
+    d, r = params.d, params.r
+    if action is Maneuver.GO_STRAIGHT:
         omega = 0.0
-        x = state.x + v * dt * math.cos(state.theta)
-        y = state.y + v * dt * math.sin(state.theta)
-        theta = state.theta
+        x += v * dt * math.cos(theta)
+        y += v * dt * math.sin(theta)
+    elif v > 0.0:
+        omega = (-v if action is Maneuver.TURN_RIGHT else v) / (d / 2.0)  # v / R
+        theta_0, theta = theta, theta + omega * dt
+        rho = v / omega  # signed turn radius, magnitude R
+        x += rho * (math.sin(theta) - math.sin(theta_0))
+        y -= rho * (math.cos(theta) - math.cos(theta_0))
     else:
-        sign = -1.0 if command.action is Maneuver.TURN_RIGHT else 1.0
-        omega = sign * v / params.R
-        theta = state.theta + omega * dt
-        if v > 0.0:
-            rho = v / omega  # signed turn radius, magnitude R
-            x = state.x + rho * (math.sin(theta) - math.sin(state.theta))
-            y = state.y - rho * (math.cos(theta) - math.cos(state.theta))
-        else:
-            x, y = state.x, state.y
-            theta = state.theta  # no motion, no rotation about a wheel
-            omega = 0.0
-    return VehicleState.from_body_rates(x, y, theta, v, omega, params)
+        omega = 0.0  # no motion, no rotation about a wheel
+    return VehicleState(x, y, theta, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)
 
 
 def step_dynamic(

@@ -300,16 +300,17 @@ class Path:
     ) -> FrenetState:
         """Project a world pose onto the path.
 
-        With ``hint_s`` the search is restricted to ``hint_s +- radius``
-        (continuity mode for tracking loops); otherwise a global coarse
-        scan seeds local refinement.  ``radius`` also sets the separation
-        beyond which two equally near minima raise AmbiguousProjection.  A
-        pose at or beyond its nearest point's center of curvature raises
-        SingularProjection instead, ambiguous or not.  A finite pose whose
-        squared distance to the path overflows raises OverflowError("pose
-        too far from the path to project"); a finite one bounds
-        ``|x - px|``, so ``l`` is finite.  A negative or NaN ``radius``
-        raises ValueError.
+        ``pose`` is read as its first three items, ``(x, y, heading)``, so a
+        ``VehicleState`` is projected as it is.  With ``hint_s`` the search
+        is restricted to ``hint_s +- radius`` (continuity mode for tracking
+        loops); otherwise a global coarse scan seeds local refinement.
+        ``radius`` also sets the separation beyond which two equally near
+        minima raise AmbiguousProjection.  A pose at or beyond its nearest
+        point's center of curvature raises SingularProjection instead,
+        ambiguous or not.  A finite pose whose squared distance to the path
+        overflows raises OverflowError("pose too far from the path to
+        project"); a finite one bounds ``|x - px|``, so ``l`` is finite.  A
+        negative or NaN ``radius`` raises ValueError.
         """
         x, y, th = float(pose[0]), float(pose[1]), float(pose[2])
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(th)):
@@ -326,23 +327,26 @@ class Path:
             lo = lo if lo > 0.0 else 0.0
             hi = hint_s + radius
             hi = hi if hi < self.total_length else self.total_length
-            s_best, d2, i = self._best_in_window(x, y, lo, hi)
+            s_best, d2, i, p = self._best_in_window(x, y, lo, hi)
         else:
-            s_best, d2, i = self._global_minimum(x, y, th, radius)
+            s_best, d2, i, p = self._global_minimum(x, y, th, radius)
         if not d2 < math.inf:
             raise OverflowError("pose too far from the path to project")
-        return self._finish(x, y, th, s_best, i)
+        return self._finish(x, y, th, s_best, i, p)
 
-    def _finish(self, x: float, y: float, th: float, s: float, i: int) -> FrenetState:
-        """Frenet coordinates of the pose at ``s``, on segment ``i`` that holds it."""
+    def _finish(
+        self, x: float, y: float, th: float, s: float, i: int, p: tuple[float, float]
+    ) -> FrenetState:
+        """Frenet coordinates of the pose at ``s``, on segment ``i`` that
+        holds it, whose path point ``p`` the window search scored."""
         seg = self.segments[i]
-        end = self.total_length
-        u = (0.0 if s < 0.0 else end if s > end else s) - self.cumulative_s[i]
-        px, py = seg.point(u)
+        px, py = p
         if seg.kind == "line":
             thd, nx, ny = seg._frame
             c = 0.0
         else:
+            end = self.total_length
+            u = (0.0 if s < 0.0 else end if s > end else s) - self.cumulative_s[i]
             thd = seg.heading(u)
             nx, ny = -math.sin(thd), math.cos(thd)
             c = seg.curvature(u)
@@ -351,11 +355,11 @@ class Path:
             raise SingularProjection(
                 f"pose at or beyond center of curvature (s={s:.6f}, c={c:.6f}, l={l:.6f})"
             )
-        return FrenetState(s, l, wrap_angle(th - thd))
+        return FrenetState(s, l, (th - thd + math.pi) % TWO_PI - math.pi)  # wrap_angle
 
     def _global_minimum(
         self, x: float, y: float, th: float, radius: float
-    ) -> tuple[float, float, int]:
+    ) -> tuple[float, float, int, Optional[tuple[float, float]]]:
         d2 = [(sx - x) * (sx - x) + (sy - y) * (sy - y) for sx, sy in self._scan_xy]
         last = len(d2) - 1
         step = self.total_length / last
@@ -366,30 +370,31 @@ class Path:
             if (j == 0 or d <= d2[j - 1]) and (j == last or d <= d2[j + 1]):
                 if not d < math.inf and not min(d2) < math.inf:
                     # Every sample overflowed, and so would every window.
-                    return 0.0, math.inf, 0
+                    return 0.0, math.inf, 0, None
                 s = self._scan_s[j]
                 lo, hi = max(0.0, s - step), min(self.total_length, s + step)
                 candidates.append(self._best_in_window(x, y, lo, hi))
         candidates.sort(key=lambda c: c[1])
-        s_best, d_best, i_best = candidates[0]
-        for s_other, d_other, _ in candidates[1:]:
+        s_best, d_best, i_best, p_best = candidates[0]
+        for s_other, d_other, _, _ in candidates[1:]:
             if abs(s_other - s_best) > radius and abs(
                 math.sqrt(d_other) - math.sqrt(d_best)
             ) <= 1e-9:
                 # A pose at/beyond a center of curvature is equidistant from a
                 # whole arc: _finish reports that as the singularity it is.
-                self._finish(x, y, th, s_best, i_best)
+                self._finish(x, y, th, s_best, i_best, p_best)
                 raise AmbiguousProjection(
                     f"equidistant projections at s={s_best:.6f} and s={s_other:.6f}"
                 )
-        return s_best, d_best, i_best
+        return s_best, d_best, i_best, p_best
 
     def _best_in_window(
         self, x: float, y: float, lo: float, hi: float
-    ) -> tuple[float, float, int]:
+    ) -> tuple[float, float, int, tuple[float, float]]:
         """Minimize squared distance to the path over ``[lo, hi]``.
 
-        Returns ``(s, d2, i)``, with ``i`` the segment holding ``s``.  One
+        Returns ``(s, d2, i, p)``, with ``i`` the segment holding ``s`` and
+        ``p`` the path point at ``s`` that was scored.  One
         bisect finds the segment holding ``lo``, and one pass walks the
         segments the window touches.  Each offers its own nearest point on
         its part ``[ua, ub]`` of the window: a line its foot point, an arc
@@ -426,7 +431,7 @@ class Path:
         first = bisect.bisect_right(cum, lo) - 1
         # The window lies inside segment ``first``: ``hi`` is scored there too.
         inside = first + 1 == n or hi < cum[first + 1]
-        best_s, best_d2, best_i = lo, math.inf, first
+        best_s, best_d2, best_i, best_p = lo, math.inf, first, None
         ends = True
         for i in range(first, n):
             s0 = cum[i]
@@ -455,33 +460,38 @@ class Path:
             for u in inner:
                 u = ua if u < ua else ub if u > ub else u
                 s = s0 + u
-                d2, j = self._d2_from(i, x, y, s)
+                d2, j, p = self._d2_from(i, x, y, s)
                 if d2 < best_d2:
-                    best_s, best_d2, best_i = s, d2, j
+                    best_s, best_d2, best_i, best_p = s, d2, j, p
             if inside and w > 0.0 and len(inner) == 1:
                 m = u - ua if u - ua < ub - u else ub - u
                 scale = abs(x) + abs(y) + abs(x0) + abs(y0) + s + reach
                 ends = not w * m * m > 2.0**-30 * (d2 + scale * scale)
         if ends:
-            px, py = self.segments[first].point(lo - cum[first])
+            p = self.segments[first].point(lo - cum[first])
+            px, py = p
             d2 = (x - px) * (x - px) + (y - py) * (y - py)
             if d2 <= best_d2:
-                best_s, best_d2, best_i = lo, d2, first
-            d2, j = self._d2_from(first, x, y, hi)
+                best_s, best_d2, best_i, best_p = lo, d2, first, p
+            d2, j, p = self._d2_from(first, x, y, hi)
             if d2 < best_d2:
-                best_s, best_d2, best_i = hi, d2, j
-        return best_s, best_d2, best_i
+                best_s, best_d2, best_i, best_p = hi, d2, j, p
+        return best_s, best_d2, best_i, best_p
 
-    def _d2_from(self, i: int, x: float, y: float, s: float) -> tuple[float, int]:
-        """Squared distance to the path point at ``s`` and the index of the
-        segment holding ``s``, located as ``_locate`` does, walking on from
-        segment ``i`` (at or before it) instead of bisecting."""
+    def _d2_from(
+        self, i: int, x: float, y: float, s: float
+    ) -> tuple[float, int, tuple[float, float]]:
+        """Squared distance to the path point at ``s``, the index of the
+        segment holding ``s`` and the point itself.  The segment is located
+        as ``_locate`` does, walking on from segment ``i`` (at or before it)
+        instead of bisecting."""
         cum = self.cumulative_s
         while i + 1 < len(cum) and cum[i + 1] <= s:
             i += 1
         end = self.total_length
-        px, py = self.segments[i].point((end if end < s else s) - cum[i])
-        return (x - px) * (x - px) + (y - py) * (y - py), i
+        p = self.segments[i].point((end if end < s else s) - cum[i])
+        px, py = p
+        return (x - px) * (x - px) + (y - py) * (y - py), i, p
 
     @staticmethod
     def _project_arc(
@@ -508,7 +518,10 @@ class Path:
         for k in range(k_min, k_max + 1):
             u = u0 + k * period
             if ua - 1e-12 <= u <= ub + 1e-12:
-                out.append(min(max(u, ua), ub))
+                # min(max(u, ua), ub), spelled out: each comparison keeps the
+                # operand the builtin keeps, on a tie and a signed zero too.
+                u = ua if ua > u else u
+                out.append(ub if ub < u else u)
         return out, rho
 
     def _project_clothoid(

@@ -36,10 +36,11 @@ from .path_geometry import (
 
 
 # The most physics steps (control steps times RK4 substeps) one run may ask
-# for.  A kinematic run keeps one trace row of about 380 bytes per control
-# step (tracemalloc, on a 20,001-row run), at about 18 us a step on a 2-vCPU
-# x86 VM with Python 3.11: 1e7 steps is about 3.8 GB of trace and 3 minutes,
-# while 1e8 would need 38 GB.
+# for.  A kinematic run keeps one trace row of about 340 bytes per control
+# step (tracemalloc peak, on a 20,001-row run along a 250 m line), at about
+# 15 us a step on a 2-vCPU x86 VM with Python 3.11 (median of six medians of
+# seven runs, unscaled): 1e7 steps is about 3.4 GB of trace and 2.5 minutes,
+# while 1e8 would need 34 GB.
 MAX_PHYSICS_STEPS = 10_000_000
 
 
@@ -349,7 +350,11 @@ def run(scenario: Scenario) -> Trace:
     cfg = scenario.control
     radius = params.R
     dt = scenario.dt_control
-    if scenario.noise_amplitude > 0.0:
+    kinematic = scenario.mode == "kinematic"
+    v_user = scenario.v_user
+    noise = scenario.noise_amplitude
+    stop_when_converged = scenario.stop_when_converged
+    if noise > 0.0:
         # Only a noisy run draws numbers, so only it pays for importing numpy.
         import numpy as np
 
@@ -357,14 +362,15 @@ def run(scenario: Scenario) -> Trace:
     state = scenario.initial_state(path)
     ctrl = ControllerState()
     user = UserInput(*scenario.user_torques)
-    n_sub = max(1, round(dt / scenario.dt_physics)) if scenario.mode == "dynamic" else 1
-    end_margin = max(2.0 * scenario.v_user * dt, 1e-6)
+    n_sub = 1 if kinematic else max(1, round(dt / scenario.dt_physics))
+    # A run reaches the path end within a margin of two steps' travel.
+    end_s = path.total_length - max(2.0 * v_user * dt, 1e-6)
 
     rows: list[TraceRow] = []
     meta = {
         "radius": radius,
         "dt_control": dt,
-        "v_user": scenario.v_user,
+        "v_user": v_user,
         "eps_theta": cfg.eps_theta,
         "delta_profile": cfg.delta_profile.spec(),
         "mode": scenario.mode,
@@ -380,20 +386,17 @@ def run(scenario: Scenario) -> Trace:
         t = k * dt
         if k:
             try:
-                if scenario.mode == "kinematic":
-                    v_k = scenario.v_user
-                    if scenario.noise_amplitude > 0.0:
-                        v_k = max(0.0, v_k * (1.0 + rng.uniform(-scenario.noise_amplitude,
-                                                                scenario.noise_amplitude)))
+                if kinematic:
+                    v_k = v_user
+                    if noise > 0.0:
+                        v_k = max(0.0, v_k * (1.0 + rng.uniform(-noise, noise)))
                     state = step_kinematic(state, cmd, v_k, dt, params)
                 else:
                     step_user = user
-                    if scenario.noise_amplitude > 0.0:
+                    if noise > 0.0:
                         step_user = UserInput(
-                            user.tau_r + rng.uniform(-scenario.noise_amplitude,
-                                                     scenario.noise_amplitude),
-                            user.tau_l + rng.uniform(-scenario.noise_amplitude,
-                                                     scenario.noise_amplitude),
+                            user.tau_r + rng.uniform(-noise, noise),
+                            user.tau_l + rng.uniform(-noise, noise),
                         )
                     state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
                                          params, scenario.brake_model, n_sub)
@@ -401,7 +404,7 @@ def run(scenario: Scenario) -> Trace:
                 reason, stop = _nonfinite("step", exc), (None, None)
                 break
         try:
-            fren = path.frenet_project(state.pose(), hint_s=hint, radius=radius)
+            fren = path.frenet_project(state, hint_s=hint, radius=radius)
         except (SingularProjection, AmbiguousProjection) as exc:
             reason, stop = f"projection lost: {exc}", (state.pose(), None)
             break
@@ -410,7 +413,7 @@ def run(scenario: Scenario) -> Trace:
             reason, stop = _nonfinite("projection", exc), (None, None)
             break
         hint = fren.s
-        if fren.s >= path.total_length - end_margin:
+        if fren.s >= end_s:
             reason, stop = "path_end", (state.pose(), fren)
             break
         cmd, ctrl = select_maneuver(fren, ctrl, cfg)
@@ -422,7 +425,7 @@ def run(scenario: Scenario) -> Trace:
                 lyapunov(fren.l / radius, fren.theta_tilde),
             )
         )
-        if scenario.stop_when_converged:
+        if stop_when_converged:
             if in_convergence_band(fren.l, fren.theta_tilde, radius):
                 if in_band_since is None:
                     in_band_since = t

@@ -33,6 +33,23 @@ def test_demo_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert header == "t,x,y,theta,v,omega,s,l,theta_tilde,maneuver,hybrid_state,phase,V"
 
 
+def test_demo_output_bytes_are_pinned(tmp_path):
+    # The shipped kinematic demo tracks the course to its end: 3,675 rows,
+    # the last a path_end Stop row.  These digests hold both outputs to
+    # their bytes.
+    out = tmp_path / "out"
+    assert main(["demo", "--out", str(out)]) == 0
+    trace = (out / "trace.csv").read_bytes()
+    assert trace.count(b"\n") == 1 + 3675
+    assert trace.splitlines()[-1].endswith(b",stop,stopped,track,9.10434553e-06")
+    assert hashlib.sha256(trace).hexdigest() == (
+        "2572d55d48d5ce086caac4e958fb563c5248c06c8fd5d917e4fd945ff2330763"
+    )
+    assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == (
+        "31461d4aaa160d504be1e81a4914588cdabfbb22b253d6e3a3ea9531230748a5"
+    )
+
+
 def test_simulate_exit_codes(tmp_path, demo_config):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(demo_config), "--out", str(out)]) == 0

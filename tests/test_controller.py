@@ -1,4 +1,5 @@
 import math
+import pickle
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -28,6 +29,18 @@ from brakesteer.dynamics import BrakeCommand, Maneuver, VehicleState
 from brakesteer.path_geometry import FrenetState, wrap_angle
 
 PI = math.pi
+
+
+@pytest.mark.parametrize("member", [*Maneuver, *Phase, *HybridState, *Region], ids=str)
+def test_label_is_the_value_as_a_plain_attribute(member):
+    # run reads three labels per trace row: each is the member's own
+    # attribute, not a property over the Enum value.
+    assert member.label == member.value
+    assert isinstance(member.label, str)
+    assert vars(member)["label"] is member.label
+    loaded = pickle.loads(pickle.dumps(member))
+    assert loaded is member
+    assert loaded.label == member.value
 
 
 def cfg_track(profile=None, radius=0.3, **kw):
@@ -752,3 +765,74 @@ def test_select_maneuver_matches_reference_transition_bitwise(
             th = wrap_angle(th - turn)
         else:
             l_norm += turn * math.sin(th)
+
+
+def _nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def one_step_cases(draw):
+    """A config, any prior state and one Frenet state, often within a few
+    ulps of a band edge: the manifold error at +-eps_theta, sigma_L or
+    sigma_R at +-eps_b."""
+    # radius 1: l / radius is l itself, so the nudged offset reaches the step.
+    # A wrapped error is a multiple of 2**-51 near 0, so only a band such as
+    # 2**-6 can be met exactly.
+    cfg = ControllerConfig(
+        radius=1.0,
+        eps_theta=draw(st.sampled_from([0.02, 2.0**-6])),
+        delta_approach=draw(st.sampled_from([0.0, PI / 6, PI / 3, PI / 2])),
+        delta_profile=draw(st.sampled_from(ORACLE_PROFILES)),
+        threshold_l=draw(st.sampled_from([1e-4, 0.05, 0.5, 1.0, 1e9])),
+    )
+    angle = st.floats(-PI, PI, exclude_max=True)
+    state = ControllerState(
+        draw(st.sampled_from(list(Phase))),
+        draw(st.sampled_from(list(HybridState))),
+        draw(st.sampled_from([-1, 0, 1])),
+        draw(st.one_of(st.none(), angle, st.sampled_from([cfg.eps_theta, -cfg.eps_theta]))),
+        draw(st.one_of(st.none(), st.floats(-0.2, 0.2))),
+        draw(st.sampled_from([-1, 0, 1])),
+    )
+    edge = draw(st.sampled_from(["none", "err", "sigma_l", "sigma_r"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    ulps = draw(st.integers(-3, 3))
+    if edge == "sigma_l":
+        th = draw(st.floats(-3.0, -0.05))
+        l_norm = _nudge(1.0 - math.cos(th) + sign * cfg.eps_b, ulps)
+    elif edge == "sigma_r":
+        th = draw(st.floats(0.05, 3.0))
+        l_norm = _nudge(math.cos(th) - 1.0 + sign * cfg.eps_b, ulps)
+    else:
+        l_norm = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+        th = draw(angle)
+        if edge == "err":
+            th = wrap_angle(_nudge(cfg.delta_profile.value(l_norm) + sign * cfg.eps_theta, ulps))
+    return cfg, state, FrenetState(s=0.0, l=l_norm, theta_tilde=th)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=one_step_cases())
+# A latched turn whose error lands exactly on the band's edge is released.
+@example(case=(
+    ControllerConfig(radius=1.0, eps_theta=2.0**-6, threshold_l=1e9),
+    ControllerState(Phase.TRACK, HybridState.TURNING, 1, 0.5),
+    FrenetState(s=0.0, l=0.0, theta_tilde=2.0**-6),
+))
+@example(case=(
+    ControllerConfig(radius=1.0, eps_theta=2.0**-6, threshold_l=1e9),
+    ControllerState(Phase.TRACK, HybridState.TURNING, -1, -0.5),
+    FrenetState(s=0.0, l=0.0, theta_tilde=-(2.0**-6)),
+))
+def test_select_maneuver_matches_reference_transition_from_any_state_bitwise(case):
+    # One transition from an arbitrary prior state, so that the band edges
+    # and latch releases a closed loop rarely lands on exactly are reached.
+    cfg, ctrl, fren = case
+    cmd, state = select_maneuver(fren, ctrl, cfg)
+    action, ref = ref_select_maneuver(fren, RefState(*ctrl), cfg)
+    assert cmd.action is action
+    assert [getattr(state, f) for f in REF_FIELDS] == [getattr(ref, f) for f in REF_FIELDS]

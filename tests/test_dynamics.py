@@ -385,3 +385,68 @@ def test_substeps_equal_chained_calls_bitwise(
         chained = step_dynamic(chained, command, user, dt, params, brake_model)
     looped = step_dynamic(state, command, user, dt, params, brake_model, n)
     assert [f.hex() for f in looped] == [f.hex() for f in chained]
+
+
+# -- bitwise oracle for the kinematic step -------------------------------------
+
+
+def reference_step_kinematic(state, command, v_user, dt, params):
+    """step_kinematic as it was written when it built its result through
+    VehicleState.from_body_rates (and so through wheel_rates)."""
+    if not 0.0 < dt < math.inf:
+        raise NonPositiveDt(f"dt={dt}")
+    if command.action is Maneuver.STOP:
+        return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
+    v = max(0.0, v_user)
+    if command.action is Maneuver.GO_STRAIGHT:
+        omega = 0.0
+        x = state.x + v * dt * math.cos(state.theta)
+        y = state.y + v * dt * math.sin(state.theta)
+        theta = state.theta
+    else:
+        sign = -1.0 if command.action is Maneuver.TURN_RIGHT else 1.0
+        omega = sign * v / params.R
+        theta = state.theta + omega * dt
+        if v > 0.0:
+            rho = v / omega
+            x = state.x + rho * (math.sin(theta) - math.sin(state.theta))
+            y = state.y - rho * (math.cos(theta) - math.cos(state.theta))
+        else:
+            x, y = state.x, state.y
+            theta = state.theta
+            omega = 0.0
+    return VehicleState.from_body_rates(x, y, theta, v, omega, params)
+
+
+KINEMATIC_PARAMS = [PARAMS, VehicleParams(d=0.45, r=0.15), VehicleParams(d=1.3, r=0.07)]
+# Below zero (the clamp, a signed zero and NaN included), at zero and above.
+V_USER = st.one_of(
+    st.floats(-5.0, -1e-300), st.sampled_from([0.0, -0.0, math.nan]), st.floats(1e-300, 5.0)
+)
+# From the smallest positive float to a step that turns far past 0.5 rad.
+DT = st.one_of(st.floats(5e-324, 1e-6), st.floats(1e-6, 1.0))
+HEADING = st.one_of(st.floats(-4.0, 4.0), st.floats(-1e4, 1e4))
+# Near the origin a last-bit change of a step's increment shows in the sum.
+COORD = st.one_of(st.just(0.0), st.floats(-1.0, 1.0), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=1000)
+@given(
+    action=st.sampled_from(list(Maneuver)),
+    v_user=V_USER,
+    dt=DT,
+    pose=st.tuples(COORD, COORD, HEADING),
+    rates=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    params=st.sampled_from(KINEMATIC_PARAMS),
+)
+# A turn at the validation limit, from a heading beyond pi, and a signed zero.
+@example(Maneuver.TURN_RIGHT, 1.0, 0.15, (1.0, 2.0, 7.5), (0.0, 0.0), PARAMS)
+@example(Maneuver.TURN_LEFT, -0.0, 0.01, (0.0, 0.0, -3.5), (1.0, 0.5), PARAMS)
+@example(Maneuver.GO_STRAIGHT, 1.0, 5e-324, (-0.0, 0.0, -1e4), (0.0, 0.0), PARAMS)
+def test_step_kinematic_matches_body_rate_reference_bitwise(
+    action, v_user, dt, pose, rates, params
+):
+    state = VehicleState.from_body_rates(*pose, *rates, params)
+    args = (state, BrakeCommand(action), v_user, dt, params)
+    got, want = step_kinematic(*args), reference_step_kinematic(*args)
+    assert [f.hex() for f in got] == [f.hex() for f in want]

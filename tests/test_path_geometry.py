@@ -601,8 +601,10 @@ def test_window_search_returns_the_segment_that_holds_its_answer(query):
     if hint is None:
         hint = path.total_length / 2.0
     lo, hi = max(0.0, hint - 0.15), min(path.total_length, hint + 0.15)
-    s, d2, i = path._best_in_window(x, y, lo, hi)
+    s, d2, i, p = path._best_in_window(x, y, lo, hi)
     assert i == path._locate(s)[2]
+    # The point it scored is the path point at s, which _finish reuses.
+    assert p == path.pose_at(s)[:2]
 
 
 @pytest.mark.parametrize("end", [-1, 1], ids=["lo", "hi"])
