@@ -224,18 +224,18 @@ class FieldDump(Sequence):
 def field_dump(
     delta: float, grid: GridSpec, band: float = ControllerConfig.eps_b
 ) -> FieldDump:
-    """Evaluate all boundary functions and region labels on a grid.
+    """Evaluate the boundary functions and the region labels on a grid.
 
-    Rows vary ``theta_tilde`` fastest; the output is suitable for contour
-    or heat-map replotting of the switching partition.  Every value is
-    computed here; the returned sequence only stores them.  A non-finite
-    ``delta`` or a ``band`` outside (0, inf) raises ValueError.
+    The regions are :func:`classify`'s for ``ControllerConfig(delta_approach=
+    delta, eps_b=band)``; ``sigma_n``/``sigma_p`` are drawn for reference
+    only.  Rows vary ``theta_tilde`` fastest, for contour or heat-map
+    replotting; every value is computed here.  A ``delta`` outside [0, pi)
+    or a ``band`` outside (0, inf) raises ValueError.
     """
     # Comparisons are written so that NaN fails them.
-    if not -math.inf < delta < math.inf:
-        raise ValueError(f"delta must be finite, got {delta!r}")
     if not 0.0 < band < math.inf:
         raise ValueError(f"band must be positive and finite, got {band!r}")
+    cfg = ControllerConfig(delta_approach=delta, eps_b=band)
     thetas = [
         grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
         for j in range(grid.n_theta)
@@ -249,5 +249,5 @@ def field_dump(
         s_l.extend([sigma_l(l_norm, th) for th in thetas])
         s_n.extend([sigma_n(l_norm, th, delta) for th in thetas])
         s_p.extend([sigma_p(l_norm, th, delta) for th in thetas])
-        codes.extend([_REGION_CODE[classify(l_norm, th, delta, band)] for th in thetas])
+        codes.extend([_REGION_CODE[classify(l_norm, th, cfg)] for th in thetas])
     return FieldDump(l_col, array("d", thetas) * grid.n_l, s_r, s_l, s_n, s_p, bytes(codes))

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_field = sub.add_parser("field", help="dump boundary functions on a grid")
     p_field.add_argument("--delta", type=float, default=ControllerConfig.delta_approach,
-                         help="approach angle, rad")
+                         help="approach angle magnitude, rad, in [0, pi)")
     p_field.add_argument("--l-min", type=float, default=GridSpec.l_min)
     p_field.add_argument("--l-max", type=float, default=GridSpec.l_max)
     p_field.add_argument("--theta-min", type=float, default=GridSpec.theta_min)

@@ -6,30 +6,35 @@ heading error.  Under a locked wheel the state moves along circles in this
 plane: right turns keep ``sigma_R = l~ + 1 - cos(th~)`` constant, left
 turns keep ``sigma_L = l~ - 1 + cos(th~)`` constant.  The curves
 ``sigma_R = 0`` and ``sigma_L = 0`` are exactly the single-turn trajectories
-into the origin, and together with ``sigma_N``/``sigma_P`` (their copies
-through the approach-angle line) they partition the plane into maneuver
-regions.
+into the origin.  ``sigma_N``/``sigma_P``, their copies through the
+approach-angle line, are the paper's curves, kept for reference only: no
+decision reads them.
 
 Two operating phases:
 
 * **Approach** (far from the path): a three-stage automaton with a constant
   approach angle ``delta``.  The commanded heading error is
-  ``-sign(l~) * delta`` so both sides converge.  Stage sequence, any stage
-  possibly empty:
+  ``-sign(l~) * delta`` so both sides converge.  Turning runs until the
+  heading error reaches it; the switch to Controlled fires when the
+  final-turn boundary (``sigma_L = 0`` left of the path, ``sigma_R = 0``
+  right of it) is crossed, which can come before Straight.  The start
+  region fixes the first (maneuver, hybrid state) and the stages:
 
-  ========================  ==============================================
-  start state               maneuver sequence
-  ========================  ==============================================
-  on the final-turn curve   Controlled only (ride the curve to the origin)
-  near the path, inside     Turning, then Controlled (the turn crosses the
-  the critical turn circle  final-turn curve before reaching ``delta``)
-  on the ``delta`` line     Straight, then Controlled
-  generic far state         Turning, Straight, Controlled
-  ========================  ==============================================
+  ====================  ======================  ============================
+  region                first                   stages
+  ====================  ======================  ============================
+  ``on_sigma_l``        turn_left, controlled   Controlled
+  ``on_sigma_r``        turn_right, controlled  Controlled
+  ``on_delta_line``     go_straight, straight   Straight, Controlled
+  ``left_turn_first``   turn_left, turning      Turning, Straight, Controlled
+  ``right_turn_first``  turn_right, turning     Turning, Straight, Controlled
+  ====================  ======================  ============================
 
-  Turning runs until the heading error reaches the commanded angle; the
-  switch to Controlled fires when the final-turn boundary (``sigma_L = 0``
-  left of the path, ``sigma_R = 0`` right of it) is crossed.
+  ``_approach_partition``, the step's memoryless half, gives the region;
+  ``_approach_step`` adds what memory decides: a Controlled ride, a
+  crossing against the last hand-off value, the latched relay.  The field
+  (``classify``) is thus the approach's fresh-state decision, though a run
+  hands the cart to track first wherever ``|l~| <= threshold_l``.
 
 * **Track** (near the path): bang-bang regulation about the manifold
   ``th~ = delta(l~)`` with a state-dependent, odd, bounded profile whose
@@ -40,18 +45,12 @@ Two operating phases:
   behavior occurs.  On the final-turn curves the controller reports the
   Controlled state and rides them into the origin.
 
-The controller is a pure transition function: ``(FrenetState,
-ControllerState) -> (BrakeCommand, ControllerState)`` with no hidden state,
-so independent instances can run concurrently.  ``select_maneuver`` first
-lets ``phase_switch`` pick the phase (a switch starts the new phase from a
-fresh ``ControllerState(phase)``), then runs that phase's step.  Every
-branch of ``_track_step`` and ``_approach_step`` returns its maneuver
-together with the next ``ControllerState``, built there in full, so each
-branch shows the state it moves to.  ``FrenetState`` and ``ControllerState``
-are immutable NamedTuples, and the command is one of the four interned
-``dynamics.COMMANDS``, so nothing the transition hands out can be changed
-after the fact.  The controller never commands Stop; halting is a
-supervisor decision.
+``select_maneuver`` is a pure transition, ``(FrenetState, ControllerState)
+-> (BrakeCommand, ControllerState)``: ``phase_switch`` picks the phase (a
+switch starts it from a fresh ``ControllerState(phase)``), then that
+phase's step runs, and each of its branches builds the next state in full.
+Its records are immutable NamedTuples and its command one of the interned
+``dynamics.COMMANDS``.  It never commands Stop; halting is the caller's.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from enum import Enum
 from typing import NamedTuple, Optional, Sequence
 
 from .dynamics import COMMANDS, BrakeCommand, Maneuver
-from .path_geometry import TWO_PI, FrenetState, linspace, wrap_angle
+from .path_geometry import TWO_PI, FrenetState, linspace
 
 HALF_PI = math.pi / 2.0
 
@@ -102,7 +101,6 @@ class Region(Enum):
     ON_SIGMA_R = "on_sigma_r"
     ON_SIGMA_L = "on_sigma_l"
     ON_DELTA_LINE = "on_delta_line"
-    INTERIOR = "interior"
 
     def __init__(self, label: str) -> None:
         self.label = label  # the value, as a plain attribute
@@ -349,38 +347,54 @@ def phase_switch(
 # -- switching partition ----------------------------------------------------
 
 
-def classify(
-    l_norm: float, theta_tilde: float, delta: float, band: float = ControllerConfig.eps_b
-) -> Region:
-    """Assign a state to exactly one partition region.
+def _approach_partition(
+    l_norm: float, th: float, cfg: ControllerConfig
+) -> tuple[Region, int, Optional[float], bool, float]:
+    """The memoryless half of the approach decision at ``(l~, wrap(th~))``.
 
-    ``band`` is the numerical thickness given to the measure-zero curves.
-    The labeling is odd-symmetric: mirroring ``(l~, th~, delta)`` to
-    ``(-l~, -th~, -delta)`` swaps R with L labels and keeps the rest.
+    Returns ``(region, side, handoff, receptive, err)``.  ``side`` is +1 left
+    of the path and -1 right of it (on it, the side the heading comes from),
+    or 0 in the origin band, where ``err`` is ``th`` and ``handoff`` None.
+    ``handoff`` is the final-turn value (``sigma_L`` or ``sigma_R``), which
+    ``receptive`` headings ride in; ``err`` is the error against ``-side * delta``.
     """
-    if not band > 0.0:
-        raise ValueError("band must be positive")
-    if abs(l_norm) <= band and abs(theta_tilde) <= band:
-        return Region.ON_DELTA_LINE  # origin: converged, all curves meet here
-    s_r = sigma_r(l_norm, theta_tilde)
-    s_l = sigma_l(l_norm, theta_tilde)
-    on_r = abs(s_r) <= band
-    on_l = abs(s_l) <= band
-    if on_r or on_l:
-        if on_r and not on_l:
-            return Region.ON_SIGMA_R
-        if on_l and not on_r:
-            return Region.ON_SIGMA_L
-        if abs(s_r) != abs(s_l):
-            return Region.ON_SIGMA_R if abs(s_r) < abs(s_l) else Region.ON_SIGMA_L
-        return Region.ON_SIGMA_R if theta_tilde > 0.0 else Region.ON_SIGMA_L
-    if abs(wrap_angle(theta_tilde - delta)) <= band:
-        return Region.ON_DELTA_LINE
-    if s_r < 0.0 and sigma_n(l_norm, theta_tilde, delta) < 0.0:
-        return Region.RIGHT_TURN_FIRST
-    if s_l > 0.0 and sigma_p(l_norm, theta_tilde, delta) > 0.0:
-        return Region.LEFT_TURN_FIRST
-    return Region.INTERIOR
+    b = cfg.eps_b
+    if abs(l_norm) <= b and abs(th) <= b:
+        return Region.ON_DELTA_LINE, 0, None, False, th
+    if l_norm > 0.0 or not (l_norm < 0.0 or th > 0.0):
+        side, handoff, receptive = 1, l_norm - 1.0 + math.cos(th), -math.pi < th < -b  # sigma_l
+    else:
+        side, handoff, receptive = -1, l_norm + 1.0 - math.cos(th), b < th  # sigma_r
+    err = (th + side * cfg.delta_approach + math.pi) % TWO_PI - math.pi  # wrap_angle
+    if receptive and abs(handoff) <= b:
+        region = Region.ON_SIGMA_L if side > 0 else Region.ON_SIGMA_R
+    elif err > cfg.eps_theta:
+        region = Region.RIGHT_TURN_FIRST
+    elif err < -cfg.eps_theta:
+        region = Region.LEFT_TURN_FIRST
+    else:
+        region = Region.ON_DELTA_LINE
+    return region, side, handoff, receptive, err
+
+
+def classify(l_norm: float, theta_tilde: float, cfg: ControllerConfig) -> Region:
+    """The region of ``(l~, th~)``: the approach step's fresh-state decision.
+
+    ====================  =============================================
+    region                first (maneuver, hybrid state)
+    ====================  =============================================
+    ``on_delta_line``     go_straight, straight (also the origin band)
+    ``right_turn_first``  turn_right, turning
+    ``left_turn_first``   turn_left, turning
+    ``on_sigma_l``        turn_left, controlled
+    ``on_sigma_r``        turn_right, controlled
+    ====================  =============================================
+
+    Mirroring ``(l~, th~)`` to ``(-l~, -th~)`` swaps R and L, except where a
+    wrapped angle is exactly -pi (the error, or on the path the heading):
+    the wrap's half-open range breaks that tie, as in the controller.
+    """
+    return _approach_partition(l_norm, (theta_tilde + math.pi) % TWO_PI - math.pi, cfg)[0]
 
 
 # -- relay with latched hysteresis ------------------------------------------
@@ -440,20 +454,12 @@ def _track_step(
 def _approach_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
 ) -> tuple[Maneuver, ControllerState]:
-    b = cfg.eps_b
-    if abs(l_norm) <= b and abs(th) <= b:
-        return Maneuver.GO_STRAIGHT, ControllerState(Phase.APPROACH, HybridState.STRAIGHT, 0, th)
-    if l_norm > 0.0:
-        side = 1
-    elif l_norm < 0.0:
-        side = -1
-    else:
-        side = -1 if th > 0.0 else 1
-    handoff = sigma_l(l_norm, th) if side > 0 else sigma_r(l_norm, th)
-    final_turn = Maneuver.TURN_LEFT if side > 0 else Maneuver.TURN_RIGHT
-    target = -side * cfg.delta_approach
-    err = (th - target + math.pi) % TWO_PI - math.pi  # wrap_angle
-
+    region, side, handoff, receptive, err = _approach_partition(l_norm, th, cfg)
+    if not side:
+        return Maneuver.GO_STRAIGHT, ControllerState(Phase.APPROACH, HybridState.STRAIGHT, 0, err)
+    # A held Controlled ride goes on; a crossing, against the last hand-off
+    # value on this side (with none, onto the curve itself), starts one.
+    prev, b = state.prev_handoff, cfg.eps_b
     if (
         state.hybrid_state is HybridState.CONTROLLED
         and state.prev_side == side
@@ -463,23 +469,15 @@ def _approach_step(
             return Maneuver.GO_STRAIGHT, ControllerState(
                 Phase.APPROACH, HybridState.STRAIGHT, 0, err, handoff, side
             )
-        return final_turn, ControllerState(
+        final_turn = True
+    elif prev is None or state.prev_side != side:
+        final_turn = region is Region.ON_SIGMA_L or region is Region.ON_SIGMA_R
+    else:
+        final_turn = receptive and (prev > b >= handoff if side > 0 else prev < -b <= handoff)
+    if final_turn:
+        return Maneuver.TURN_LEFT if side > 0 else Maneuver.TURN_RIGHT, ControllerState(
             Phase.APPROACH, HybridState.CONTROLLED, 0, err, handoff, side
         )
-
-    receptive = (-math.pi < th < -b) if side > 0 else (b < th)
-    if receptive:
-        if state.prev_handoff is None or state.prev_side != side:
-            crossed = abs(handoff) <= b
-        elif side > 0:
-            crossed = state.prev_handoff > b and handoff <= b
-        else:
-            crossed = state.prev_handoff < -b and handoff >= -b
-        if crossed:
-            return final_turn, ControllerState(
-                Phase.APPROACH, HybridState.CONTROLLED, 0, err, handoff, side
-            )
-
     action, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
     return action, ControllerState(Phase.APPROACH, hybrid, turn_dir, err, handoff, side)
 

@@ -13,6 +13,7 @@ import pytest
 
 from brakesteer.analysis import lyapunov, ripple_bound, summarize
 from brakesteer.controller import (
+    ControllerConfig,
     DeltaProfile,
     Region,
     classify,
@@ -122,7 +123,8 @@ def test_criterion_04_boundary_algebra():
 
 
 def test_criterion_05_partition_totality_and_symmetry():
-    delta = math.pi / 3
+    # delta is a magnitude, so the mirror (l~, th~) -> (-l~, -th~) keeps it.
+    cfg = ControllerConfig(delta_approach=math.pi / 3)
     n = 1000
     ls = np.linspace(-4, 4, n)
     ths = np.linspace(-math.pi, math.pi, n, endpoint=False)
@@ -136,13 +138,46 @@ def test_criterion_05_partition_totality_and_symmetry():
     asymmetric = 0
     for l in ls:
         for th in ths:
-            r = classify(float(l), float(th), delta)
+            r = classify(float(l), float(th), cfg)
             counts[r] += 1
-            if classify(float(-l), float(-th), -delta) is not swap.get(r, r):
+            if classify(float(-l), float(-th), cfg) is not swap.get(r, r):
                 asymmetric += 1
     total = sum(counts.values())
     ok = total == n * n and asymmetric == 0
     report(5, ok, f"{total} labels assigned, {asymmetric} symmetry mismatches")
+
+
+# The first (maneuver, hybrid state) of the approach step from a fresh
+# state, per region: the table in classify's docstring.
+FIRST_MOVE = {
+    Region.ON_DELTA_LINE: ("go_straight", "straight"),
+    Region.RIGHT_TURN_FIRST: ("turn_right", "turning"),
+    Region.LEFT_TURN_FIRST: ("turn_left", "turning"),
+    Region.ON_SIGMA_L: ("turn_left", "controlled"),
+    Region.ON_SIGMA_R: ("turn_right", "controlled"),
+}
+
+
+def test_approach_sweep_converges_and_starts_as_classified():
+    # The default controller block: the approach phase governs beyond
+    # |l~| = threshold_l = 1, so every start off l~ = 0 begins there.
+    base = tracking_scenario(controller={})
+    grid = frenet_grid(np.linspace(-20, 20, 9), np.linspace(-3, 3, 9), s0=10.0)
+    n_converged, approach_starts, mismatches = 0, 0, []
+    for overrides in grid:
+        scenario = base.with_overrides(overrides)
+        trace = run(scenario)
+        n_converged += summarize(trace).converged
+        first = trace.rows[0]
+        l_norm = first.l / scenario.control.radius
+        if abs(l_norm) > scenario.control.threshold_l:
+            approach_starts += 1
+            region = classify(l_norm, first.theta_tilde, scenario.control)
+            if (first.maneuver, first.hybrid_state) != FIRST_MOVE[region]:
+                mismatches.append((l_norm, first.theta_tilde, region.label, first.maneuver))
+    assert n_converged == len(grid) == 81
+    assert approach_starts == 72
+    assert mismatches == []
 
 
 def test_criterion_06_demo_reproduction():

@@ -110,14 +110,16 @@ def test_field_dump_shape_and_content():
     grid = GridSpec(n_l=11, n_theta=7)
     samples = field_dump(math.pi / 3, grid)
     assert len(samples) == 77
+    cfg = ControllerConfig(delta_approach=math.pi / 3)
     for s in samples[::13]:
-        assert s.region is classify(s.l_norm, s.theta_tilde, math.pi / 3)
+        assert s.region is classify(s.l_norm, s.theta_tilde, cfg)
 
 
 @pytest.mark.parametrize(
     "delta, band",
     [(math.nan, ControllerConfig.eps_b), (math.inf, ControllerConfig.eps_b),
-     (-math.inf, ControllerConfig.eps_b), (0.5, 0.0), (0.5, -0.1), (0.5, math.nan),
+     (-math.inf, ControllerConfig.eps_b), (-0.5, ControllerConfig.eps_b),
+     (math.pi, ControllerConfig.eps_b), (0.5, 0.0), (0.5, -0.1), (0.5, math.nan),
      (0.5, math.inf)],
 )
 def test_field_dump_rejects_a_bad_delta_or_band(delta, band):
@@ -134,6 +136,7 @@ def test_field_dump_zero_delta_collapse():
 
 
 def test_field_dump_mirror_symmetry():
+    # delta is a magnitude, so the mirror (l~, th~) -> (-l~, -th~) keeps it.
     grid = GridSpec(l_min=-3, l_max=3, theta_min=-3, theta_max=3, n_l=13, n_theta=13)
     delta = 1.1
     swap = {
@@ -143,8 +146,7 @@ def test_field_dump_mirror_symmetry():
         Region.ON_SIGMA_L: Region.ON_SIGMA_R,
     }
     a = field_dump(delta, grid)
-    b = field_dump(-delta, grid)
-    by_point = {(round(s.l_norm, 9), round(s.theta_tilde, 9)): s for s in b}
+    by_point = {(round(s.l_norm, 9), round(s.theta_tilde, 9)): s for s in a}
     for s in a:
         m = by_point[(round(-s.l_norm, 9), round(-s.theta_tilde, 9))]
         assert m.region is swap.get(s.region, s.region)
@@ -167,7 +169,7 @@ def reference_field_dump(delta, grid, band=ControllerConfig.eps_b):
                     sigma_l(l_norm, th),
                     sigma_n(l_norm, th, delta),
                     sigma_p(l_norm, th, delta),
-                    classify(l_norm, th, delta, band),
+                    classify(l_norm, th, ControllerConfig(delta_approach=delta, eps_b=band)),
                 )
             )
     return out
@@ -184,14 +186,14 @@ _grid = st.builds(
     GridSpec, l_min=_bound, l_max=_bound, theta_min=_bound, theta_max=_bound,
     n_l=st.integers(2, 25), n_theta=st.integers(2, 25),
 )
-_delta = st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)
+_delta = st.floats(0.0, math.pi, exclude_max=True)
 
 
 @given(_grid, _delta, st.sampled_from([1e-6, ControllerConfig.eps_b, 0.05, 0.4]))
 @example(GridSpec(n_l=9, n_theta=9), 0.0, ControllerConfig.eps_b)
 @example(GridSpec(n_l=9, n_theta=9), -0.0, ControllerConfig.eps_b)
 @example(GridSpec(l_min=3.0, l_max=-3.0, theta_min=2.5, theta_max=-2.5, n_l=7, n_theta=5),
-         -1.2, 0.05)
+         1.2, 0.05)
 def test_field_dump_matches_reference_bitwise(grid, delta, band):
     want = reference_field_dump(delta, grid, band)
     got = field_dump(delta, grid, band)

@@ -81,21 +81,23 @@ def test_field_grid_output(tmp_path):
 
 
 def test_field_csv_bytes_pinned(tmp_path):
-    # Digest of the 301x301 field at the default delta, taken from the
-    # list-building field_dump before the columns replaced it.
+    # Digest of the 301x301 field at the default delta.  The region column
+    # is the approach step's fresh-state decision, whose commanded error is
+    # -sign(l~) * delta "so both sides converge"; the six numeric columns
+    # are byte for byte those of the list-building field_dump.
     out = tmp_path / "field.csv"
     assert main(["field", "--resolution", "301", "--out", str(out)]) == 0
     data = out.read_bytes()
     assert data.count(b"\n") == 1 + 301 * 301
     assert hashlib.sha256(data).hexdigest() == (
-        "8898c55663d28f2ea6abc100897c4d0b94e088b4192d07eaedbdd490e0d74fbc"
+        "d268b71d4fde99b19b546e146518549ac9e888dcaefdc3169c4139a735f11c93"
     )
 
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--resolution", "1"), ("--delta", "nan"), ("--delta", "inf")],
-    ids=["resolution-1", "delta-nan", "delta-inf"],
+    [("--resolution", "1"), ("--delta", "nan"), ("--delta", "inf"), ("--delta", "-1")],
+    ids=["resolution-1", "delta-nan", "delta-inf", "delta-negative"],
 )
 def test_field_rejects_bad_arguments(tmp_path, option, value):
     out = tmp_path / "f.csv"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from brakesteer.controller import (
+    _approach_step,
     ControllerConfig,
     ControllerState,
     DeltaProfile,
@@ -24,9 +25,11 @@ from brakesteer.controller import (
     sigma_p,
     sigma_r,
 )
-from brakesteer.analysis import FieldSample
-from brakesteer.dynamics import BrakeCommand, Maneuver, VehicleState
-from brakesteer.path_geometry import FrenetState, wrap_angle
+from brakesteer.analysis import FieldSample, GridSpec, field_dump
+from brakesteer.dynamics import (
+    BrakeCommand, Maneuver, VehicleParams, VehicleState, step_kinematic,
+)
+from brakesteer.path_geometry import FrenetState, build_path, wrap_angle
 
 PI = math.pi
 
@@ -143,57 +146,160 @@ def test_sigma_right_angle_specialization(l, th):
     assert sigma_p(l, th, PI / 2) == pytest.approx(sigma_l(l, wrap_angle(th + PI)), abs=1e-12)
 
 
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(-PI, PI, exclude_max=True),
+    st.sampled_from([BrakeCommand.turn_right(), BrakeCommand.turn_left()]),
+    st.integers(1, 400),
+)
+def test_locked_wheel_turns_conserve_their_sigma_on_a_straight_path(l0, th0, command, n):
+    # The fact the partition rests on: on a straight path a right turn keeps
+    # sigma_R(l~, th~) and a left turn keeps sigma_L, to rounding.
+    params = VehicleParams(d=0.6)
+    radius = params.R
+    path = build_path([{"kind": "line", "length": 100.0}], (-50.0, 0.0, 0.0))
+    sigma = sigma_r if command.action is Maneuver.TURN_RIGHT else sigma_l
+    state = VehicleState.from_body_rates(0.0, l0 * radius, th0, 1.0, 0.0, params)
+    fren = path.frenet_project(state, radius=radius)
+    start = sigma(fren.l / radius, fren.theta_tilde)
+    for _ in range(n):
+        state = step_kinematic(state, command, 1.0, 0.01, params)
+    fren = path.frenet_project(state, radius=radius)
+    assert sigma(fren.l / radius, fren.theta_tilde) == pytest.approx(start, abs=1e-9)
+
+
 # -- classification ----------------------------------------------------------
+
+# The first (maneuver, hybrid state) of the approach step from a fresh
+# state, per region: the table in classify's docstring.
+FIRST_MOVE = {
+    Region.ON_DELTA_LINE: (Maneuver.GO_STRAIGHT, HybridState.STRAIGHT),
+    Region.RIGHT_TURN_FIRST: (Maneuver.TURN_RIGHT, HybridState.TURNING),
+    Region.LEFT_TURN_FIRST: (Maneuver.TURN_LEFT, HybridState.TURNING),
+    Region.ON_SIGMA_L: (Maneuver.TURN_LEFT, HybridState.CONTROLLED),
+    Region.ON_SIGMA_R: (Maneuver.TURN_RIGHT, HybridState.CONTROLLED),
+}
+REGION_OF_FIRST_MOVE = {move: region for region, move in FIRST_MOVE.items()}
+MIRROR = {
+    Region.RIGHT_TURN_FIRST: Region.LEFT_TURN_FIRST,
+    Region.LEFT_TURN_FIRST: Region.RIGHT_TURN_FIRST,
+    Region.ON_SIGMA_R: Region.ON_SIGMA_L,
+    Region.ON_SIGMA_L: Region.ON_SIGMA_R,
+}
+
+
+def on_a_wrap_tie(l_norm, theta_tilde, delta):
+    """Whether a wrapped angle of the decision is exactly -pi.
+
+    On the path it is the heading itself, and the point is its own mirror
+    image; elsewhere it is the error against -sign(l~) * delta.  The wrap's
+    half-open range breaks these ties the same way on both sides.
+    """
+    th = wrap_angle(theta_tilde)
+    if l_norm == 0.0:
+        return th == -PI
+    return wrap_angle(th + math.copysign(delta, l_norm)) == -PI
+
+
+def fresh_first_move(l_norm, theta_tilde, cfg):
+    action, state = _approach_step(l_norm, wrap_angle(theta_tilde), ControllerState(), cfg)
+    return action, state.hybrid_state
 
 
 def test_classify_origin_reports_converged():
-    for delta in (0.0, PI / 3, -1.2):
-        assert classify(0.0, 0.0, delta) is Region.ON_DELTA_LINE
+    # delta is a magnitude in [0, pi): the commanded error is -sign(l~) * delta.
+    for delta in (0.0, PI / 3, 1.2):
+        assert classify(0.0, 0.0, ControllerConfig(delta_approach=delta)) is Region.ON_DELTA_LINE
 
 
 def test_classify_known_regions():
-    delta = PI / 3
-    assert classify(-1.5, PI / 2, delta) is Region.RIGHT_TURN_FIRST
-    assert classify(1.5, -PI / 2, delta) is Region.LEFT_TURN_FIRST
+    cfg = ControllerConfig(delta_approach=PI / 3)
+    delta = cfg.delta_approach
+    assert classify(-1.5, PI / 2, cfg) is Region.RIGHT_TURN_FIRST
+    assert classify(1.5, -PI / 2, cfg) is Region.LEFT_TURN_FIRST
     l = math.cos(2.0) - 1.0
-    assert classify(l, 2.0, delta) is Region.ON_SIGMA_R
-    assert classify(-l, -2.0, delta) is Region.ON_SIGMA_L
-    assert classify(3.0, delta, delta) is Region.ON_DELTA_LINE
-    assert classify(3.0, 0.0, delta) is Region.LEFT_TURN_FIRST
-    assert classify(0.5, 0.0, delta) is Region.INTERIOR
-    assert classify(-0.5, 0.0, delta) is Region.INTERIOR
+    assert classify(l, 2.0, cfg) is Region.ON_SIGMA_R
+    assert classify(-l, -2.0, cfg) is Region.ON_SIGMA_L
+    # The commanded heading error is -sign(l~) * delta, "so both sides
+    # converge": at l~ > 0 a heading of +delta moves away from the path
+    # (dl/dt = v sin(th~) > 0), and so does th~ = 0 short of the target.
+    assert classify(3.0, -delta, cfg) is Region.ON_DELTA_LINE
+    assert classify(-3.0, delta, cfg) is Region.ON_DELTA_LINE
+    assert classify(3.0, delta, cfg) is Region.RIGHT_TURN_FIRST
+    assert classify(3.0, 0.0, cfg) is Region.RIGHT_TURN_FIRST
+    assert classify(0.5, 0.0, cfg) is Region.RIGHT_TURN_FIRST
+    assert classify(-0.5, 0.0, cfg) is Region.LEFT_TURN_FIRST
 
 
 def test_classify_requires_positive_band():
+    # The band is the config's eps_b, which the config checks when it is built.
     for band in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
-            classify(0, 0, 0, band=band)
+            classify(0, 0, ControllerConfig(delta_approach=0.0, eps_b=band))
 
 
 def test_classify_partition_and_symmetry_on_grid():
-    delta = PI / 3
+    cfg = ControllerConfig(delta_approach=PI / 3)
     ls = np.linspace(-4, 4, 101)
     ths = np.linspace(-PI, PI, 101, endpoint=False)
     for l in ls:
         for th in ths:
-            r = classify(float(l), float(th), delta)
-            m = classify(float(-l), float(-th), -delta)
-            swap = {
-                Region.RIGHT_TURN_FIRST: Region.LEFT_TURN_FIRST,
-                Region.LEFT_TURN_FIRST: Region.RIGHT_TURN_FIRST,
-                Region.ON_SIGMA_R: Region.ON_SIGMA_L,
-                Region.ON_SIGMA_L: Region.ON_SIGMA_R,
-            }
-            assert m is swap.get(r, r)
+            r = classify(float(l), float(th), cfg)
+            m = classify(float(-l), float(-th), cfg)
+            assert m is (r if on_a_wrap_tie(float(l), float(th), PI / 3) else MIRROR.get(r, r))
+
+
+def test_classify_breaks_the_wrap_tie_like_the_controller():
+    # Where the wrapped error is exactly -pi the wrap's half-open range
+    # makes both mirror images a left turn, in the field and the controller.
+    cfg = ControllerConfig(delta_approach=PI / 2)
+    for l, th in ((2.0, PI / 2), (-2.0, -PI / 2), (0.0, -PI), (0.0, PI)):
+        assert on_a_wrap_tie(l, th, cfg.delta_approach)
+        assert classify(l, th, cfg) is Region.LEFT_TURN_FIRST
+        assert fresh_first_move(l, th, cfg) == FIRST_MOVE[Region.LEFT_TURN_FIRST]
+
+
+def test_field_is_the_approach_steps_fresh_decision_on_the_default_grid():
+    cfg = ControllerConfig()
+    field = field_dump(cfg.delta_approach, GridSpec(n_l=301, n_theta=301), cfg.eps_b)
+    mismatches = sum(
+        1 for s in field
+        if REGION_OF_FIRST_MOVE[fresh_first_move(s.l_norm, s.theta_tilde, cfg)] is not s.region
+    )
+    assert mismatches == 0
+    assert {s.region for s in field} == set(Region)
+
+
+@given(
+    st.sampled_from([0.0, PI / 6, PI / 3, PI / 2]),
+    st.sampled_from([1e-6, 1e-3, 0.05]),
+    st.sampled_from([1e-3, 0.02, 0.2]),
+    st.floats(-6.0, 6.0),
+    st.floats(-4.0, 4.0),
+    st.sampled_from(["free", "sigma_l", "sigma_r", "delta_line"]),
+    st.floats(-1.5, 1.5),
+)
+def test_classify_is_the_approach_steps_fresh_decision(
+    delta, eps_b, eps_theta, l, th, place, offset
+):
+    cfg = ControllerConfig(delta_approach=delta, eps_b=eps_b, eps_theta=eps_theta)
+    # Put the point within a band's width of a boundary it would rarely hit.
+    if place == "sigma_l":
+        l = 1.0 - math.cos(th) + offset * eps_b
+    elif place == "sigma_r":
+        l = math.cos(th) - 1.0 + offset * eps_b
+    elif place == "delta_line":
+        th = -math.copysign(delta, l) + offset * eps_theta
+    assert fresh_first_move(l, th, cfg) == FIRST_MOVE[classify(l, th, cfg)]
 
 
 def test_turn_first_regions_connected():
     ndimage = pytest.importorskip("scipy.ndimage")
-    delta = PI / 3
+    cfg = ControllerConfig(delta_approach=PI / 3)
     ls = np.linspace(-4, 4, 201)
     ths = np.linspace(-PI, PI, 201, endpoint=False)
     labels = np.array(
-        [[classify(float(l), float(th), delta) for th in ths] for l in ls], dtype=object
+        [[classify(float(l), float(th), cfg) for th in ths] for l in ls], dtype=object
     )
     for region in (Region.RIGHT_TURN_FIRST, Region.LEFT_TURN_FIRST):
         mask = labels == region
@@ -435,7 +541,7 @@ def test_band_regulation_directions():
         FrenetState(0.0, 0.1, 0.2),
         ControllerState(),
         VehicleState(0.0, 0.0, 0.0, 1.0, 0.0, 10.0, 10.0),
-        FieldSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, Region.INTERIOR),
+        FieldSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, Region.ON_DELTA_LINE),
     ],
     ids=lambda record: type(record).__name__,
 )
