@@ -176,7 +176,8 @@ class GridSpec:
 
 # Region codes of a field dump index this tuple.
 REGIONS = tuple(Region)
-_REGION_CODE = {region: code for code, region in enumerate(REGIONS)}
+# Keyed by label: a str hash is cached, while Enum.__hash__ runs in Python.
+_REGION_CODE = {region.label: code for code, region in enumerate(REGIONS)}
 
 
 class FieldDump(Sequence):
@@ -230,11 +231,8 @@ def field_dump(
     delta, eps_b=band)``; ``sigma_n``/``sigma_p`` are drawn for reference
     only.  Rows vary ``theta_tilde`` fastest, for contour or heat-map
     replotting; every value is computed here.  A ``delta`` outside [0, pi)
-    or a ``band`` outside (0, inf) raises ValueError.
+    or a ``band`` outside (0, inf) raises ValueError, from the config.
     """
-    # Comparisons are written so that NaN fails them.
-    if not 0.0 < band < math.inf:
-        raise ValueError(f"band must be positive and finite, got {band!r}")
     cfg = ControllerConfig(delta_approach=delta, eps_b=band)
     thetas = [
         grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
@@ -249,5 +247,5 @@ def field_dump(
         s_l.extend([sigma_l(l_norm, th) for th in thetas])
         s_n.extend([sigma_n(l_norm, th, delta) for th in thetas])
         s_p.extend([sigma_p(l_norm, th, delta) for th in thetas])
-        codes.extend([_REGION_CODE[classify(l_norm, th, cfg)] for th in thetas])
+        codes.extend([_REGION_CODE[classify(l_norm, th, cfg).label] for th in thetas])
     return FieldDump(l_col, array("d", thetas) * grid.n_l, s_r, s_l, s_n, s_p, bytes(codes))

@@ -51,6 +51,8 @@ switch starts it from a fresh ``ControllerState(phase)``), then that
 phase's step runs, and each of its branches builds the next state in full.
 Its records are immutable NamedTuples and its command one of the interned
 ``dynamics.COMMANDS``.  It never commands Stop; halting is the caller's.
+The step reads enum members and commands from module constants and builds
+each record with ``tuple.__new__``, giving every field.
 """
 
 from __future__ import annotations
@@ -104,6 +106,24 @@ class Region(Enum):
 
     def __init__(self, label: str) -> None:
         self.label = label  # the value, as a plain attribute
+
+
+# The members the step reads, as module constants (an Enum member read as a
+# class attribute goes through ``EnumType.__getattr__``), and the commands it
+# hands out, from ``COMMANDS``.
+_APPROACH, _TRACK = Phase.APPROACH, Phase.TRACK
+_TURNING, _STRAIGHT = HybridState.TURNING, HybridState.STRAIGHT
+_CONTROLLED = HybridState.CONTROLLED
+_RIGHT_FIRST, _LEFT_FIRST = Region.RIGHT_TURN_FIRST, Region.LEFT_TURN_FIRST
+_ON_SIGMA_R, _ON_SIGMA_L = Region.ON_SIGMA_R, Region.ON_SIGMA_L
+_ON_DELTA_LINE = Region.ON_DELTA_LINE
+_GO = COMMANDS[Maneuver.GO_STRAIGHT]
+_RIGHT = COMMANDS[Maneuver.TURN_RIGHT]
+_LEFT = COMMANDS[Maneuver.TURN_LEFT]
+
+# Builds a record from a tuple of all its fields, without the Python-level
+# ``__new__`` of a NamedTuple; the step gives every field, each already valid.
+_new = tuple.__new__
 
 
 # -- switching boundary functions ----------------------------------------
@@ -302,10 +322,11 @@ class ControllerConfig:
             raise ValueError("radius must be positive")
         if not 0.0 <= self.delta_approach < math.pi:
             raise ValueError("delta_approach must lie in [0, pi)")
-        if not (self.eps_theta > 0.0 and self.eps_b > 0.0):
-            raise ValueError("hysteresis bands must be positive")
-        if not (self.threshold_l > 0.0 and self.re_approach_factor >= 1.0):
-            raise ValueError("invalid phase-switch thresholds")
+        if not (0.0 < self.eps_theta < math.inf and 0.0 < self.eps_b < math.inf):
+            raise ValueError("hysteresis bands must be positive and finite")
+        if not (0.0 < self.threshold_l < math.inf and 1.0 <= self.re_approach_factor < math.inf):
+            raise ValueError("invalid phase-switch thresholds: need 0 < threshold_l and "
+                             "1 <= re_approach_factor, both finite")
         # Where the final-turn rides hand over to the band regulation (see
         # _track_step): a plain attribute, not a field, so spec() omits it.
         object.__setattr__(self, "_th_clear", math.sqrt(2.0 * self.eps_b))
@@ -336,11 +357,18 @@ def phase_switch(
     back only beyond ``cfg.re_approach_factor * cfg.threshold_l``.  The
     thresholds are checked once, when the config is built.
     """
-    l_norm = abs(frenet.l / cfg.radius)
-    if ctrl.phase is Phase.APPROACH and l_norm <= cfg.threshold_l:
-        return ControllerState(Phase.TRACK)
-    if ctrl.phase is Phase.TRACK and l_norm > cfg.re_approach_factor * cfg.threshold_l:
-        return ControllerState(Phase.APPROACH)
+    return _phase_switch(frenet.l / cfg.radius, ctrl, cfg)
+
+
+def _phase_switch(l_norm: float, ctrl: ControllerState, cfg: ControllerConfig) -> ControllerState:
+    """:func:`phase_switch` on the normalized offset ``l_norm``; a switch
+    starts the new phase from a fresh ``ControllerState(phase)``."""
+    offset = abs(l_norm)
+    phase = ctrl.phase
+    if phase is _APPROACH and offset <= cfg.threshold_l:
+        return _new(ControllerState, (_TRACK, _STRAIGHT, 0, None, None, 0))
+    if phase is _TRACK and offset > cfg.re_approach_factor * cfg.threshold_l:
+        return _new(ControllerState, (_APPROACH, _STRAIGHT, 0, None, None, 0))
     return ctrl
 
 
@@ -360,20 +388,20 @@ def _approach_partition(
     """
     b = cfg.eps_b
     if abs(l_norm) <= b and abs(th) <= b:
-        return Region.ON_DELTA_LINE, 0, None, False, th
+        return _ON_DELTA_LINE, 0, None, False, th
     if l_norm > 0.0 or not (l_norm < 0.0 or th > 0.0):
         side, handoff, receptive = 1, l_norm - 1.0 + math.cos(th), -math.pi < th < -b  # sigma_l
     else:
         side, handoff, receptive = -1, l_norm + 1.0 - math.cos(th), b < th  # sigma_r
     err = (th + side * cfg.delta_approach + math.pi) % TWO_PI - math.pi  # wrap_angle
     if receptive and abs(handoff) <= b:
-        region = Region.ON_SIGMA_L if side > 0 else Region.ON_SIGMA_R
+        region = _ON_SIGMA_L if side > 0 else _ON_SIGMA_R
     elif err > cfg.eps_theta:
-        region = Region.RIGHT_TURN_FIRST
+        region = _RIGHT_FIRST
     elif err < -cfg.eps_theta:
-        region = Region.LEFT_TURN_FIRST
+        region = _LEFT_FIRST
     else:
-        region = Region.ON_DELTA_LINE
+        region = _ON_DELTA_LINE
     return region, side, handoff, receptive, err
 
 
@@ -400,9 +428,9 @@ def classify(l_norm: float, theta_tilde: float, cfg: ControllerConfig) -> Region
 # -- relay with latched hysteresis ------------------------------------------
 
 
-def _relay(err: float, state: ControllerState, eps: float) -> tuple[Maneuver, HybridState, int]:
+def _relay(err: float, state: ControllerState, eps: float) -> tuple[BrakeCommand, HybridState, int]:
     turn_dir = state.turn_dir
-    if state.hybrid_state is HybridState.TURNING and turn_dir != 0 and not abs(err) <= eps:
+    if state.hybrid_state is _TURNING and turn_dir != 0 and not abs(err) <= eps:
         # The latched turn holds outside the band.  A left turn normally
         # raises the error, so it is also released on a single-step
         # overshoot through the band (the wrapped step lies in (0, pi/2)),
@@ -421,22 +449,21 @@ def _relay(err: float, state: ControllerState, eps: float) -> tuple[Maneuver, Hy
                 and -HALF_PI < (err - prev + math.pi) % TWO_PI - math.pi < 0.0
             )
         if not released:
-            action = Maneuver.TURN_LEFT if turn_dir > 0 else Maneuver.TURN_RIGHT
-            return action, HybridState.TURNING, turn_dir
+            return _LEFT if turn_dir > 0 else _RIGHT, _TURNING, turn_dir
     if err > eps:
-        return Maneuver.TURN_RIGHT, HybridState.TURNING, -1
+        return _RIGHT, _TURNING, -1
     if err < -eps:
-        return Maneuver.TURN_LEFT, HybridState.TURNING, 1
-    return Maneuver.GO_STRAIGHT, HybridState.STRAIGHT, 0
+        return _LEFT, _TURNING, 1
+    return _GO, _STRAIGHT, 0
 
 
 def _track_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
-) -> tuple[Maneuver, ControllerState]:
+) -> tuple[BrakeCommand, ControllerState]:
     b = cfg.eps_b
     err = (th - cfg.delta_profile.value(l_norm) + math.pi) % TWO_PI - math.pi  # wrap_angle
     if abs(l_norm) <= b and abs(th) <= b:
-        return Maneuver.GO_STRAIGHT, ControllerState(Phase.TRACK, HybridState.STRAIGHT, 0, err)
+        return _GO, _new(ControllerState, (_TRACK, _STRAIGHT, 0, err, None, 0))
     # On a final-turn curve the vehicle rides it into the origin.  Within
     # sqrt(2 b) of the origin the curves blur into the band around it, so
     # the ride hands over to the band regulation there.  One cosine serves
@@ -444,42 +471,40 @@ def _track_step(
     th_clear = cfg._th_clear
     cos_th = math.cos(th)
     if abs(l_norm - 1.0 + cos_th) <= b and -math.pi < th < -th_clear:
-        return Maneuver.TURN_LEFT, ControllerState(Phase.TRACK, HybridState.CONTROLLED, 0, err)
+        return _LEFT, _new(ControllerState, (_TRACK, _CONTROLLED, 0, err, None, 0))
     if abs(l_norm + 1.0 - cos_th) <= b and th_clear < th:
-        return Maneuver.TURN_RIGHT, ControllerState(Phase.TRACK, HybridState.CONTROLLED, 0, err)
-    action, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
-    return action, ControllerState(Phase.TRACK, hybrid, turn_dir, err)
+        return _RIGHT, _new(ControllerState, (_TRACK, _CONTROLLED, 0, err, None, 0))
+    command, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
+    return command, _new(ControllerState, (_TRACK, hybrid, turn_dir, err, None, 0))
 
 
 def _approach_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
-) -> tuple[Maneuver, ControllerState]:
+) -> tuple[BrakeCommand, ControllerState]:
     region, side, handoff, receptive, err = _approach_partition(l_norm, th, cfg)
     if not side:
-        return Maneuver.GO_STRAIGHT, ControllerState(Phase.APPROACH, HybridState.STRAIGHT, 0, err)
+        return _GO, _new(ControllerState, (_APPROACH, _STRAIGHT, 0, err, None, 0))
     # A held Controlled ride goes on; a crossing, against the last hand-off
     # value on this side (with none, onto the curve itself), starts one.
     prev, b = state.prev_handoff, cfg.eps_b
     if (
-        state.hybrid_state is HybridState.CONTROLLED
+        state.hybrid_state is _CONTROLLED
         and state.prev_side == side
         and abs(handoff) <= _CONTROLLED_DRIFT_LIMIT
     ):
         if abs(th) <= cfg.eps_theta:
-            return Maneuver.GO_STRAIGHT, ControllerState(
-                Phase.APPROACH, HybridState.STRAIGHT, 0, err, handoff, side
-            )
+            return _GO, _new(ControllerState, (_APPROACH, _STRAIGHT, 0, err, handoff, side))
         final_turn = True
     elif prev is None or state.prev_side != side:
-        final_turn = region is Region.ON_SIGMA_L or region is Region.ON_SIGMA_R
+        final_turn = region is _ON_SIGMA_L or region is _ON_SIGMA_R
     else:
         final_turn = receptive and (prev > b >= handoff if side > 0 else prev < -b <= handoff)
     if final_turn:
-        return Maneuver.TURN_LEFT if side > 0 else Maneuver.TURN_RIGHT, ControllerState(
-            Phase.APPROACH, HybridState.CONTROLLED, 0, err, handoff, side
+        return _LEFT if side > 0 else _RIGHT, _new(
+            ControllerState, (_APPROACH, _CONTROLLED, 0, err, handoff, side)
         )
-    action, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
-    return action, ControllerState(Phase.APPROACH, hybrid, turn_dir, err, handoff, side)
+    command, hybrid, turn_dir = _relay(err, state, cfg.eps_theta)
+    return command, _new(ControllerState, (_APPROACH, hybrid, turn_dir, err, handoff, side))
 
 
 def select_maneuver(
@@ -495,9 +520,8 @@ def select_maneuver(
     s, l, theta_tilde = frenet
     if not (math.isfinite(s) and math.isfinite(l) and math.isfinite(theta_tilde)):
         raise ProjectionLost(f"invalid frenet state {frenet}")
-    ctrl = phase_switch(frenet, ctrl, params)
     l_norm = l / params.radius
+    ctrl = _phase_switch(l_norm, ctrl, params)
     th = (theta_tilde + math.pi) % TWO_PI - math.pi  # wrap_angle
-    step = _track_step if ctrl.phase is Phase.TRACK else _approach_step
-    action, state = step(l_norm, th, ctrl, params)
-    return COMMANDS[action], state
+    step = _track_step if ctrl.phase is _TRACK else _approach_step
+    return step(l_norm, th, ctrl, params)

@@ -37,6 +37,12 @@ class Maneuver(Enum):
         self.label = label  # the value, as a plain attribute
 
 
+# The members the step reads, as module constants: an Enum member read as a
+# class attribute goes through ``EnumType.__getattr__``.
+_GO, _RIGHT = Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT
+_LEFT, _STOP = Maneuver.TURN_LEFT, Maneuver.STOP
+
+
 @dataclass(frozen=True)
 class BrakeCommand:
     """A quantized brake command and its per-wheel expansion."""
@@ -65,8 +71,9 @@ class BrakeCommand:
         ``b_brake`` is the brake's viscous coefficient (0 or ``b_max``) and
         ``c_hold`` the at-rest holding fraction (0 or 1).
         """
-        right_braked = self.action in (Maneuver.TURN_RIGHT, Maneuver.STOP)
-        left_braked = self.action in (Maneuver.TURN_LEFT, Maneuver.STOP)
+        action = self.action
+        right_braked = action is _RIGHT or action is _STOP
+        left_braked = action is _LEFT or action is _STOP
         return (
             (b_max if right_braked else 0.0, 1.0 if right_braked else 0.0),
             (b_max if left_braked else 0.0, 1.0 if left_braked else 0.0),
@@ -113,6 +120,11 @@ class UserInput:
 
     tau_r: float = 0.0
     tau_l: float = 0.0
+
+
+# Builds a record from a tuple of all its fields, without the Python-level
+# ``__new__`` of a NamedTuple; the step gives every field, each already valid.
+_new = tuple.__new__
 
 
 class VehicleState(NamedTuple):
@@ -168,23 +180,25 @@ def step_kinematic(
         raise NonPositiveDt(f"dt={dt}")
     action = command.action
     x, y, theta = state.x, state.y, state.theta
-    if action is Maneuver.STOP:
-        return VehicleState(x, y, theta, 0.0, 0.0, 0.0, 0.0)
+    if action is _STOP:
+        return _new(VehicleState, (x, y, theta, 0.0, 0.0, 0.0, 0.0))
     v = v_user if v_user > 0.0 else 0.0  # max(0.0, v_user), which also maps NaN to 0
     d, r = params.d, params.r
-    if action is Maneuver.GO_STRAIGHT:
+    if action is _GO:
         omega = 0.0
         x += v * dt * math.cos(theta)
         y += v * dt * math.sin(theta)
     elif v > 0.0:
-        omega = (-v if action is Maneuver.TURN_RIGHT else v) / (d / 2.0)  # v / R
+        omega = (-v if action is _RIGHT else v) / (d / 2.0)  # v / R
         theta_0, theta = theta, theta + omega * dt
         rho = v / omega  # signed turn radius, magnitude R
         x += rho * (math.sin(theta) - math.sin(theta_0))
         y -= rho * (math.cos(theta) - math.cos(theta_0))
     else:
         omega = 0.0  # no motion, no rotation about a wheel
-    return VehicleState(x, y, theta, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)
+    return _new(
+        VehicleState, (x, y, theta, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)
+    )
 
 
 def step_dynamic(
@@ -227,12 +241,12 @@ def step_dynamic(
     sixth = dt / 6.0
     cos, sin = math.cos, math.sin
 
-    if brake_model == "instant" and action is not Maneuver.GO_STRAIGHT:
-        if action is Maneuver.STOP:
-            return VehicleState(x, y, th, 0.0, 0.0, 0.0, 0.0)
+    if brake_model == "instant" and action is not _GO:
+        if action is _STOP:
+            return _new(VehicleState, (x, y, th, 0.0, 0.0, 0.0, 0.0))
         # One wheel locked: the free wheel's rate u is the only degree of
         # freedom, with v = r u / 2 and omega = sr u / d about the locked wheel.
-        right = action is Maneuver.TURN_RIGHT
+        right = action is _RIGHT
         if right:
             sr, u, tau = -r, state.alpha_dot_l, user.tau_l
         else:
@@ -313,4 +327,6 @@ def step_dynamic(
             y += sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
             th = th0 + sixth * (w0 + 2.0 * w2 + 2.0 * w3 + w4)
 
-    return VehicleState(x, y, th, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)
+    return _new(
+        VehicleState, (x, y, th, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)
+    )

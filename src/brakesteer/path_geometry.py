@@ -102,6 +102,11 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     return out
 
 
+# Builds a record from a tuple of all its fields, without the Python-level
+# ``__new__`` of a NamedTuple; the projection gives every field, each valid.
+_new = tuple.__new__
+
+
 class FrenetState(NamedTuple):
     """Path-relative coordinates of a world pose.
 
@@ -355,7 +360,7 @@ class Path:
             raise SingularProjection(
                 f"pose at or beyond center of curvature (s={s:.6f}, c={c:.6f}, l={l:.6f})"
             )
-        return FrenetState(s, l, (th - thd + math.pi) % TWO_PI - math.pi)  # wrap_angle
+        return _new(FrenetState, (s, l, (th - thd + math.pi) % TWO_PI - math.pi))  # wrap_angle
 
     def _global_minimum(
         self, x: float, y: float, th: float, radius: float

@@ -38,8 +38,8 @@ from .path_geometry import (
 # The most physics steps (control steps times RK4 substeps) one run may ask
 # for.  A kinematic run keeps one trace row of about 340 bytes per control
 # step (tracemalloc peak, on a 20,001-row run along a 250 m line), at about
-# 15 us a step on a 2-vCPU x86 VM with Python 3.11 (median of six medians of
-# seven runs, unscaled): 1e7 steps is about 3.4 GB of trace and 2.5 minutes,
+# 10 us a step on a 2-vCPU x86 VM with Python 3.11 (median of six medians of
+# seven runs, unscaled): 1e7 steps is about 3.4 GB of trace and 1.7 minutes,
 # while 1e8 would need 34 GB.
 MAX_PHYSICS_STEPS = 10_000_000
 
@@ -67,6 +67,10 @@ class TraceRow(NamedTuple):
     phase: str
     V: float
 
+
+# Builds a record from a tuple of all its fields, without the Python-level
+# ``__new__`` of a NamedTuple; ``run`` gives every field, each already valid.
+_new = tuple.__new__
 
 TRACE_COLUMNS = ",".join(TraceRow._fields)
 # One trace.csv row: every float to 9 significant digits, the labels as they are.
@@ -117,12 +121,15 @@ class Scenario:
         """Build a scenario; a key the dict leaves out takes the field default."""
         default = {f.name: f.default for f in fields(cls)}
         data = dict(data)
-        vehicle = VehicleParams(**data.get("vehicle", {}))
+        # Every scalar goes through float(), so a value that is not a number
+        # raises ValueError here, not TypeError in a comparison later.
+        vehicle = VehicleParams(**{k: float(v) for k, v in data.get("vehicle", {}).items()})
         ctl = dict(data.get("controller", {}))
         profile_spec = ctl.pop("delta_profile", None)
+        ctl.pop("radius", None)  # always derived from the axle length
+        ctl = {k: float(v) for k, v in ctl.items()}
         if profile_spec:
             ctl["delta_profile"] = DeltaProfile.from_spec(profile_spec)
-        ctl.pop("radius", None)  # always derived from the axle length
         control = ControllerConfig(radius=vehicle.R, **ctl)
         user = dict(data.get("user", {}))
         init_pose = data.get("initial_pose")
@@ -417,14 +424,12 @@ def run(scenario: Scenario) -> Trace:
             reason, stop = "path_end", (state.pose(), fren)
             break
         cmd, ctrl = select_maneuver(fren, ctrl, cfg)
-        rows.append(
-            TraceRow(
-                t, state.x, state.y, state.theta, state.v, state.omega,
-                fren.s, fren.l, fren.theta_tilde,
-                cmd.action.label, ctrl.hybrid_state.label, ctrl.phase.label,
-                lyapunov(fren.l / radius, fren.theta_tilde),
-            )
-        )
+        rows.append(_new(TraceRow, (
+            t, state.x, state.y, state.theta, state.v, state.omega,
+            fren.s, fren.l, fren.theta_tilde,
+            cmd.action.label, ctrl.hybrid_state.label, ctrl.phase.label,
+            lyapunov(fren.l / radius, fren.theta_tilde),
+        )))
         if stop_when_converged:
             if in_convergence_band(fren.l, fren.theta_tilde, radius):
                 if in_band_since is None:

@@ -173,6 +173,34 @@ def test_set_overrides_apply_before_validation(tmp_path, demo_config):
                  "--set", "t_max=-5"]) == 1
 
 
+def _subprocess_env():
+    """The environment for a child interpreter that imports this brakesteer."""
+    src = str(Path(brakesteer.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
+@pytest.mark.parametrize("override", [
+    "controller.eps_b=Infinity",  # json.loads reads Infinity and NaN as floats
+    "controller.eps_theta=NaN",
+    "controller.eps_b=inf",  # and leaves inf and abc as strings
+    "controller.eps_b=abc",
+    "vehicle.m=abc",
+])
+def test_demo_rejects_a_bad_scalar_in_one_line(tmp_path, override):
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "brakesteer.cli", "demo", "--set", override,
+         "--set", "t_max=1", "--out", str(out)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("brake_model", ['x",y', 'a"b'])
 def test_sweep_csv_error_field_round_trips(tmp_path, demo_config, monkeypatch, brake_model):
     # The error message quotes the bad value, so the field holds a quote
@@ -244,12 +272,8 @@ loaded()
 
 
 def test_numpy_loads_only_for_a_noisy_run():
-    src = str(Path(brakesteer.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     out = subprocess.run(
-        [sys.executable, "-c", START_UP], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", START_UP], env=_subprocess_env(), capture_output=True, text=True,
         check=True, timeout=120,
     ).stdout.splitlines()
     assert out == [

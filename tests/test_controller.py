@@ -202,8 +202,8 @@ def on_a_wrap_tie(l_norm, theta_tilde, delta):
 
 
 def fresh_first_move(l_norm, theta_tilde, cfg):
-    action, state = _approach_step(l_norm, wrap_angle(theta_tilde), ControllerState(), cfg)
-    return action, state.hybrid_state
+    command, state = _approach_step(l_norm, wrap_angle(theta_tilde), ControllerState(), cfg)
+    return command.action, state.hybrid_state
 
 
 def test_classify_origin_reports_converged():
@@ -488,6 +488,15 @@ def test_phase_switch_spec_cases():
     assert phase_switch(fren(1.5, radius=cfg.radius), approach, cfg).phase is Phase.APPROACH
     with pytest.raises(ValueError, match="thresholds"):
         ControllerConfig(threshold_l=0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+@pytest.mark.parametrize("name", ["eps_theta", "eps_b", "threshold_l", "re_approach_factor"])
+def test_config_rejects_non_finite_bands_and_thresholds(name, value):
+    # An infinite band would hold every state inside it, and an infinite
+    # threshold would never switch phase back.
+    with pytest.raises(ValueError, match="finite"):
+        ControllerConfig(**{name: value})
 
 
 # -- maneuver selection ---------------------------------------------------------
