@@ -330,9 +330,60 @@ class Path:
             # takes, a call to the builtin costs ten times the comparison.
             lo = hint_s - radius
             lo = lo if lo > 0.0 else 0.0
+            end = self.total_length
             hi = hint_s + radius
-            hi = hi if hi < self.total_length else self.total_length
-            s_best, d2, i, p = self._best_in_window(x, y, lo, hi)
+            hi = hi if hi < end else end
+            cum = self.cumulative_s
+            i = bisect.bisect_right(cum, lo) - 1
+            seg = self.segments[i]
+            kind = seg.kind
+            # A window inside one line or arc, whose one offer wins by the
+            # margin rule of _best_in_window: answered here with that search's
+            # operations, in its order.  Any other window goes on to it.
+            s0 = cum[i]
+            nxt = cum[i + 1] if i + 1 < len(cum) else math.inf
+            if hi < nxt and s0 <= hi - 1e-12 and kind != "clothoid":
+                ua = lo - s0
+                ua = ua if ua > 0.0 else 0.0
+                ub = hi - s0
+                ub = ub if ub < seg.length else seg.length
+                x0, y0, th0 = seg.start_pose
+                cos0, sin0 = seg._dir
+                line = kind == "line"
+                if line:
+                    u = (x - x0) * cos0 + (y - y0) * sin0
+                    u = ua if u < ua else ub if u > ub else u
+                    w, reach = 1.0, 0.0
+                else:
+                    offers, rho = self._project_arc(seg, x, y, ua, ub)
+                    c = seg.curvature_start
+                    ac = c if c > 0.0 else -c
+                    u = offers[0] if len(offers) == 1 else ua  # ua: m = 0, not taken
+                    w = 0.4 * rho * ac if (ub - ua) * ac < 3.0 else 0.0
+                    reach = (2.0 + (th0 if th0 > 0.0 else -th0)) / ac
+                s = s0 + u
+                if ub > ua and s < nxt:  # and s is not rounded onto the next joint
+                    v = (end if end < s else s) - s0
+                    if line:
+                        px, py = x0 + v * cos0, y0 + v * sin0
+                    else:
+                        th_p = th0 + c * v
+                        sn, cs = math.sin(th_p), math.cos(th_p)
+                        px, py = x0 + (sn - sin0) / c, y0 - (cs - cos0) / c
+                    d2 = (x - px) * (x - px) + (y - py) * (y - py)
+                    m = u - ua if u - ua < ub - u else ub - u
+                    scale = ((x if x > 0.0 else -x) + (y if y > 0.0 else -y)
+                             + (x0 if x0 > 0.0 else -x0) + (y0 if y0 > 0.0 else -y0) + s + reach)
+                    if w * m * m > 2.0**-30 * (d2 + scale * scale):
+                        if line:
+                            thd, nx, ny = seg._frame
+                        else:  # heading(v) is th_p + 0.0, as is its sine
+                            thd, nx, ny = th_p + 0.0, -(sn + 0.0), cs
+                        l = (x - px) * nx + (y - py) * ny
+                        if not line and 1.0 - c * l <= 1e-12:  # singular: _finish raises
+                            return self._finish(x, y, th, s, i, (px, py))
+                        return _new(FrenetState, (s, l, (th - thd + math.pi) % TWO_PI - math.pi))
+            s_best, d2, i, p = self._best_in_window(x, y, lo, hi, i)
         else:
             s_best, d2, i, p = self._global_minimum(x, y, th, radius)
         if not d2 < math.inf:
@@ -394,13 +445,14 @@ class Path:
         return s_best, d_best, i_best, p_best
 
     def _best_in_window(
-        self, x: float, y: float, lo: float, hi: float
+        self, x: float, y: float, lo: float, hi: float, first: Optional[int] = None
     ) -> tuple[float, float, int, tuple[float, float]]:
         """Minimize squared distance to the path over ``[lo, hi]``.
 
         Returns ``(s, d2, i, p)``, with ``i`` the segment holding ``s`` and
-        ``p`` the path point at ``s`` that was scored.  One
-        bisect finds the segment holding ``lo``, and one pass walks the
+        ``p`` the path point at ``s`` that was scored.  ``first`` is the
+        segment holding ``lo``, if the caller has bisected for it already;
+        otherwise one bisect finds it.  One pass walks the
         segments the window touches.  Each offers its own nearest point on
         its part ``[ua, ub]`` of the window: a line its foot point, an arc
         its stationary points, a clothoid its tangency root, clamped to the
@@ -429,11 +481,14 @@ class Path:
         value, and the gap exceeds both errors by a factor near 2**20,
         however far the pose lies.  A fixed margin would not do: 1e6 m from
         a line the scores round at about 1e-4, and an end 2 mm from the
-        foot point can win.
+        foot point can win.  ``frenet_project`` answers a hinted window
+        that meets this rule on a line or an arc itself, with these same
+        operations, and hands any other window to this search.
         """
         cum = self.cumulative_s
         n = len(cum)
-        first = bisect.bisect_right(cum, lo) - 1
+        if first is None:
+            first = bisect.bisect_right(cum, lo) - 1
         # The window lies inside segment ``first``: ``hi`` is scored there too.
         inside = first + 1 == n or hi < cum[first + 1]
         best_s, best_d2, best_i, best_p = lo, math.inf, first, None

@@ -121,13 +121,14 @@ class Scenario:
         """Build a scenario; a key the dict leaves out takes the field default."""
         default = {f.name: f.default for f in fields(cls)}
         data = dict(data)
-        # Every scalar goes through float(), so a value that is not a number
-        # raises ValueError here, not TypeError in a comparison later.
-        vehicle = VehicleParams(**{k: float(v) for k, v in data.get("vehicle", {}).items()})
-        ctl = dict(data.get("controller", {}))
-        profile_spec = ctl.pop("delta_profile", None)
-        ctl.pop("radius", None)  # always derived from the axle length
-        ctl = {k: float(v) for k, v in ctl.items()}
+        # Every scalar goes through _number(), so a null or a value that is
+        # not a number raises ValueError naming its key, here, and not
+        # TypeError in a comparison later.
+        vehicle = VehicleParams(**_numbers("vehicle", data.get("vehicle", {}), VehicleParams))
+        given = data.get("controller", {})
+        # radius is always derived from the axle length.
+        ctl = _numbers("controller", given, ControllerConfig, skip=("delta_profile", "radius"))
+        profile_spec = given.get("delta_profile")
         if profile_spec:
             ctl["delta_profile"] = DeltaProfile.from_spec(profile_spec)
         control = ControllerConfig(radius=vehicle.R, **ctl)
@@ -136,34 +137,40 @@ class Scenario:
         init_frenet = data.get("initial_frenet")
         if isinstance(init_frenet, Mapping):
             init_frenet = (
-                float(init_frenet.get("s", 0.0)),
-                float(init_frenet["l_norm"]),
-                float(init_frenet["theta_tilde"]),
+                _number("initial_frenet.s", init_frenet.get("s", 0.0)),
+                _number("initial_frenet.l_norm", init_frenet["l_norm"]),
+                _number("initial_frenet.theta_tilde", init_frenet["theta_tilde"]),
             )
         elif init_frenet is not None:
-            init_frenet = tuple(float(v) for v in init_frenet)
+            init_frenet = tuple(_number("initial_frenet", v) for v in init_frenet)
+        if init_pose:
+            init_pose = tuple(_number("initial_pose", v) for v in init_pose)
         return cls(
             path_spec=copy.deepcopy(dict(data["path"])),
             vehicle=vehicle,
             control=control,
-            initial_pose=tuple(float(v) for v in init_pose) if init_pose else None,
+            initial_pose=init_pose or None,
             initial_frenet=init_frenet,
-            v_user=float(user.get("v", default["v_user"])),
+            v_user=_number("user.v", user.get("v", default["v_user"])),
             user_torques=(
-                float(user.get("tau_r", default["user_torques"][0])),
-                float(user.get("tau_l", default["user_torques"][1])),
+                _number("user.tau_r", user.get("tau_r", default["user_torques"][0])),
+                _number("user.tau_l", user.get("tau_l", default["user_torques"][1])),
             ),
-            noise_amplitude=float(user.get("noise_amplitude", default["noise_amplitude"])),
-            dt_control=float(data.get("dt_control", default["dt_control"])),
-            dt_physics=float(data.get("dt_physics", default["dt_physics"])),
-            t_max=float(data.get("t_max", default["t_max"])),
+            noise_amplitude=_number(
+                "user.noise_amplitude", user.get("noise_amplitude", default["noise_amplitude"])
+            ),
+            dt_control=_number("dt_control", data.get("dt_control", default["dt_control"])),
+            dt_physics=_number("dt_physics", data.get("dt_physics", default["dt_physics"])),
+            t_max=_number("t_max", data.get("t_max", default["t_max"])),
             mode=str(data.get("mode", default["mode"])),
             brake_model=str(data.get("brake_model", default["brake_model"])),
-            seed=int(data.get("seed", default["seed"])),
+            seed=_number("seed", data.get("seed", default["seed"]), int),
             stop_when_converged=bool(
                 data.get("stop_when_converged", default["stop_when_converged"])
             ),
-            converged_hold=float(data.get("converged_hold", default["converged_hold"])),
+            converged_hold=_number(
+                "converged_hold", data.get("converged_hold", default["converged_hold"])
+            ),
         )
 
     def to_dict(self) -> dict:
@@ -301,6 +308,26 @@ class Scenario:
             y = py + l * math.cos(thd)
             th = thd + th_tilde
         return VehicleState.from_body_rates(x, y, th, self.v_user, 0.0, self.vehicle)
+
+
+def _number(key: str, value: Any, kind: type = float) -> Any:
+    """``kind(value)``, or ValueError naming ``key`` for a null or a non-number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _numbers(block: str, given: Any, cls: type, skip: Sequence[str] = ()) -> dict[str, float]:
+    """The ``block`` mapping's values as floats, keyed by fields of ``cls``;
+    the keys in ``skip`` are left out.  Any other key raises ValueError."""
+    if not isinstance(given, Mapping):
+        raise ValueError(f"{block} must be a mapping, got {given!r}")
+    names = {f.name for f in fields(cls)}
+    for key in given:
+        if key not in names:
+            raise ValueError(f"unknown key {block}.{key}")
+    return {k: _number(f"{block}.{k}", v) for k, v in given.items() if k not in skip}
 
 
 def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:

@@ -187,6 +187,10 @@ def _subprocess_env():
     "controller.eps_b=inf",  # and leaves inf and abc as strings
     "controller.eps_b=abc",
     "vehicle.m=abc",
+    "dt_control=null",  # a JSON null, and keys the blocks do not have
+    "controller.eps_b=null",
+    "controller.foo=1",
+    "vehicle.bogus=1",
 ])
 def test_demo_rejects_a_bad_scalar_in_one_line(tmp_path, override):
     out = tmp_path / "o"

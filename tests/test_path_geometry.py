@@ -13,6 +13,7 @@ from brakesteer.path_geometry import (
     OutOfRange,
     Path,
     PathError,
+    PathSegment,
     SingularProjection,
     build_path,
     linspace,
@@ -531,18 +532,25 @@ MARGIN_HINT = math.sqrt(2.0) + 2.1 + 2.5
 
 
 def margin_pose(path, hint, end, factor, l=0.3):
-    """A pose ``l`` left of a line, its foot ``factor`` skip margins inside
-    the end ``hint + end * 0.3`` of the hinted window (``end`` is -1 for lo,
-    +1 for hi).  The margin is ``2**-15 * sqrt(d2 + scale**2)``, with
-    ``scale = |x| + |y| + |x0| + |y0| + s``, as ``Path._best_in_window``
-    states it; a few fixed-point passes settle ``scale`` at the pose."""
+    """A pose ``l`` left of the line or arc holding ``hint``, its foot
+    ``factor`` skip margins inside the end ``hint + end * 0.3`` of the
+    hinted window (``end`` is -1 for lo, +1 for hi).  The margin is
+    ``2**-15 * sqrt((d2 + scale**2) / w)``, as ``Path._best_in_window``
+    states it: ``scale = |x| + |y| + |x0| + |y0| + s``, plus ``(2 + |th0|) /
+    |c|`` on an arc, and ``w`` is 1 on a line and ``0.4 * rho * |c|`` on an
+    arc, whose center lies ``rho = |1 / c - l|`` from the pose.  A few
+    fixed-point passes settle ``scale`` at the pose."""
     s_end = hint + end * 0.3
-    x0, y0, _ = path.segments[bisect.bisect_right(path.cumulative_s, hint) - 1].start_pose
+    x0, y0, th0 = path.segments[bisect.bisect_right(path.cumulative_s, hint) - 1].start_pose
+    c = path.curvature(hint)[0]
+    w, reach = 1.0, 0.0
+    if c != 0.0:
+        w, reach = 0.4 * abs(1.0 / c - l) * abs(c), (2.0 + abs(th0)) / abs(c)
     s = s_end
     for _ in range(3):
         x, y, _ = offset_pose(path, s, l)
-        scale = abs(x) + abs(y) + abs(x0) + abs(y0) + s
-        s = s_end - end * factor * 2.0**-15 * math.sqrt(l * l + scale * scale)
+        scale = abs(x) + abs(y) + abs(x0) + abs(y0) + s + reach
+        s = s_end - end * factor * 2.0**-15 * math.sqrt((l * l + scale * scale) / w)
     return offset_pose(path, s, l, heading=0.2)
 
 
@@ -591,6 +599,96 @@ def test_projection_matches_reference_window_search_bitwise(query):
     assert got == want
 
 
+# An arc that turns right from a heading of -0.0 (at its start the heading
+# is -0.0 + c * 0.0 = -0.0, and its sine -0.0), a line and an arc.  For hi
+# one ulp short of the line's end, s0 + (hi - s0) rounds up onto that
+# joint: sqrt(10) ends in binary ...11 and hi - s0 falls in hi's binade,
+# so both sums are ties that round up to even.  (On ORACLE_PATHS[0] the
+# same sums round down, off the joint.)
+NEG_ARC = build_path(
+    [
+        {"kind": "arc", "length": math.sqrt(10.0), "curvature": -0.9},
+        {"kind": "line", "length": math.e + 2.0},
+        {"kind": "arc", "length": 1.5, "curvature": 0.5},
+    ],
+    start_pose=(0.0, 0.0, -0.0),
+)
+NEG_JOINT = NEG_ARC.cumulative_s[2]
+
+
+@st.composite
+def one_segment_query(draw):
+    """A pose and a window, mostly inside one line or arc: ``(path, pose,
+    hint, radius)``.  The cases are where answering such a window in place
+    could part from the full search: a foot near the skip margin at either
+    end; a pose near an arc's center or at ``l = 1 / c`` (singular); an
+    offer that rounds onto the next joint; hints at the path's ends; and
+    ``radius`` 0.  Some feet lie outside the window."""
+    path = draw(st.sampled_from((ORACLE_PATHS[0], NEG_ARC)))
+    k = draw(st.integers(0, len(path.segments) - 1))
+    s0, c = path.cumulative_s[k], path.segments[k].curvature_start
+    s1 = s0 + path.segments[k].length
+    hint = draw(st.floats(s0 + 0.3, s1 - 0.3))
+    radius = 0.3
+    s = hint + draw(st.floats(-0.25, 0.25))
+    l = draw(st.floats(-1.0, 1.0))
+    case = draw(st.sampled_from(("near", "outside", "margin", "center", "joint", "ends")))
+    if case == "outside":  # the foot lies beyond an end of the window
+        s = hint + draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.3, 0.6))
+    elif case == "margin":
+        end, factor = draw(st.sampled_from((-1, 1))), draw(st.sampled_from((0.9, 1.1)))
+        return path, margin_pose(path, hint, end, factor, l=l), hint, radius
+    elif case == "center" and c != 0.0:
+        l = 1.0 / c * (1.0 + draw(st.sampled_from((0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1e-9))))
+    elif case == "joint" and k + 1 < len(path.segments):
+        # hi ends a few ulps short of the joint, and the foot lies on or past it.
+        hint = s1 - radius - draw(st.integers(0, 3)) * math.ulp(s1)
+        s = s1 + draw(st.sampled_from((0.0, 1e-13, 1e-9, 1e-6, 0.1)))
+    elif case == "ends":
+        hint = draw(st.sampled_from((0.0, path.total_length, hint)))
+        radius = draw(st.sampled_from((0.0, 0.3)))
+        s = hint + draw(st.floats(-0.25, 0.25))
+    s = min(max(s, 0.0), path.total_length)
+    return path, offset_pose(path, s, l, heading=draw(st.floats(-math.pi, math.pi))), hint, radius
+
+
+# Arc margin poses: the foot 0.9 and 1.1 skip margins inside lo and hi.
+ARC_HINT = math.sqrt(2.0) + 1.05
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_segment_query())
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], ARC_HINT, -1, 0.9), ARC_HINT, 0.3))
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], ARC_HINT, -1, 1.1), ARC_HINT, 0.3))
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], ARC_HINT, 1, 0.9), ARC_HINT, 0.3))
+@example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], ARC_HINT, 1, 1.1), ARC_HINT, 0.3))
+@example((NEG_ARC, margin_pose(NEG_ARC, 1.0, 1, 1.1, l=-0.5), 1.0, 0.3))
+# A pose 1e-12 m from the arc's center, and one at l = 1 / c: singular.
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], ARC_HINT, 1.0 / 0.7 * (1.0 - 1e-12)),
+          ARC_HINT, 0.3))
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], ARC_HINT, 1.0 / 0.7), ARC_HINT, 0.3))
+# hi an ulp short of the line -> arc joint, the foot beyond it: the
+# clamped offer s0 + ub rounds onto the joint, which belongs to the arc.
+@example((NEG_ARC, offset_pose(NEG_ARC, NEG_JOINT + 0.1, 0.2),
+          NEG_JOINT - 0.3 - math.ulp(NEG_JOINT), 0.3))
+# Hints at the path's ends, and a zero radius.
+@example((NEG_ARC, offset_pose(NEG_ARC, 0.1, 0.2), 0.0, 0.3))
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], ORACLE_PATHS[0].total_length - 0.1, 0.2),
+          ORACLE_PATHS[0].total_length, 0.3))
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], ARC_HINT, 0.2), ARC_HINT, 0.0))
+# A window longer than 3 / |c|, where hi wins, and one across the line ->
+# arc joint, where the line's foot lies well inside its part, yet hi on the
+# arc is nearer (see the oracle above for both).
+@example((ARC_TIGHT, (0.02037320187588751, 0.27130451608233386, 0.0), 1.0, 0.3))
+@example((ORACLE_PATHS[0], (0.9599907362034998, 325.29766788667416, -1.684124997242204),
+          1.1509883469601703, 0.3))
+def test_one_segment_projection_matches_reference_bitwise(query):
+    path, pose, hint, radius = query
+    got = outcome(lambda: path.frenet_project(pose, hint_s=hint, radius=radius))
+    want = outcome(lambda: reference_project(path, pose, hint_s=hint, radius=radius))
+    assert got == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(oracle_query())
 # The foot lies past the joint that ends the window: the clamped offer is
@@ -608,20 +706,22 @@ def test_window_search_returns_the_segment_that_holds_its_answer(query):
 
 
 @pytest.mark.parametrize("end", [-1, 1], ids=["lo", "hi"])
-@pytest.mark.parametrize("factor, scored", [(0.9, 2), (1.1, 1)], ids=["within", "beyond"])
+@pytest.mark.parametrize("factor, scored", [(0.9, True), (1.1, False)], ids=["within", "beyond"])
 def test_window_search_scores_the_ends_only_within_the_margin(monkeypatch, end, factor, scored):
-    # Beyond the margin only the foot point is scored; within it, the end
-    # offer is scored too (lo by its own point, hi through _d2_from).  The
-    # result carries its segment, so no projection locates it again.
-    pose = margin_pose(ORACLE_PATHS[0], MARGIN_HINT, end, factor)
-    calls = []
-    d2_from = Path._d2_from
-    monkeypatch.setattr(
-        Path, "_d2_from", lambda self, *args: calls.append(args) or d2_from(self, *args)
-    )
+    # Within the margin the window's ends lo and hi are evaluated as
+    # offers; beyond it they never are, whichever code scores the foot
+    # point.  The result carries its segment, so no projection locates it
+    # again.
+    path = ORACLE_PATHS[0]
+    pose = margin_pose(path, MARGIN_HINT, end, factor)
+    us = []
+    point = PathSegment.point
+    monkeypatch.setattr(PathSegment, "point", lambda seg, u: us.append(u) or point(seg, u))
     monkeypatch.setattr(Path, "_locate", lambda *args: pytest.fail("located again"))
-    ORACLE_PATHS[0].frenet_project(pose, hint_s=MARGIN_HINT)
-    assert len(calls) == scored
+    path.frenet_project(pose, hint_s=MARGIN_HINT)
+    s0 = path.cumulative_s[-1]  # the window lies inside the last line
+    ends = {MARGIN_HINT - 0.3 - s0, MARGIN_HINT + 0.3 - s0}
+    assert ends & set(us) == (ends if scored else set())
 
 
 @settings(max_examples=300, deadline=None)

@@ -436,6 +436,25 @@ def test_from_dict_defaults_are_the_dataclass_defaults():
     assert built == Scenario(path_spec=path, initial_pose=(0.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("t_max", None, "t_max must be a number, got None"),
+    ("controller.eps_b", None, "controller.eps_b must be a number, got None"),
+    ("vehicle.m", "abc", "vehicle.m must be a number, got 'abc'"),
+    ("user.v", None, "user.v must be a number, got None"),
+    ("seed", None, "seed must be a number, got None"),
+    ("initial_frenet", [0.0, None, 0.0], "initial_frenet must be a number, got None"),
+    ("controller.foo", 1, "unknown key controller.foo"),
+    ("vehicle.bogus", 1, "unknown key vehicle.bogus"),
+    ("vehicle", None, "vehicle must be a mapping, got None"),
+])
+def test_from_dict_names_the_key_of_a_bad_value(key, value, message):
+    # A null, a non-number or an unknown block key is a ValueError naming
+    # the key, which the CLI prints on one line; it was a TypeError.
+    with pytest.raises(ValueError) as exc:
+        build_demo_scenario().with_overrides({key: value})
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "sc",
     [
