@@ -337,12 +337,27 @@ class Path:
             i = bisect.bisect_right(cum, lo) - 1
             seg = self.segments[i]
             kind = seg.kind
-            # A window inside one line or arc, whose one offer wins by the
-            # margin rule of _best_in_window: answered here with that search's
-            # operations, in its order.  Any other window goes on to it.
+            # A window inside one line or arc is answered here, with the
+            # operations of _best_in_window in its order, when the segment's
+            # one offer (at s, scoring d2) must beat both of the window's
+            # ends: it lies m or more inside both ends of [ua, ub], and
+            # w * m * m > 2**-30 * (d2 + scale * scale).  An end D >= m from
+            # the offer is farther in exact squared distance by D * D on a
+            # line (w = 1).  On an arc of curvature c whose center lies rho
+            # from the pose it is farther by 4 * rho / |c| * sin(|c| * D / 2)**2,
+            # at least 0.4 * rho * |c| * D * D (w) while |c| * D < 3, as in a
+            # window under 3 / |c|.  scale sums the magnitudes that enter a
+            # score, |x| + |y| + |x0| + |y0| + s, plus reach = (2 + |th0|) / |c|
+            # for an arc's sines and heading.  So each computed score is
+            # within a few times 2**-52 of d2 + scale * scale (plus D * D at
+            # an end) of its exact value, and the gap exceeds both errors by a
+            # factor near 2**20, however far the pose lies.  A fixed margin
+            # would not do: 1e6 m from a line the scores round at about 1e-4,
+            # and an end 2 mm from the foot point can win.  Any other window
+            # goes on to the walk, which scores both ends.
             s0 = cum[i]
             nxt = cum[i + 1] if i + 1 < len(cum) else math.inf
-            if hi < nxt and s0 <= hi - 1e-12 and kind != "clothoid":
+            if hi < nxt and kind != "clothoid":
                 ua = lo - s0
                 ua = ua if ua > 0.0 else 0.0
                 ub = hi - s0
@@ -452,50 +467,32 @@ class Path:
         Returns ``(s, d2, i, p)``, with ``i`` the segment holding ``s`` and
         ``p`` the path point at ``s`` that was scored.  ``first`` is the
         segment holding ``lo``, if the caller has bisected for it already;
-        otherwise one bisect finds it.  One pass walks the
-        segments the window touches.  Each offers its own nearest point on
-        its part ``[ua, ub]`` of the window: a line its foot point, an arc
-        its stationary points, a clothoid its tangency root, clamped to the
-        part and offered as ``s0 + u``.  A joint inside the window needs no
-        offer: the path is G1 there, so a nearest point on it is a
-        stationary point of a segment.  Each offer is scored at ``s - s0``
-        on the segment holding ``s``, as ``pose_at`` locates it (scoring at
-        ``u`` itself moves the last bits and can flip a near-tie next to a
-        joint), and the first strictly smaller squared distance wins.  The
-        window's ends then compete as if offered first and last: ``lo``
-        wins a tie, ``hi`` must score strictly smaller.
-
-        The ends are left out when neither can win: the window lies inside
-        one segment, that segment makes one offer (at ``s``, scoring
-        ``d2``), the offer lies ``m`` or more inside both ends of ``[ua,
-        ub]``, and ``w * m * m > 2**-30 * (d2 + scale * scale)``.  An end
-        ``D >= m`` from the offer is farther in exact squared distance by
-        ``D * D`` on a line (``w = 1``).  On an arc of curvature ``c`` whose
-        center lies ``rho`` from the pose it is farther by ``4 * rho / |c|
-        * sin(|c| * D / 2)**2``, at least ``0.4 * rho * |c| * D * D``
-        (``w``) while ``|c| * D < 3``, as in a window under ``3 / |c|``.
-        ``scale`` sums the magnitudes that enter a score, ``|x| + |y| +
-        |x0| + |y0| + s``, plus ``(2 + |th0|) / |c|`` for an arc's sines and
-        heading.  So each computed score is within a few times 2**-52 of
-        ``d2 + scale * scale`` (plus ``D * D`` at an end) of its exact
-        value, and the gap exceeds both errors by a factor near 2**20,
-        however far the pose lies.  A fixed margin would not do: 1e6 m from
-        a line the scores round at about 1e-4, and an end 2 mm from the
-        foot point can win.  ``frenet_project`` answers a hinted window
-        that meets this rule on a line or an arc itself, with these same
-        operations, and hands any other window to this search.
+        otherwise one bisect finds it.  The window's first end ``lo`` is
+        always scored first.  One pass then walks the segments the window
+        touches.  Each offers its own nearest point on its part ``[ua, ub]``
+        of the window: a line its foot point, an arc its stationary points,
+        a clothoid its tangency root, clamped to the part and offered as
+        ``s0 + u``.  A joint within the window needs no offer: the path is
+        G1 there, so a nearest point on it is a stationary point of a
+        segment.  Each offer is scored at ``s - s0`` on the segment holding
+        ``s``, as ``pose_at`` locates it (scoring at ``u`` itself moves the
+        last bits and can flip a near-tie next to a joint).  The other end
+        ``hi`` is always scored last.  The first strictly smaller squared
+        distance wins, so ``lo`` wins a tie.  ``frenet_project`` answers a
+        hinted window within one line or arc whose one offer must win
+        itself, with these same operations, and hands any other window to
+        this search.
         """
         cum = self.cumulative_s
-        n = len(cum)
         if first is None:
             first = bisect.bisect_right(cum, lo) - 1
-        # The window lies inside segment ``first``: ``hi`` is scored there too.
-        inside = first + 1 == n or hi < cum[first + 1]
-        best_s, best_d2, best_i, best_p = lo, math.inf, first, None
-        ends = True
-        for i in range(first, n):
+        p = self.segments[first].point(lo - cum[first])
+        px, py = p
+        best_s, best_i, best_p = lo, first, p
+        best_d2 = (x - px) * (x - px) + (y - py) * (y - py)
+        for i in range(first, len(cum)):
             s0 = cum[i]
-            if s0 > hi - 1e-12:
+            if i > first and s0 > hi - 1e-12:
                 break
             seg = self.segments[i]
             ua = lo - s0
@@ -504,16 +501,11 @@ class Path:
             ub = ub if ub < seg.length else seg.length
             if ub <= ua:
                 continue
-            x0, y0, th0 = seg.start_pose
-            w = reach = 0.0  # the gap weight and the arc's extra scale
             if seg.kind == "line":
+                x0, y0, _ = seg.start_pose
                 inner = ((x - x0) * seg._dir[0] + (y - y0) * seg._dir[1],)
-                w = 1.0
             elif seg.kind == "arc":
-                inner, rho = self._project_arc(seg, x, y, ua, ub)
-                c = abs(seg.curvature_start)
-                if (ub - ua) * c < 3.0:
-                    w, reach = 0.4 * rho * c, (2.0 + abs(th0)) / c
+                inner = self._project_arc(seg, x, y, ua, ub)[0]
             else:
                 u = self._project_clothoid(seg, x, y, ua, ub)
                 inner = () if u is None else (u,)
@@ -523,19 +515,9 @@ class Path:
                 d2, j, p = self._d2_from(i, x, y, s)
                 if d2 < best_d2:
                     best_s, best_d2, best_i, best_p = s, d2, j, p
-            if inside and w > 0.0 and len(inner) == 1:
-                m = u - ua if u - ua < ub - u else ub - u
-                scale = abs(x) + abs(y) + abs(x0) + abs(y0) + s + reach
-                ends = not w * m * m > 2.0**-30 * (d2 + scale * scale)
-        if ends:
-            p = self.segments[first].point(lo - cum[first])
-            px, py = p
-            d2 = (x - px) * (x - px) + (y - py) * (y - py)
-            if d2 <= best_d2:
-                best_s, best_d2, best_i, best_p = lo, d2, first, p
-            d2, j, p = self._d2_from(first, x, y, hi)
-            if d2 < best_d2:
-                best_s, best_d2, best_i, best_p = hi, d2, j, p
+        d2, j, p = self._d2_from(first, x, y, hi)
+        if d2 < best_d2:
+            best_s, best_d2, best_i, best_p = hi, d2, j, p
         return best_s, best_d2, best_i, best_p
 
     def _d2_from(

@@ -118,29 +118,27 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Build a scenario; a key the dict leaves out takes the field default."""
+        """Build a scenario; a key the dict leaves out takes the field default,
+        and one the dict form does not have raises ValueError naming it."""
         default = {f.name: f.default for f in fields(cls)}
-        data = dict(data)
+        data = _known("", data)
         # Every scalar goes through _number(), so a null or a value that is
         # not a number raises ValueError naming its key, here, and not
         # TypeError in a comparison later.
-        vehicle = VehicleParams(**_numbers("vehicle", data.get("vehicle", {}), VehicleParams))
+        vehicle = VehicleParams(**_numbers("vehicle", data.get("vehicle", {})))
         given = data.get("controller", {})
         # radius is always derived from the axle length.
-        ctl = _numbers("controller", given, ControllerConfig, skip=("delta_profile", "radius"))
+        ctl = _numbers("controller", given, skip=("delta_profile", "radius"))
         profile_spec = given.get("delta_profile")
         if profile_spec:
             ctl["delta_profile"] = DeltaProfile.from_spec(profile_spec)
         control = ControllerConfig(radius=vehicle.R, **ctl)
-        user = dict(data.get("user", {}))
+        user = _numbers("user", data.get("user", {}))
         init_pose = data.get("initial_pose")
         init_frenet = data.get("initial_frenet")
         if isinstance(init_frenet, Mapping):
-            init_frenet = (
-                _number("initial_frenet.s", init_frenet.get("s", 0.0)),
-                _number("initial_frenet.l_norm", init_frenet["l_norm"]),
-                _number("initial_frenet.theta_tilde", init_frenet["theta_tilde"]),
-            )
+            frenet = _numbers("initial_frenet", init_frenet)
+            init_frenet = (frenet.get("s", 0.0), frenet["l_norm"], frenet["theta_tilde"])
         elif init_frenet is not None:
             init_frenet = tuple(_number("initial_frenet", v) for v in init_frenet)
         if init_pose:
@@ -151,14 +149,12 @@ class Scenario:
             control=control,
             initial_pose=init_pose or None,
             initial_frenet=init_frenet,
-            v_user=_number("user.v", user.get("v", default["v_user"])),
+            v_user=user.get("v", default["v_user"]),
             user_torques=(
-                _number("user.tau_r", user.get("tau_r", default["user_torques"][0])),
-                _number("user.tau_l", user.get("tau_l", default["user_torques"][1])),
+                user.get("tau_r", default["user_torques"][0]),
+                user.get("tau_l", default["user_torques"][1]),
             ),
-            noise_amplitude=_number(
-                "user.noise_amplitude", user.get("noise_amplitude", default["noise_amplitude"])
-            ),
+            noise_amplitude=user.get("noise_amplitude", default["noise_amplitude"]),
             dt_control=_number("dt_control", data.get("dt_control", default["dt_control"])),
             dt_physics=_number("dt_physics", data.get("dt_physics", default["dt_physics"])),
             t_max=_number("t_max", data.get("t_max", default["t_max"])),
@@ -318,16 +314,34 @@ def _number(key: str, value: Any, kind: type = float) -> Any:
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
 
-def _numbers(block: str, given: Any, cls: type, skip: Sequence[str] = ()) -> dict[str, float]:
-    """The ``block`` mapping's values as floats, keyed by fields of ``cls``;
-    the keys in ``skip`` are left out.  Any other key raises ValueError."""
+# The keys of the dict form, by block ("" is the top level; path is unchecked).
+_KEYS = {
+    "": {"path", "vehicle", "controller", "user", "initial_pose", "initial_frenet",
+         "dt_control", "dt_physics", "t_max", "mode", "brake_model", "seed",
+         "stop_when_converged", "converged_hold"},
+    "vehicle": {f.name for f in fields(VehicleParams)},
+    "controller": {f.name for f in fields(ControllerConfig)},
+    "user": {"v", "tau_r", "tau_l", "noise_amplitude"},
+    "initial_frenet": {"s", "l_norm", "theta_tilde"},
+}
+
+
+def _known(block: str, given: Any) -> Mapping[str, Any]:
+    """``given``, a mapping with no key outside ``block``'s; else ValueError
+    naming the first other key, or the block if ``given`` is no mapping."""
     if not isinstance(given, Mapping):
-        raise ValueError(f"{block} must be a mapping, got {given!r}")
-    names = {f.name for f in fields(cls)}
+        raise ValueError(f"{block or 'scenario'} must be a mapping, got {given!r}")
     for key in given:
-        if key not in names:
-            raise ValueError(f"unknown key {block}.{key}")
-    return {k: _number(f"{block}.{k}", v) for k, v in given.items() if k not in skip}
+        if key not in _KEYS[block]:
+            raise ValueError(f"unknown key {f'{block}.{key}' if block else key}")
+    return given
+
+
+def _numbers(block: str, given: Any, skip: Sequence[str] = ()) -> dict[str, float]:
+    """The ``block`` mapping's values as floats, the keys in ``skip`` left
+    out; ``_known`` rejects any key the block does not have."""
+    return {k: _number(f"{block}.{k}", v) for k, v in _known(block, given).items()
+            if k not in skip}
 
 
 def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:

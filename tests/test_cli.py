@@ -191,6 +191,8 @@ def _subprocess_env():
     "controller.eps_b=null",
     "controller.foo=1",
     "vehicle.bogus=1",
+    "user.foo=1",  # and keys the top level and the user block do not have
+    "t_maxx=5",
 ])
 def test_demo_rejects_a_bad_scalar_in_one_line(tmp_path, override):
     out = tmp_path / "o"

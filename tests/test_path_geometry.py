@@ -535,7 +535,7 @@ def margin_pose(path, hint, end, factor, l=0.3):
     """A pose ``l`` left of the line or arc holding ``hint``, its foot
     ``factor`` skip margins inside the end ``hint + end * 0.3`` of the
     hinted window (``end`` is -1 for lo, +1 for hi).  The margin is
-    ``2**-15 * sqrt((d2 + scale**2) / w)``, as ``Path._best_in_window``
+    ``2**-15 * sqrt((d2 + scale**2) / w)``, as ``Path.frenet_project``
     states it: ``scale = |x| + |y| + |x0| + |y0| + s``, plus ``(2 + |th0|) /
     |c|`` on an arc, and ``w`` is 1 on a line and ``0.4 * rho * |c|`` on an
     arc, whose center lies ``rho = |1 / c - l|`` from the pose.  A few
@@ -682,6 +682,12 @@ ARC_HINT = math.sqrt(2.0) + 1.05
 @example((ARC_TIGHT, (0.02037320187588751, 0.27130451608233386, 0.0), 1.0, 0.3))
 @example((ORACLE_PATHS[0], (0.9599907362034998, 325.29766788667416, -1.684124997242204),
           1.1509883469601703, 0.3))
+# A window 1e-13 m long at the path's start, its foot 5e-14 inside it: the
+# foot is offered, and wins, though the window ends within 1e-12 of s0.
+# Near the origin it is answered in place; 1 m from it the margin leaves
+# the window to the walk.
+@example((ORACLE_PATHS[0], (5e-14, 1e-20, 0.0), 5e-14, 5e-14))
+@example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 5e-14, 1e-20), 5e-14, 5e-14))
 def test_one_segment_projection_matches_reference_bitwise(query):
     path, pose, hint, radius = query
     got = outcome(lambda: path.frenet_project(pose, hint_s=hint, radius=radius))
@@ -705,23 +711,33 @@ def test_window_search_returns_the_segment_that_holds_its_answer(query):
     assert p == path.pose_at(s)[:2]
 
 
-@pytest.mark.parametrize("end", [-1, 1], ids=["lo", "hi"])
-@pytest.mark.parametrize("factor, scored", [(0.9, True), (1.1, False)], ids=["within", "beyond"])
-def test_window_search_scores_the_ends_only_within_the_margin(monkeypatch, end, factor, scored):
-    # Within the margin the window's ends lo and hi are evaluated as
-    # offers; beyond it they never are, whichever code scores the foot
-    # point.  The result carries its segment, so no projection locates it
-    # again.
+# ids: "within-lo" and so on for a hinted projection, "walk-within-lo" and
+# so on for the walk.
+@pytest.mark.parametrize("via, end, factor", [
+    pytest.param(via, end, factor, id=f"{'walk-' if via == 'walk' else ''}{fid}-{eid}")
+    for via in ("hinted", "walk")
+    for factor, fid in ((0.9, "within"), (1.1, "beyond"))
+    for end, eid in ((-1, "lo"), (1, "hi"))
+])
+def test_window_search_scores_the_ends_only_within_the_margin(monkeypatch, via, end, factor):
+    # A hinted projection evaluates the window's ends lo and hi as offers
+    # within the margin and never beyond it, whichever code scores the foot
+    # point.  The walk evaluates both ends always.  The result carries its
+    # segment, so no projection locates it again.
     path = ORACLE_PATHS[0]
     pose = margin_pose(path, MARGIN_HINT, end, factor)
+    lo, hi = MARGIN_HINT - 0.3, MARGIN_HINT + 0.3
     us = []
     point = PathSegment.point
     monkeypatch.setattr(PathSegment, "point", lambda seg, u: us.append(u) or point(seg, u))
     monkeypatch.setattr(Path, "_locate", lambda *args: pytest.fail("located again"))
-    path.frenet_project(pose, hint_s=MARGIN_HINT)
+    if via == "hinted":
+        path.frenet_project(pose, hint_s=MARGIN_HINT)
+    else:
+        path._best_in_window(pose[0], pose[1], lo, hi)
     s0 = path.cumulative_s[-1]  # the window lies inside the last line
-    ends = {MARGIN_HINT - 0.3 - s0, MARGIN_HINT + 0.3 - s0}
-    assert ends & set(us) == (ends if scored else set())
+    ends = {lo - s0, hi - s0}
+    assert ends & set(us) == (ends if via == "walk" or factor < 1.0 else set())
 
 
 @settings(max_examples=300, deadline=None)

@@ -446,13 +446,26 @@ def test_from_dict_defaults_are_the_dataclass_defaults():
     ("controller.foo", 1, "unknown key controller.foo"),
     ("vehicle.bogus", 1, "unknown key vehicle.bogus"),
     ("vehicle", None, "vehicle must be a mapping, got None"),
+    ("user.foo", 1, "unknown key user.foo"),
+    ("t_maxx", 5, "unknown key t_maxx"),
+    ("initial_frenet", {"s": 1.0, "l_norm": 0.5, "theta_tilde": 0.0, "ds": 1.0},
+     "unknown key initial_frenet.ds"),
+    ("user", None, "user must be a mapping, got None"),
 ])
 def test_from_dict_names_the_key_of_a_bad_value(key, value, message):
-    # A null, a non-number or an unknown block key is a ValueError naming
-    # the key, which the CLI prints on one line; it was a TypeError.
+    # A null, a non-number or an unknown key, at the top level or in a
+    # block, is a ValueError naming the key, which the CLI prints on one
+    # line.
     with pytest.raises(ValueError) as exc:
         build_demo_scenario().with_overrides({key: value})
     assert str(exc.value) == message
+
+
+def test_from_dict_rejects_a_scenario_that_is_no_mapping():
+    # A JSON config holding a list of pairs is not read as a dict.
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict([("t_max", 1.0)])
+    assert str(exc.value) == "scenario must be a mapping, got [('t_max', 1.0)]"
 
 
 @pytest.mark.parametrize(
