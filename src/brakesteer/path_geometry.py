@@ -35,18 +35,14 @@ JOINT_HEAD_TOL = 1e-9
 # sub-interval is far below the 1e-10 m position budget.
 _CLOTHOID_NODE_STEP = 0.05
 
-# 5-point Gauss-Legendre (abscissa, weight) pairs on [-1, 1].  The rule is
-# summed, and the nodes are kept, in plain Python floats: numpy scalars and
-# 5-element arrays cost more in call overhead than the arithmetic, and a
-# numpy dot product is a fused multiply-add sum whose last bits depend on
-# the BLAS build.
-_GL5 = (
-    (-0.9061798459386640, 0.2369268850561891),
-    (-0.5384693101056831, 0.4786286704993665),
-    (0.0, 0.5688888888888889),
-    (0.5384693101056831, 0.4786286704993665),
-    (0.9061798459386640, 0.2369268850561891),
-)
+# 5-point Gauss-Legendre abscissae on [-1, 1], +-_GL_X1, +-_GL_X2 and 0, and
+# their weights.  The rule is summed, and the nodes are kept, in plain
+# Python floats: numpy scalars and 5-element arrays cost more in call
+# overhead than the arithmetic, and a numpy dot product is a fused
+# multiply-add sum whose last bits depend on the BLAS build.
+_GL_X1, _GL_W1 = 0.9061798459386640, 0.2369268850561891
+_GL_X2, _GL_W2 = 0.5384693101056831, 0.4786286704993665
+_GL_W0 = 0.5688888888888889
 
 
 class PathError(Exception):
@@ -135,6 +131,9 @@ class PathSegment:
     curvature_end: float
     start_pose: tuple[float, float, float]
     _node_xy: tuple[tuple[float, float], ...] = field(default=(), repr=False, compare=False)
+    # A clothoid's node step h, last node index, th0, c0, c1 - c0 and
+    # 2 * length, fixed at construction for the Gauss-Legendre evaluator.
+    _clothoid: tuple = field(default=(), repr=False, compare=False)
     # (cos, sin) of the start heading, computed once for line and arc queries.
     _dir: tuple[float, float] = field(default=(1.0, 0.0), repr=False, compare=False)
     # A line's heading and left normal (-sin, cos), as heading(u) gives them
@@ -144,6 +143,10 @@ class PathSegment:
     def __post_init__(self) -> None:
         if self.kind not in ("line", "arc", "clothoid"):
             raise ValueError(f"unknown segment kind {self.kind!r}")
+        for name in ("length", "curvature_start", "curvature_end"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"segment {name} must be finite, got {value}")
         if not self.length > 0.0:
             raise ValueError("segment length must be > 0")
         if self.kind == "line" and (self.curvature_start != 0.0 or self.curvature_end != 0.0):
@@ -159,6 +162,12 @@ class PathSegment:
             h = th0 + 0.0
             object.__setattr__(self, "_frame", (h, -math.sin(h), math.cos(h)))
         if self.kind == "clothoid":
+            c0 = self.curvature_start
+            step = self.length / max(1, math.ceil(self.length / _CLOTHOID_NODE_STEP))
+            last = round(self.length / step)
+            object.__setattr__(
+                self, "_clothoid", (step, last, th0, c0, self.curvature_end - c0, 2.0 * self.length)
+            )
             object.__setattr__(self, "_node_xy", self._integrate_nodes())
 
     # -- local queries (u is arc length from the segment start) ---------
@@ -189,44 +198,52 @@ class PathSegment:
         x, y = self.point(u)
         return x, y, self.heading(u)
 
-    def _node_step(self) -> float:
-        n = max(1, math.ceil(self.length / _CLOTHOID_NODE_STEP))
-        return self.length / n
-
     def _integrate_nodes(self) -> tuple[tuple[float, float], ...]:
         """Cumulative clothoid positions at evenly spaced nodes."""
-        h = self._node_step()
-        n = round(self.length / h)
+        h, last = self._clothoid[:2]
         x, y = float(self.start_pose[0]), float(self.start_pose[1])
         nodes = [(x, y)]
-        for k in range(n):
-            dx, dy = self._gl5(k * h, (k + 1) * h)
-            x, y = x + dx, y + dy
+        for k in range(last):
+            x, y = self._gl5(x, y, k * h, (k + 1) * h)
             nodes.append((x, y))
         return tuple(nodes)
 
-    def _gl5(self, a: float, b: float) -> tuple[float, float]:
+    def _gl5(self, x: float, y: float, a: float, b: float) -> tuple[float, float]:
+        """The point ``(x, y)`` plus the clothoid's displacement from ``a``
+        to ``b > a >= 0``, by the 5-point Gauss-Legendre rule.
+
+        The rule is unrolled with the operations of a loop over the
+        abscissae ``xk``, in its order: ``u = mid + half * xk`` (which is
+        ``mid - half * |xk|`` for a negative ``xk``, and ``mid`` for 0), the
+        heading at ``u`` as ``heading(u)`` computes it, and each sum from
+        0.0, first abscissa to last.
+        """
+        _, _, th0, c0, dc, two_len = self._clothoid
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        th0, c0 = self.start_pose[2], self.curvature_start
-        dc = self.curvature_end - c0
-        two_len = 2.0 * self.length
-        sx = sy = 0.0
-        for xk, wk in _GL5:
-            u = mid + half * xk
-            th = th0 + c0 * u + dc * u * u / two_len
-            sx += wk * math.cos(th)
-            sy += wk * math.sin(th)
-        return half * sx, half * sy
+        d1 = half * _GL_X1
+        d2 = half * _GL_X2
+        u1, u2, u4, u5 = mid - d1, mid - d2, mid + d2, mid + d1
+        t1 = th0 + c0 * u1 + dc * u1 * u1 / two_len
+        t2 = th0 + c0 * u2 + dc * u2 * u2 / two_len
+        t3 = th0 + c0 * mid + dc * mid * mid / two_len
+        t4 = th0 + c0 * u4 + dc * u4 * u4 / two_len
+        t5 = th0 + c0 * u5 + dc * u5 * u5 / two_len
+        cos, sin = math.cos, math.sin
+        sx = (0.0 + _GL_W1 * cos(t1) + _GL_W2 * cos(t2) + _GL_W0 * cos(t3)
+              + _GL_W2 * cos(t4) + _GL_W1 * cos(t5))
+        sy = (0.0 + _GL_W1 * sin(t1) + _GL_W2 * sin(t2) + _GL_W0 * sin(t3)
+              + _GL_W2 * sin(t4) + _GL_W1 * sin(t5))
+        return x + half * sx, y + half * sy
 
     def _clothoid_point(self, u: float) -> tuple[float, float]:
-        h = self._node_step()
-        k = min(int(u / h), len(self._node_xy) - 1)
+        h, last = self._clothoid[:2]
+        k = int(u / h)
+        k = k if k < last else last
         x, y = self._node_xy[k]
         a = k * h
         if u > a:
-            dx, dy = self._gl5(a, u)
-            x, y = x + dx, y + dy
+            return self._gl5(x, y, a, u)
         return x, y
 
 
@@ -477,19 +494,24 @@ class Path:
         segment.  Each offer is scored at ``s - s0`` on the segment holding
         ``s``, as ``pose_at`` locates it (scoring at ``u`` itself moves the
         last bits and can flip a near-tie next to a joint).  The other end
-        ``hi`` is always scored last.  The first strictly smaller squared
-        distance wins, so ``lo`` wins a tie.  ``frenet_project`` answers a
-        hinted window within one line or arc whose one offer must win
-        itself, with these same operations, and hands any other window to
-        this search.
+        ``hi``, at most ``total_length``, is always scored last.  The first
+        strictly smaller squared distance wins, so ``lo`` wins a tie.  A
+        clothoid's search is handed the points at ``lo`` and ``hi`` where
+        its part ends there, so neither end is evaluated twice.
+        ``frenet_project`` answers a hinted window within one line or arc
+        whose one offer must win itself, with these same operations, and
+        hands any other window to this search.
         """
         cum = self.cumulative_s
         if first is None:
             first = bisect.bisect_right(cum, lo) - 1
-        p = self.segments[first].point(lo - cum[first])
-        px, py = p
-        best_s, best_i, best_p = lo, first, p
+        p_lo = self.segments[first].point(lo - cum[first])
+        px, py = p_lo
+        best_s, best_i, best_p = lo, first, p_lo
         best_d2 = (x - px) * (x - px) + (y - py) * (y - py)
+        # hi is scored last, but evaluated here, for a clothoid to reuse.
+        d2_hi, j_hi, p_hi = self._d2_from(first, x, y, hi)
+        ub_hi = hi - cum[j_hi]
         for i in range(first, len(cum)):
             s0 = cum[i]
             if i > first and s0 > hi - 1e-12:
@@ -507,7 +529,13 @@ class Path:
             elif seg.kind == "arc":
                 inner = self._project_arc(seg, x, y, ua, ub)[0]
             else:
-                u = self._project_clothoid(seg, x, y, ua, ub)
+                # The ends' points, where ua is lo - cum[first] and ub is
+                # hi - cum[j_hi]: each point is evaluated once.
+                u = self._project_clothoid(
+                    seg, x, y, ua, ub,
+                    p_lo if i == first else None,
+                    p_hi if i == j_hi and ub == ub_hi else None,
+                )
                 inner = () if u is None else (u,)
             for u in inner:
                 u = ua if u < ua else ub if u > ub else u
@@ -515,9 +543,8 @@ class Path:
                 d2, j, p = self._d2_from(i, x, y, s)
                 if d2 < best_d2:
                     best_s, best_d2, best_i, best_p = s, d2, j, p
-        d2, j, p = self._d2_from(first, x, y, hi)
-        if d2 < best_d2:
-            best_s, best_d2, best_i, best_p = hi, d2, j, p
+        if d2_hi < best_d2:
+            best_s, best_d2, best_i, best_p = hi, d2_hi, j_hi, p_hi
         return best_s, best_d2, best_i, best_p
 
     def _d2_from(
@@ -567,38 +594,51 @@ class Path:
         return out, rho
 
     def _project_clothoid(
-        self, seg: PathSegment, x: float, y: float, ua: float, ub: float
+        self,
+        seg: PathSegment,
+        x: float,
+        y: float,
+        ua: float,
+        ub: float,
+        pa: Optional[tuple[float, float]] = None,
+        pb: Optional[tuple[float, float]] = None,
     ) -> Optional[float]:
         # The nearest point solves the tangency condition g(u) = 0, where g is
         # the pose's offset from P(u) along the tangent and g' = c * l_perp - 1.
         # Since |l_perp(u)| <= |pose - P(ua)| + (u - ua), the bound below
         # makes g' < 0 on the whole window: g has at most one root there,
-        # and the window's end values decide whether it has one.
-        ga, lpa = self._tangency(seg, x, y, ua)
+        # and the window's end values decide whether it has one.  pa and pb
+        # are P(ua) and P(ub), if the caller has them already.
+        ga, lpa = self._tangency(seg, x, y, ua, pa)
         c_max = max(abs(seg.curvature_start), abs(seg.curvature_end))
         if c_max * (math.hypot(ga, lpa) + (ub - ua)) < 1.0:
-            gb = self._tangency(seg, x, y, ub)[0]
+            gb = self._tangency(seg, x, y, ub, pb)[0]
             return self._tangent_root(seg, x, y, ua, ub, ga, gb)
         # Far from the segment g may have several roots: bracket them on a
         # fine grid and keep the nearest.  Only + to - sign changes are
         # solved; a - to + change is a distance maximum.
         n = max(2, math.ceil((ub - ua) / 0.02))
         us = [ua + (ub - ua) * k / n for k in range(n + 1)]
-        gs = [ga] + [self._tangency(seg, x, y, u)[0] for u in us[1:]]
+        gs = [ga] + [self._tangency(seg, x, y, u, pb if u == ub else None)[0] for u in us[1:]]
         best, best_d2 = None, math.inf
         for a, b, g_a, g_b in zip(us, us[1:], gs, gs[1:]):
             u = self._tangent_root(seg, x, y, a, b, g_a, g_b)
             if u is not None:
-                d2 = self._seg_d2(seg, x, y, u)
+                px, py = seg._clothoid_point(u)
+                d2 = (x - px) * (x - px) + (y - py) * (y - py)
                 if d2 < best_d2:
                     best, best_d2 = u, d2
         return best
 
     @staticmethod
-    def _tangency(seg: PathSegment, x: float, y: float, u: float) -> tuple[float, float]:
-        """Offset of the pose from P(u) along and across the tangent: (g, l_perp)."""
-        px, py = seg.point(u)
-        th = seg.heading(u)
+    def _tangency(
+        seg: PathSegment, x: float, y: float, u: float, p: Optional[tuple[float, float]] = None
+    ) -> tuple[float, float]:
+        """Offset of the pose from the clothoid point P(u) along and across
+        the tangent: (g, l_perp).  ``p`` is P(u), if the caller has it."""
+        px, py = seg._clothoid_point(u) if p is None else p
+        _, _, th0, c0, dc, two_len = seg._clothoid
+        th = th0 + c0 * u + dc * u * u / two_len  # heading(u)
         ct, st = math.cos(th), math.sin(th)
         dx, dy = x - px, y - py
         return dx * ct + dy * st, dy * ct - dx * st
@@ -635,11 +675,6 @@ class Path:
                 return u_new
             u = u_new
         return u
-
-    @staticmethod
-    def _seg_d2(seg: PathSegment, x: float, y: float, u: float) -> float:
-        px, py = seg.point(u)
-        return (x - px) * (x - px) + (y - py) * (y - py)
 
 
 def build_path(

@@ -11,7 +11,7 @@ import pytest
 
 import brakesteer
 from brakesteer.cli import main
-from brakesteer.simulator import ScenarioInvalid, SweepResult, build_demo_scenario
+from brakesteer.simulator import Scenario, ScenarioInvalid, SweepResult, build_demo_scenario, run
 
 
 @pytest.fixture()
@@ -131,6 +131,24 @@ def test_validate_rejects_infeasible_path(tmp_path, demo_config, capsys):
     bad.write_text(json.dumps(data), encoding="utf-8")
     assert main(["validate", "--config", str(bad)]) == 1
     assert "segment 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("index, key", [(0, "length"), (1, "curvature_end")])
+def test_validate_names_a_nonfinite_segment_field(tmp_path, demo_config, capsys, index, key):
+    # An infinite first line used to overflow build_path's scan (a
+    # traceback), and an infinite clothoid curvature reached cos (a bare
+    # "math domain error").  Each is now one error naming the field.
+    data = json.loads(demo_config.read_text())
+    data["path"]["segments"][index][key] = math.inf
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")  # written as Infinity
+    message = f"path: segment {key} must be finite, got inf"
+    assert main(["validate", "--config", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL: {message}"]
+    with pytest.raises(ScenarioInvalid) as info:
+        run(Scenario.from_dict(data))
+    assert info.value.reasons == [message]
 
 
 def test_validate_warns_on_infeasible_profile(tmp_path, demo_config, capsys):

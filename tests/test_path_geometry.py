@@ -345,6 +345,131 @@ def test_tangent_root_solves_a_single_sign_change():
     assert root(1.0, 1.6) == 1.0  # g(ua) == 0 exactly
 
 
+# -- the clothoid evaluator against the loop-form rule ---------------------
+
+# 5-point Gauss-Legendre (abscissa, weight) pairs on [-1, 1].
+GL5 = (
+    (-0.9061798459386640, 0.2369268850561891),
+    (-0.5384693101056831, 0.4786286704993665),
+    (0.0, 0.5688888888888889),
+    (0.5384693101056831, 0.4786286704993665),
+    (0.9061798459386640, 0.2369268850561891),
+)
+
+
+def reference_gl5(seg, a, b):
+    """The clothoid's displacement from a to b, the rule summed in a loop."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    th0, c0 = seg.start_pose[2], seg.curvature_start
+    dc = seg.curvature_end - c0
+    two_len = 2.0 * seg.length
+    sx = sy = 0.0
+    for xk, wk in GL5:
+        u = mid + half * xk
+        th = th0 + c0 * u + dc * u * u / two_len
+        sx += wk * math.cos(th)
+        sy += wk * math.sin(th)
+    return half * sx, half * sy
+
+
+def reference_nodes(seg):
+    """The node step and the cumulative positions at the nodes."""
+    h = seg.length / max(1, math.ceil(seg.length / 0.05))
+    x, y = float(seg.start_pose[0]), float(seg.start_pose[1])
+    nodes = [(x, y)]
+    for k in range(round(seg.length / h)):
+        dx, dy = reference_gl5(seg, k * h, (k + 1) * h)
+        x, y = x + dx, y + dy
+        nodes.append((x, y))
+    return h, nodes
+
+
+def reference_point(seg, h, nodes, u):
+    k = min(int(u / h), len(nodes) - 1)
+    x, y = nodes[k]
+    if u > k * h:
+        dx, dy = reference_gl5(seg, k * h, u)
+        x, y = x + dx, y + dy
+    return x, y
+
+
+# Clothoids that curve left, right and through zero, from start headings
+# -0.0 and beyond pi, one shorter than a node step; each with its reference
+# node step and nodes.
+REFERENCE_CLOTHOIDS = tuple(
+    (seg, *reference_nodes(seg))
+    for seg in (
+        PathSegment("clothoid", 3.0, 0.0, 0.5, (0.3, -1.1, 0.7)),
+        PathSegment("clothoid", 2.7, -0.2, -1.3, (-123.4, 56.7, -0.0)),
+        PathSegment("clothoid", 1.234567, -1.3, 0.9, (1e4, -3e3, 2.9)),
+        PathSegment("clothoid", 0.037, 2.0, 0.0, (0.0, 0.0, -3.5)),
+        mixed_path().segments[3],
+    )
+)
+
+
+def hex_pair(p):
+    return tuple(float(v).hex() for v in p)
+
+
+def test_clothoid_nodes_match_the_loop_form_rule_bitwise():
+    for seg, _, nodes in REFERENCE_CLOTHOIDS:
+        assert [hex_pair(p) for p in seg._node_xy] == [hex_pair(p) for p in nodes]
+
+
+@st.composite
+def clothoid_abscissa(draw):
+    """A reference clothoid and an abscissa on it: anywhere, at a node or
+    an ulp off one, or at an end."""
+    seg, h, nodes = draw(st.sampled_from(REFERENCE_CLOTHOIDS))
+    where = draw(st.sampled_from(("inside", "node", "ends")))
+    if where == "inside":
+        u = draw(st.floats(0.0, seg.length))
+    elif where == "node":
+        u = draw(st.integers(0, len(nodes) - 1)) * h
+        u = draw(st.sampled_from((u, math.nextafter(u, -1.0), math.nextafter(u, 10.0))))
+        u = min(max(u, 0.0), seg.length)
+    else:
+        u = draw(st.sampled_from((0.0, seg.length)))
+    return seg, h, nodes, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(clothoid_abscissa())
+def test_clothoid_evaluator_matches_the_loop_form_rule_bitwise(drawn):
+    seg, h, nodes, u = drawn
+    want = reference_point(seg, h, nodes, u)
+    assert hex_pair(seg.point(u)) == hex_pair(want)
+    # The tangency condition reads the same point, and heading(u).
+    x, y = want[0] + 0.25, want[1] - 0.5
+    th = seg.heading(u)
+    dx, dy = x - want[0], y - want[1]
+    g = (dx * math.cos(th) + dy * math.sin(th), dy * math.cos(th) - dx * math.sin(th))
+    assert hex_pair(Path._tangency(seg, x, y, u)) == hex_pair(g)
+
+
+@pytest.mark.parametrize("foot_s, l", [(5.5123, 0.2), (5.5123, -0.2), (4.9, 0.2), (6.1, -0.2)],
+                         ids=["inside-left", "inside-right", "before-lo", "past-hi"])
+def test_hinted_clothoid_projection_evaluates_each_window_end_once(monkeypatch, foot_s, l):
+    # The walk scores lo and hi and hands those points to the clothoid
+    # search, which evaluates the tangency condition at both ends: each end
+    # is evaluated once.  Neither end lies on a node, where the evaluator
+    # would not be called at all.
+    path = mixed_path()
+    seg, s0, hint = path.segments[1], path.cumulative_s[1], 5.51  # the window: [5.21, 5.81]
+    ua, ub = hint - 0.3 - s0, hint + 0.3 - s0
+    h = seg._clothoid[0]
+    assert int(ua / h) * h < ua and int(ub / h) * h < ub
+    calls = []
+    gl5 = PathSegment._gl5
+    monkeypatch.setattr(
+        PathSegment, "_gl5", lambda seg, x, y, a, b: calls.append(b) or gl5(seg, x, y, a, b)
+    )
+    path.frenet_project(offset_pose(path, foot_s, l), hint_s=hint)
+    assert (calls.count(ua), calls.count(ub)) == (1, 1)
+
+
 def test_projection_theta_wrap():
     p = build_path([{"kind": "line", "length": 10}])
     f = p.frenet_project((5, 0.5, math.pi))  # wrap(pi) = -pi
@@ -402,7 +527,8 @@ def reference_window(path, x, y, lo, hi):
 
     cum = path.cumulative_s
     i_lo = max(0, bisect.bisect_right(cum, lo) - 1)
-    i_hi = max(0, bisect.bisect_right(cum, min(hi, path.total_length) - 1e-12) - 1)
+    # A window shorter than 1e-12 m just past a joint still searches i_lo.
+    i_hi = max(i_lo, bisect.bisect_right(cum, min(hi, path.total_length) - 1e-12) - 1)
     candidates = []
     for i in range(i_lo, min(i_hi, len(path.segments) - 1) + 1):
         seg, s0 = path.segments[i], cum[i]
@@ -654,6 +780,8 @@ def one_segment_query(draw):
 
 # Arc margin poses: the foot 0.9 and 1.1 skip margins inside lo and hi.
 ARC_HINT = math.sqrt(2.0) + 1.05
+# A hint 5e-13 m past the line -> arc joint.
+JOINT_HINT = ORACLE_PATHS[0].cumulative_s[1] + 5e-13
 
 
 @settings(max_examples=400, deadline=None)
@@ -688,6 +816,9 @@ ARC_HINT = math.sqrt(2.0) + 1.05
 # the window to the walk.
 @example((ORACLE_PATHS[0], (5e-14, 1e-20, 0.0), 5e-14, 5e-14))
 @example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 5e-14, 1e-20), 5e-14, 5e-14))
+# A window 6e-13 m long, 2e-13 m past the line -> arc joint, the pose 1e-7 m
+# left of the foot at the hint: the arc's foot is offered, and wins.
+@example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], JOINT_HINT, 1e-7), JOINT_HINT, 3e-13))
 def test_one_segment_projection_matches_reference_bitwise(query):
     path, pose, hint, radius = query
     got = outcome(lambda: path.frenet_project(pose, hint_s=hint, radius=radius))
