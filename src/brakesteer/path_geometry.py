@@ -149,6 +149,8 @@ class PathSegment:
                 raise ValueError(f"segment {name} must be finite, got {value}")
         if not self.length > 0.0:
             raise ValueError("segment length must be > 0")
+        if not all(math.isfinite(v) for v in self.start_pose):
+            raise ValueError(f"segment start_pose must be finite, got {self.start_pose}")
         if self.kind == "line" and (self.curvature_start != 0.0 or self.curvature_end != 0.0):
             raise ValueError("line segments must have zero curvature")
         if self.kind == "arc":
@@ -239,7 +241,7 @@ class PathSegment:
     def _clothoid_point(self, u: float) -> tuple[float, float]:
         h, last = self._clothoid[:2]
         k = int(u / h)
-        k = k if k < last else last
+        k = (k if k < last else last) if k > 0 else 0
         x, y = self._node_xy[k]
         a = k * h
         if u > a:

@@ -10,6 +10,7 @@ runs a scenario over a grid of overrides, isolating per-run failures.
 from __future__ import annotations
 
 import copy
+import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -42,6 +43,12 @@ from .path_geometry import (
 # seven runs, unscaled): 1e7 steps is about 3.4 GB of trace and 1.7 minutes,
 # while 1e8 would need 34 GB.
 MAX_PHYSICS_STEPS = 10_000_000
+
+# The last path Scenario.build_path built, as (key, Path): the runs of a
+# sweep share one path spec, so they share one Path, which is immutable.
+# The pair is read and replaced whole, so a thread sees a key with its own
+# Path; threads that race can only cost each other a rebuild.
+_last_path: tuple[Optional[str], Optional[Path]] = (None, None)
 
 
 class ScenarioInvalid(ValueError):
@@ -210,7 +217,20 @@ class Scenario:
     # -- validation ----------------------------------------------------------
 
     def build_path(self) -> Path:
-        return build_path(self.path_spec["segments"], self.path_spec.get("start_pose", (0, 0, 0)))
+        """The path of ``path_spec``; a spec with the same content as the
+        last one built (by its JSON text) gets that same Path back."""
+        global _last_path
+        try:
+            key = json.dumps(self.path_spec, sort_keys=True)
+        except (TypeError, ValueError):  # not JSON: build it, remember nothing
+            key = None
+        last_key, path = _last_path
+        if key is None or key != last_key:
+            spec = self.path_spec
+            path = build_path(spec["segments"], spec.get("start_pose", (0, 0, 0)))
+            if key is not None:
+                _last_path = (key, path)
+        return path
 
     def validate(self) -> list[tuple[str, str]]:
         """Collect issues as (level, message); level 'error' blocks run().
@@ -350,8 +370,6 @@ def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
     String values are parsed as JSON scalars when possible so CLI
     ``--set key=value`` pairs become numbers/booleans.
     """
-    import json
-
     for key, value in overrides.items():
         if isinstance(value, str):
             try:

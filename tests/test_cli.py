@@ -151,6 +151,24 @@ def test_validate_names_a_nonfinite_segment_field(tmp_path, demo_config, capsys,
     assert info.value.reasons == [message]
 
 
+@pytest.mark.parametrize("pose", [[0.0, 0.0, math.nan], [math.inf, 0.0, 0.0]],
+                         ids=["nan-heading", "infinite-x"])
+def test_validate_rejects_a_nonfinite_path_start_pose(tmp_path, demo_config, capsys, pose):
+    # A NaN start heading used to validate and then make run raise
+    # IndexError; an infinite x validated and stopped at the first row.
+    data = json.loads(demo_config.read_text())
+    data["path"]["start_pose"] = pose
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")  # written as NaN / Infinity
+    message = f"path: segment start_pose must be finite, got {tuple(pose)}"
+    assert main(["validate", "--config", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL: {message}"]
+    with pytest.raises(ScenarioInvalid) as info:
+        run(Scenario.from_dict(data))
+    assert info.value.reasons == [message]
+
+
 def test_validate_warns_on_infeasible_profile(tmp_path, demo_config, capsys):
     data = json.loads(demo_config.read_text())
     data["controller"]["delta_profile"] = {

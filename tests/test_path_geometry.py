@@ -133,6 +133,23 @@ def test_invalid_segments_rejected():
         build_path([{"kind": "helix", "length": 1}])
 
 
+@pytest.mark.parametrize("pose", [(0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)],
+                         ids=["nan-heading", "infinite-x"])
+def test_nonfinite_start_pose_rejected(pose):
+    # A NaN start heading used to build a path whose projection raised
+    # IndexError; an infinite x, one whose runs stopped at the first row.
+    with pytest.raises(ValueError, match="segment start_pose must be finite"):
+        build_path([{"kind": "line", "length": 5}], pose)
+
+
+def test_nonfinite_segment_start_pose_rejected():
+    # A NaN heading fails no comparison, so it passes the joint check.
+    given = [5.0, 0.0, math.nan]
+    with pytest.raises(ValueError, match="segment start_pose must be finite"):
+        build_path([{"kind": "line", "length": 5},
+                    {"kind": "clothoid", "length": 1, "curvature_end": 0.5, "start_pose": given}])
+
+
 # -- pose_at / curvature ---------------------------------------------------
 
 
@@ -447,6 +464,13 @@ def test_clothoid_evaluator_matches_the_loop_form_rule_bitwise(drawn):
     dx, dy = x - want[0], y - want[1]
     g = (dx * math.cos(th) + dy * math.sin(th), dy * math.cos(th) - dx * math.sin(th))
     assert hex_pair(Path._tangency(seg, x, y, u)) == hex_pair(g)
+
+
+@pytest.mark.parametrize("u", [-1e-3, -0.1, -1.0, -3.0, -1e6])
+def test_clothoid_point_before_the_start_is_the_start_point(u):
+    # The node index is clamped at 0: it never wraps to a node near the end.
+    seg = REFERENCE_CLOTHOIDS[0][0]
+    assert seg.point(u) == seg.start_pose[:2]
 
 
 @pytest.mark.parametrize("foot_s, l", [(5.5123, 0.2), (5.5123, -0.2), (4.9, 0.2), (6.1, -0.2)],

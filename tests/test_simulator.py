@@ -313,7 +313,8 @@ def test_validate_flags_excess_curvature():
         run(sc.with_overrides({"t_max": 1.0}))  # warning only: still runs
 
 
-def test_run_builds_the_path_once(monkeypatch):
+def count_builds(monkeypatch):
+    """Forget the last path built and count the paths built from now on."""
     import brakesteer.simulator as simulator
 
     build_path = simulator.build_path
@@ -323,9 +324,86 @@ def test_run_builds_the_path_once(monkeypatch):
         built.append(args)
         return build_path(*args, **kwargs)
 
+    monkeypatch.setattr(simulator, "_last_path", (None, None))
     monkeypatch.setattr(simulator, "build_path", counting_build_path)
+    return built
+
+
+def test_run_builds_the_path_once(monkeypatch):
+    built = count_builds(monkeypatch)
     run(scenario(t_max=0.1))
     assert len(built) == 1
+
+
+def test_a_sweep_builds_its_path_once(monkeypatch):
+    built = count_builds(monkeypatch)
+    results = sweep(scenario(t_max=0.1), frenet_grid([-1.0, 0.0, 1.0], [-0.5, 0.0, 0.5]))
+    assert len(results) == 9 and all(r.summary is not None for r in results)
+    assert len(built) == 1
+
+
+def test_a_path_spec_that_differs_gets_its_own_build(monkeypatch):
+    built = count_builds(monkeypatch)
+    base = scenario()
+    first = base.build_path()
+    assert base.build_path() is first and len(built) == 1
+    longer = base.with_overrides({"path.segments": [{"kind": "line", "length": 121}]})
+    assert longer.build_path().total_length == 121.0 and len(built) == 2
+    # -0.0 == 0.0, but the two start headings are different inputs.
+    zero = base.with_overrides({"path.start_pose": [0.0, 0.0, 0.0]})
+    negative = base.with_overrides({"path.start_pose": [0.0, 0.0, -0.0]})
+    for sc, sign in ((zero, 1.0), (negative, -1.0), (zero, 1.0)):
+        assert math.copysign(1.0, sc.build_path().segments[0].start_pose[2]) == sign
+    assert len(built) == 5
+    base.path_spec["segments"][0]["length"] = 80  # mutated after a build
+    assert base.build_path().total_length == 80.0 and len(built) == 6
+
+
+def test_a_failed_or_unkeyed_build_is_not_remembered(monkeypatch):
+    built = count_builds(monkeypatch)
+    good = scenario()
+    path = good.build_path()
+    bad = good.with_overrides({"path.start_pose": [0, 0, math.nan]})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="start_pose must be finite"):
+            bad.build_path()
+    assert len(built) == 3
+    assert good.build_path() is path and len(built) == 3
+    # A spec that JSON cannot encode is built every time, and leaves the
+    # remembered path in place.
+    unkeyed = scenario()
+    unkeyed.path_spec["segments"][0]["length"] = np.float32(120.0)
+    assert unkeyed.build_path() is not unkeyed.build_path() and len(built) == 5
+    assert good.build_path() is path and len(built) == 5
+
+
+def hexed(value):
+    """``value`` with every float replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [hexed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: hexed(v) for k, v in value.items()}
+    return value
+
+
+def test_a_sweep_matches_runs_that_each_build_their_path(monkeypatch):
+    import brakesteer.simulator as simulator
+
+    base = build_demo_scenario().with_overrides({"t_max": 3.0, "initial_pose": None})
+    grid = frenet_grid([-2.0, 0.0, 2.0], [-1.0, 1.0], s0=2.0)
+    grid += [dict(ov, **{"path.start_pose": [0.5, -0.5, 0.1]}) for ov in grid[:2]]
+    swept = sweep(base, grid)
+    warm = [run(base.with_overrides(ov)) for ov in grid]
+    cold = []
+    for ov in grid:
+        monkeypatch.setattr(simulator, "_last_path", (None, None))
+        cold.append(run(base.with_overrides(ov)))
+    assert [hexed(r.summary.as_dict()) for r in swept] == [
+        hexed(summarize(tr).as_dict()) for tr in cold
+    ]
+    assert [hexed(tr.rows) for tr in warm] == [hexed(tr.rows) for tr in cold]
 
 
 def test_initial_frenet_placement():
