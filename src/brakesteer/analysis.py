@@ -6,12 +6,9 @@ import math
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .controller import (
-    ControllerConfig, DeltaProfile, Region, classify, sigma_l, sigma_n, sigma_p, sigma_r,
-)
+from .controller import ControllerConfig, DeltaProfile, Region, _heading_half, _offset_half
 from .path_geometry import wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -227,25 +224,38 @@ def field_dump(
 ) -> FieldDump:
     """Evaluate the boundary functions and the region labels on a grid.
 
-    The regions are :func:`classify`'s for ``ControllerConfig(delta_approach=
-    delta, eps_b=band)``; ``sigma_n``/``sigma_p`` are drawn for reference
-    only.  Rows vary ``theta_tilde`` fastest, for contour or heat-map
-    replotting; every value is computed here.  A ``delta`` outside [0, pi)
-    or a ``band`` outside (0, inf) raises ValueError, from the config.
+    The values are the ``sigma_*`` functions' and the regions
+    :func:`classify`'s for ``ControllerConfig(delta_approach=delta,
+    eps_b=band)``; ``sigma_n``/``sigma_p`` are drawn for reference only.
+    Rows vary ``theta_tilde`` fastest, for contour or heat-map replotting;
+    every value is computed here, the per-heading ones once per column.  A
+    ``delta`` outside [0, pi) or a ``band`` outside (0, inf) raises
+    ValueError, from the config.
     """
     cfg = ControllerConfig(delta_approach=delta, eps_b=band)
     thetas = [
         grid.theta_min + (grid.theta_max - grid.theta_min) * j / (grid.n_theta - 1)
         for j in range(grid.n_theta)
     ]
+    # The per-heading work, once per column: the cosine the sigma_* take of
+    # th~, and the partition's heading half of wrap(th~), as classify takes it.
+    cos_th = [math.cos(th) for th in thetas]
+    columns = [(th, _heading_half(th, cfg)) for th in map(wrap_angle, thetas)]
+    two_cos_delta, b = 2.0 * math.cos(delta), cfg.eps_b
     l_col, s_r, s_l, s_n, s_p = (array("d") for _ in range(5))
     codes = bytearray()
+    # Each row is appended as one array: array.extend takes an iterable an
+    # item at a time.
     for i in range(grid.n_l):
         l_norm = grid.l_min + (grid.l_max - grid.l_min) * i / (grid.n_l - 1)
-        l_col.extend(repeat(l_norm, grid.n_theta))
-        s_r.extend([sigma_r(l_norm, th) for th in thetas])
-        s_l.extend([sigma_l(l_norm, th) for th in thetas])
-        s_n.extend([sigma_n(l_norm, th, delta) for th in thetas])
-        s_p.extend([sigma_p(l_norm, th, delta) for th in thetas])
-        codes.extend([_REGION_CODE[classify(l_norm, th, cfg).label] for th in thetas])
+        l_col += array("d", (l_norm,)) * grid.n_theta
+        # The sigma_* operations in their order, each row's part hoisted.
+        up, down = l_norm + 1.0, l_norm - 1.0
+        up_n, down_p = up - two_cos_delta, down + two_cos_delta
+        s_r += array("d", [up - c for c in cos_th])
+        s_l += array("d", [down + c for c in cos_th])
+        s_n += array("d", [up_n + c for c in cos_th])
+        s_p += array("d", [down_p - c for c in cos_th])
+        codes += bytes([_REGION_CODE[_offset_half(l_norm, th, heading, b)[0].label]
+                        for th, heading in columns])
     return FieldDump(l_col, array("d", thetas) * grid.n_l, s_r, s_l, s_n, s_p, bytes(codes))

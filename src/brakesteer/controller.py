@@ -30,11 +30,15 @@ Two operating phases:
   ``right_turn_first``  turn_right, turning     Turning, Straight, Controlled
   ====================  ======================  ============================
 
-  ``_approach_partition``, the step's memoryless half, gives the region;
-  ``_approach_step`` adds what memory decides: a Controlled ride, a
-  crossing against the last hand-off value, the latched relay.  The field
-  (``classify``) is thus the approach's fresh-state decision, though a run
-  hands the cart to track first wherever ``|l~| <= threshold_l``.
+  ``_approach_partition``, the step's memoryless half, gives the region.
+  It composes a per-heading half (``_heading_half``: the cosine, each
+  side's receptive test, error and off-curve region) and a per-offset half
+  (``_offset_half``: the origin band, the side, the hand-off value and its
+  ``eps_b`` test).  ``_approach_step`` adds what memory decides: a
+  Controlled ride, a crossing against the last hand-off value, the latched
+  relay.  The field (``classify``) is thus the approach's fresh-state
+  decision, though a run hands the cart to track first wherever
+  ``|l~| <= threshold_l``.
 
 * **Track** (near the path): bang-bang regulation about the manifold
   ``th~ = delta(l~)`` with a state-dependent, odd, bounded profile whose
@@ -375,6 +379,60 @@ def _phase_switch(l_norm: float, ctrl: ControllerState, cfg: ControllerConfig) -
 # -- switching partition ----------------------------------------------------
 
 
+def _heading_half(
+    th: float, cfg: ControllerConfig
+) -> tuple[float, tuple[bool, float, Region], tuple[bool, float, Region]]:
+    """The per-heading half of the approach partition at a wrapped ``th~``.
+
+    Returns ``(cos(th~), left, right)``: ``left`` for side +1 (left of the
+    path) and ``right`` for side -1, each ``(receptive, err, region)``.
+    ``receptive`` says whether that side's final-turn curve takes the
+    heading in, ``err`` is the error against ``-side * delta`` and
+    ``region`` the region off that curve, by the ``eps_theta`` thresholds.
+    """
+    b, delta, eps = cfg.eps_b, cfg.delta_approach, cfg.eps_theta
+    left = (th + delta + math.pi) % TWO_PI - math.pi  # wrap_angle, side +1
+    right = (th - delta + math.pi) % TWO_PI - math.pi  # wrap_angle, side -1
+    return (
+        math.cos(th),
+        (-math.pi < th < -b, left, _off_curve(left, eps)),
+        (b < th, right, _off_curve(right, eps)),
+    )
+
+
+def _off_curve(err: float, eps: float) -> Region:
+    """The region off the final-turn curves for the error ``err``."""
+    if err > eps:
+        return _RIGHT_FIRST
+    if err < -eps:
+        return _LEFT_FIRST
+    return _ON_DELTA_LINE
+
+
+def _offset_half(
+    l_norm: float, th: float, heading: tuple, b: float
+) -> tuple[Region, int, Optional[float], bool, float]:
+    """The per-offset half of the approach partition at ``(l~, wrap(th~))``.
+
+    ``heading`` is ``_heading_half(th, cfg)`` and ``b`` is ``cfg.eps_b``.
+    Returns what :func:`_approach_partition` does: the origin band, the
+    side, the hand-off value on that side and, within ``b`` of it, the
+    final-turn region; elsewhere the side's off-curve region.
+    """
+    if abs(l_norm) <= b and abs(th) <= b:
+        return _ON_DELTA_LINE, 0, None, False, th
+    cos_th, left, right = heading
+    if l_norm > 0.0 or not (l_norm < 0.0 or th > 0.0):
+        side, handoff, on_curve = 1, l_norm - 1.0 + cos_th, _ON_SIGMA_L  # sigma_l
+        receptive, err, region = left
+    else:
+        side, handoff, on_curve = -1, l_norm + 1.0 - cos_th, _ON_SIGMA_R  # sigma_r
+        receptive, err, region = right
+    if receptive and abs(handoff) <= b:
+        region = on_curve
+    return region, side, handoff, receptive, err
+
+
 def _approach_partition(
     l_norm: float, th: float, cfg: ControllerConfig
 ) -> tuple[Region, int, Optional[float], bool, float]:
@@ -385,24 +443,10 @@ def _approach_partition(
     or 0 in the origin band, where ``err`` is ``th`` and ``handoff`` None.
     ``handoff`` is the final-turn value (``sigma_L`` or ``sigma_R``), which
     ``receptive`` headings ride in; ``err`` is the error against ``-side * delta``.
+    It composes :func:`_heading_half`, which depends on ``th~`` alone, and
+    :func:`_offset_half`, so a grid over ``(l~, th~)`` can hoist the first.
     """
-    b = cfg.eps_b
-    if abs(l_norm) <= b and abs(th) <= b:
-        return _ON_DELTA_LINE, 0, None, False, th
-    if l_norm > 0.0 or not (l_norm < 0.0 or th > 0.0):
-        side, handoff, receptive = 1, l_norm - 1.0 + math.cos(th), -math.pi < th < -b  # sigma_l
-    else:
-        side, handoff, receptive = -1, l_norm + 1.0 - math.cos(th), b < th  # sigma_r
-    err = (th + side * cfg.delta_approach + math.pi) % TWO_PI - math.pi  # wrap_angle
-    if receptive and abs(handoff) <= b:
-        region = _ON_SIGMA_L if side > 0 else _ON_SIGMA_R
-    elif err > cfg.eps_theta:
-        region = _RIGHT_FIRST
-    elif err < -cfg.eps_theta:
-        region = _LEFT_FIRST
-    else:
-        region = _ON_DELTA_LINE
-    return region, side, handoff, receptive, err
+    return _offset_half(l_norm, th, _heading_half(th, cfg), cfg.eps_b)
 
 
 def classify(l_norm: float, theta_tilde: float, cfg: ControllerConfig) -> Region:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -249,18 +249,41 @@ class PathSegment:
         return x, y
 
 
-def _segment_from_spec(spec: dict, start_pose: tuple[float, float, float]) -> PathSegment:
+def _number(key: str, value: Any, kind: type = float) -> Any:
+    """``kind(value)``, or ValueError naming ``key`` for a null or a non-number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
+
+
+def _pose(key: str, value: Any) -> tuple[float, float, float]:
+    """``value`` as an ``(x, y, theta)`` of floats, or ValueError naming ``key``."""
+    if isinstance(value, Sequence) and not isinstance(value, str) and len(value) == 3:
+        try:
+            return (float(value[0]), float(value[1]), float(value[2]))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key} must be three numbers, got {value!r}")
+
+
+def _segment_from_spec(
+    spec: Mapping[str, Any], start_pose: tuple[float, float, float], key: str
+) -> PathSegment:
+    """The segment ``spec`` gives from ``start_pose``; ``key`` names the spec
+    in the errors for a value that is not a number."""
     kind = str(spec["kind"]).lower()
-    length = float(spec["length"])
+    length = _number(f"{key}.length", spec["length"])
     if "curvature" in spec and kind != "clothoid":
-        c0 = c1 = float(spec["curvature"])
+        c0 = c1 = _number(f"{key}.curvature", spec["curvature"])
     else:
-        c0 = float(spec.get("curvature_start", 0.0))
-        c1 = float(spec.get("curvature_end", c0 if kind != "clothoid" else 0.0))
+        c0 = _number(f"{key}.curvature_start", spec.get("curvature_start", 0.0))
+        c1 = _number(f"{key}.curvature_end",
+                     spec.get("curvature_end", c0 if kind != "clothoid" else 0.0))
     if kind == "line":
         c0 = c1 = 0.0
     if "start_pose" in spec:
-        given = tuple(float(v) for v in spec["start_pose"])
+        given = _pose(f"{key}.start_pose", spec["start_pose"])
         dx = given[0] - start_pose[0]
         dy = given[1] - start_pose[1]
         dth = wrap_angle(given[2] - start_pose[2])
@@ -689,15 +712,20 @@ def build_path(
     and curvature fields (``curvature`` or ``curvature_start`` /
     ``curvature_end``).  A spec may carry an explicit ``start_pose``; it is
     checked against the chained pose and a mismatch beyond 1e-9 (m or rad)
-    raises ContinuityError.
+    raises ContinuityError.  A spec that is no mapping, a value that is not
+    a number or a start pose that is not three numbers raises ValueError
+    naming it as the scenario's dict form does (``path.segments.<i>.length``,
+    ``path.start_pose``).
     """
     if not segment_specs:
         raise EmptyPath("path needs at least one segment")
-    pose = (float(start_pose[0]), float(start_pose[1]), float(start_pose[2]))
+    pose = _pose("path.start_pose", start_pose)
     segments: list[PathSegment] = []
     cumulative = [0.0]
-    for spec in segment_specs:
-        seg = _segment_from_spec(dict(spec), pose)
+    for i, spec in enumerate(segment_specs):
+        if not isinstance(spec, Mapping):
+            raise ValueError(f"path.segments.{i} must be a mapping, got {spec!r}")
+        seg = _segment_from_spec(spec, pose, f"path.segments.{i}")
         segments.append(seg)
         cumulative.append(cumulative[-1] + seg.length)
         pose = seg.pose(seg.length)

@@ -32,6 +32,7 @@ from .path_geometry import (
     Path,
     PathError,
     SingularProjection,
+    _number,
     build_path,
 )
 
@@ -138,7 +139,7 @@ class Scenario:
         ctl = _numbers("controller", given, skip=("delta_profile", "radius"))
         profile_spec = given.get("delta_profile")
         if profile_spec:
-            ctl["delta_profile"] = DeltaProfile.from_spec(profile_spec)
+            ctl["delta_profile"] = _profile(profile_spec)
         control = ControllerConfig(radius=vehicle.R, **ctl)
         user = _numbers("user", data.get("user", {}))
         init_pose = data.get("initial_pose")
@@ -326,14 +327,6 @@ class Scenario:
         return VehicleState.from_body_rates(x, y, th, self.v_user, 0.0, self.vehicle)
 
 
-def _number(key: str, value: Any, kind: type = float) -> Any:
-    """``kind(value)``, or ValueError naming ``key`` for a null or a non-number."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
-
-
 # The keys of the dict form, by block ("" is the top level; path is unchecked).
 _KEYS = {
     "": {"path", "vehicle", "controller", "user", "initial_pose", "initial_frenet",
@@ -341,6 +334,7 @@ _KEYS = {
          "stop_when_converged", "converged_hold"},
     "vehicle": {f.name for f in fields(VehicleParams)},
     "controller": {f.name for f in fields(ControllerConfig)},
+    "controller.delta_profile": {f.name for f in fields(DeltaProfile)},
     "user": {"v", "tau_r", "tau_l", "noise_amplitude"},
     "initial_frenet": {"s", "l_norm", "theta_tilde"},
 }
@@ -364,11 +358,33 @@ def _numbers(block: str, given: Any, skip: Sequence[str] = ()) -> dict[str, floa
             if k not in skip}
 
 
+def _profile(given: Any) -> DeltaProfile:
+    """The ``controller.delta_profile`` block as a DeltaProfile: ``_known``
+    rejects a key it does not have, and every value but ``kind`` goes
+    through ``_number``, a table item by item."""
+    block = "controller.delta_profile"
+    spec = {}
+    for key, value in _known(block, given).items():
+        if key == "kind":
+            spec[key] = value
+        elif key in ("table_l", "table_delta"):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{block}.{key} must be a list of numbers, got {value!r}")
+            spec[key] = [_number(f"{block}.{key}", v) for v in value]
+        else:
+            spec[key] = _number(f"{block}.{key}", value)
+    return DeltaProfile.from_spec(spec)
+
+
 def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
     """Apply dotted-key overrides (e.g. ``controller.eps_theta``) in place.
 
     String values are parsed as JSON scalars when possible so CLI
-    ``--set key=value`` pairs become numbers/booleans.
+    ``--set key=value`` pairs become numbers/booleans.  A part of the key
+    indexes a list by its position (``path.segments.0.length``); a mapping
+    the key passes through is made when missing.  A position that is not
+    an integer in range, or a part that lands on neither a mapping nor a
+    list, raises ValueError naming the key.
     """
     for key, value in overrides.items():
         if isinstance(value, str):
@@ -378,9 +394,24 @@ def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:
                 pass
         node = data
         parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        for depth, part in enumerate(parts, 1):
+            if isinstance(node, list):
+                if not (part.isascii() and part.isdigit() and int(part) < len(node)):
+                    raise ValueError(
+                        f"override {key}: no item {part!r} in a list of {len(node)}"
+                    )
+                part = int(part)
+            elif not isinstance(node, dict):
+                raise ValueError(
+                    f"override {key}: {'.'.join(parts[:depth - 1])} is {node!r}, "
+                    "not a mapping or a list"
+                )
+            if depth == len(parts):
+                node[part] = value
+            elif isinstance(node, dict):
+                node = node.setdefault(part, {})
+            else:
+                node = node[part]
     return data
 
 

@@ -194,6 +194,14 @@ _delta = st.floats(0.0, math.pi, exclude_max=True)
 @example(GridSpec(n_l=9, n_theta=9), -0.0, ControllerConfig.eps_b)
 @example(GridSpec(l_min=3.0, l_max=-3.0, theta_min=2.5, theta_max=-2.5, n_l=7, n_theta=5),
          1.2, 0.05)
+# A th~ axis of exactly [-pi, pi] (both ends wrap to -pi) and an l~ axis
+# through -band, 0 and band, the origin band's edges.
+@example(GridSpec(l_min=-0.05, l_max=0.05, theta_min=-math.pi, theta_max=math.pi,
+                  n_l=3, n_theta=17), 0.0, 0.05)
+@example(GridSpec(l_min=-0.05, l_max=0.05, theta_min=-math.pi, theta_max=math.pi,
+                  n_l=3, n_theta=17), -0.0, 0.05)
+@example(GridSpec(l_min=-0.4, l_max=0.4, theta_min=-math.pi, theta_max=math.pi,
+                  n_l=5, n_theta=9), math.pi / 3, 0.4)
 def test_field_dump_matches_reference_bitwise(grid, delta, band):
     want = reference_field_dump(delta, grid, band)
     got = field_dump(delta, grid, band)

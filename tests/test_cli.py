@@ -243,6 +243,37 @@ def test_demo_rejects_a_bad_scalar_in_one_line(tmp_path, override):
     assert not out.exists()
 
 
+def test_demo_overrides_a_segment_by_its_index(tmp_path):
+    # A list in the key used to die with AttributeError: no setdefault.
+    out = tmp_path / "o"
+    code = main(["demo", "--set", "path.segments.0.length=5", "--set", "t_max=1",
+                 "--out", str(out)])
+    assert code in (0, 2)
+    saved = json.loads((out / "scenario.json").read_text())
+    assert saved["path"]["segments"][0]["length"] == 5
+
+
+def test_demo_rejects_a_segment_index_out_of_range_in_one_line(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["demo", "--set", "path.segments.9.length=5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: override path.segments.9.length: no item '9' in a list of 5\n"
+    assert not out.exists()
+
+
+def test_validate_names_a_null_segment_length(tmp_path, demo_config, capsys):
+    # A null length used to end validate with TypeError from float().
+    data = json.loads(demo_config.read_text())
+    data["path"]["segments"][0]["length"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--config", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL: path: path.segments.0.length must be a number, got None"
+    ]
+
+
 @pytest.mark.parametrize("brake_model", ['x",y', 'a"b'])
 def test_sweep_csv_error_field_round_trips(tmp_path, demo_config, monkeypatch, brake_model):
     # The error message quotes the bad value, so the field holds a quote

@@ -503,6 +503,78 @@ def test_apply_overrides_parses_scalars():
     assert data == {"a": {"b": 2.5}, "c": True, "name": "hello"}
 
 
+def test_apply_overrides_indexes_a_list():
+    # A list used to die with AttributeError: no setdefault.
+    data = {"path": {"segments": [{"length": 1}, {"length": 2}]}}
+    apply_overrides(data, {"path.segments.1.length": "5", "path.segments.0.kind": "arc"})
+    assert data == {"path": {"segments": [{"length": 1, "kind": "arc"}, {"length": 5}]}}
+    sc = build_demo_scenario().with_overrides({"path.segments.0.length": 5})
+    assert sc.path_spec["segments"][0]["length"] == 5
+    assert sc.validate() == []
+
+
+@pytest.mark.parametrize("key, message", [
+    ("path.segments.9.length", "override path.segments.9.length: no item '9' in a list of 5"),
+    ("path.segments.-1.length", "override path.segments.-1.length: no item '-1' in a list of 5"),
+    ("path.segments.x.length", "override path.segments.x.length: no item 'x' in a list of 5"),
+    ("path.segments.0.length.x",
+     "override path.segments.0.length.x: path.segments.0.length is 15.0, "
+     "not a mapping or a list"),
+    ("t_max.foo", "override t_max.foo: t_max is 60.0, not a mapping or a list"),
+])
+def test_apply_overrides_names_a_key_it_cannot_follow(key, message):
+    with pytest.raises(ValueError) as exc:
+        build_demo_scenario().with_overrides({key: 1})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("gain", None, "controller.delta_profile.gain must be a number, got None"),
+    ("amplitude", [1.0], "controller.delta_profile.amplitude must be a number, got [1.0]"),
+    ("delta0", None, "controller.delta_profile.delta0 must be a number, got None"),
+    ("foo", 1, "unknown key controller.delta_profile.foo"),
+    ("table_l", 3, "controller.delta_profile.table_l must be a list of numbers, got 3"),
+    ("table_delta", [0.0, None],
+     "controller.delta_profile.table_delta must be a number, got None"),
+])
+def test_from_dict_names_the_key_of_a_bad_profile_value(key, value, message):
+    # A null or a list used to raise TypeError from float() or a comparison.
+    data = build_demo_scenario().to_dict()
+    data["controller"]["delta_profile"][key] = value
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_from_dict_rejects_a_profile_that_is_no_mapping():
+    data = build_demo_scenario().to_dict()
+    data["controller"]["delta_profile"] = "tanh"
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(data)
+    assert str(exc.value) == "controller.delta_profile must be a mapping, got 'tanh'"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("path.segments.0.length", None, "path: path.segments.0.length must be a number, got None"),
+    ("path.segments.2.curvature", "abc",
+     "path: path.segments.2.curvature must be a number, got 'abc'"),
+    ("path.segments.1.curvature_end", [1],
+     "path: path.segments.1.curvature_end must be a number, got [1]"),
+    ("path.segments.1.start_pose", [15.0, None, 0.0],
+     "path: path.segments.1.start_pose must be three numbers, got [15.0, None, 0.0]"),
+    ("path.start_pose", [0, {}, 0], "path: path.start_pose must be three numbers, got [0, {}, 0]"),
+    ("path.start_pose", [0, 0], "path: path.start_pose must be three numbers, got [0, 0]"),
+    ("path.segments.0", 5, "path: path.segments.0 must be a mapping, got 5"),
+])
+def test_validate_names_a_bad_path_value(key, value, message):
+    # Such a value used to raise TypeError from float() out of validate.
+    sc = build_demo_scenario().with_overrides({key: value})
+    assert sc.validate() == [("error", message)]
+    with pytest.raises(ScenarioInvalid) as info:
+        run(sc)
+    assert info.value.reasons == [message]
+
+
 def test_scenario_round_trip():
     sc = build_demo_scenario()
     assert Scenario.from_dict(sc.to_dict()) == sc

@@ -144,6 +144,9 @@ STEP_FUNCTIONS = (
     controller.select_maneuver,
     controller.phase_switch,
     controller._phase_switch,
+    controller._heading_half,
+    controller._off_curve,
+    controller._offset_half,
     controller._approach_partition,
     controller._relay,
     controller._track_step,
