@@ -65,10 +65,10 @@ import bisect
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .dynamics import COMMANDS, BrakeCommand, Maneuver
-from .path_geometry import TWO_PI, FrenetState, linspace
+from .path_geometry import TWO_PI, FrenetState, _number, _read_kind, linspace
 
 HALF_PI = math.pi / 2.0
 
@@ -152,6 +152,12 @@ def sigma_p(l_norm: float, theta_tilde: float, delta: float) -> float:
 # -- approach-angle profiles -----------------------------------------------
 
 
+# The keys of each profile kind's spec besides ``kind``: the DeltaProfile
+# fields that kind reads.  A key the spec leaves out takes the field default.
+_PROFILE_KEYS = {"constant": ("delta0",), "tanh": ("amplitude", "gain"),
+                 "custom": ("table_l", "table_delta")}
+
+
 @dataclass(frozen=True)
 class DeltaProfile:
     """Commanded heading error as a function of the normalized offset.
@@ -202,8 +208,9 @@ class DeltaProfile:
     def constant(cls, delta0: float) -> "DeltaProfile":
         return cls(kind="constant", delta0=delta0)
 
+    # The defaults are the fields' own: here the class body's names hold them.
     @classmethod
-    def tanh(cls, amplitude: float = HALF_PI, gain: float = 1.0) -> "DeltaProfile":
+    def tanh(cls, amplitude: float = amplitude, gain: float = gain) -> "DeltaProfile":
         return cls(kind="tanh", amplitude=amplitude, gain=gain)
 
     @classmethod
@@ -243,24 +250,26 @@ class DeltaProfile:
 
     def spec(self) -> dict:
         out = {"kind": self.kind}
-        if self.kind == "constant":
-            out["delta0"] = self.delta0
-        elif self.kind == "tanh":
-            out["amplitude"] = self.amplitude
-            out["gain"] = self.gain
-        else:
-            out["table_l"] = list(self.table_l)
-            out["table_delta"] = list(self.table_delta)
+        for key in _PROFILE_KEYS[self.kind]:
+            value = getattr(self, key)
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
     @classmethod
-    def from_spec(cls, spec: dict) -> "DeltaProfile":
-        kind = spec["kind"]
-        if kind == "constant":
-            return cls.constant(float(spec["delta0"]))
-        if kind == "tanh":
-            return cls.tanh(float(spec.get("amplitude", HALF_PI)), float(spec.get("gain", 1.0)))
-        return cls.custom(spec["table_l"], spec["table_delta"])
+    def from_spec(cls, spec: Any) -> "DeltaProfile":
+        """The profile of a ``controller.delta_profile`` block, as ``spec()``
+        writes it; ``_read_kind`` names the key of each error."""
+        kind, values = _read_kind(spec, "controller.delta_profile", _PROFILE_KEYS, _profile_value)
+        return cls(kind, **values)
+
+
+def _profile_value(name: str, value: Any) -> Any:
+    """A profile spec's value: a table (a custom key) item by item, else a number."""
+    if name.rpartition(".")[2] not in _PROFILE_KEYS["custom"]:
+        return _number(name, value)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(name, v) for v in value)
 
 
 def curvature_feasible(

@@ -33,6 +33,7 @@ from .path_geometry import (
     PathError,
     SingularProjection,
     _number,
+    _pop,
     build_path,
 )
 
@@ -126,55 +127,40 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
-        """Build a scenario; a key the dict leaves out takes the field default,
-        and one the dict form does not have raises ValueError naming it."""
-        default = {f.name: f.default for f in fields(cls)}
-        data = _known("", data)
-        # Every scalar goes through _number(), so a null or a value that is
-        # not a number raises ValueError naming its key, here, and not
-        # TypeError in a comparison later.
+        """Build a scenario; a key the dict leaves out takes the field default.
+        A missing path, a key the dict form does not have or a value its reader
+        rejects raises ValueError naming it, here, and not TypeError later."""
+        data = dict(_known("", data))
+        path = _pop(data, "path", "")
         vehicle = VehicleParams(**_numbers("vehicle", data.get("vehicle", {})))
         given = data.get("controller", {})
         # radius is always derived from the axle length.
         ctl = _numbers("controller", given, skip=("delta_profile", "radius"))
-        profile_spec = given.get("delta_profile")
-        if profile_spec:
-            ctl["delta_profile"] = _profile(profile_spec)
-        control = ControllerConfig(radius=vehicle.R, **ctl)
+        if "delta_profile" in given:
+            ctl["delta_profile"] = DeltaProfile.from_spec(given["delta_profile"])
+        values = {key: read(key, data[key]) for key, read in _SCALARS.items() if key in data}
         user = _numbers("user", data.get("user", {}))
+        values.update((name, user[key]) for key, name in _USER.items() if key in user)
+        values["user_torques"] = tuple(
+            user.get(key, default) for key, default in zip(_TORQUES, cls.user_torques)
+        )
         init_pose = data.get("initial_pose")
         init_frenet = data.get("initial_frenet")
         if isinstance(init_frenet, Mapping):
             frenet = _numbers("initial_frenet", init_frenet)
-            init_frenet = (frenet.get("s", 0.0), frenet["l_norm"], frenet["theta_tilde"])
+            init_frenet = (frenet.get(_FRENET[0], 0.0),
+                           *(_pop(frenet, key, "initial_frenet") for key in _FRENET[1:]))
         elif init_frenet is not None:
             init_frenet = tuple(_number("initial_frenet", v) for v in init_frenet)
         if init_pose:
             init_pose = tuple(_number("initial_pose", v) for v in init_pose)
         return cls(
-            path_spec=copy.deepcopy(dict(data["path"])),
+            path_spec=copy.deepcopy(path),
             vehicle=vehicle,
-            control=control,
+            control=ControllerConfig(radius=vehicle.R, **ctl),
             initial_pose=init_pose or None,
             initial_frenet=init_frenet,
-            v_user=user.get("v", default["v_user"]),
-            user_torques=(
-                user.get("tau_r", default["user_torques"][0]),
-                user.get("tau_l", default["user_torques"][1]),
-            ),
-            noise_amplitude=user.get("noise_amplitude", default["noise_amplitude"]),
-            dt_control=_number("dt_control", data.get("dt_control", default["dt_control"])),
-            dt_physics=_number("dt_physics", data.get("dt_physics", default["dt_physics"])),
-            t_max=_number("t_max", data.get("t_max", default["t_max"])),
-            mode=str(data.get("mode", default["mode"])),
-            brake_model=str(data.get("brake_model", default["brake_model"])),
-            seed=_number("seed", data.get("seed", default["seed"]), int),
-            stop_when_converged=bool(
-                data.get("stop_when_converged", default["stop_when_converged"])
-            ),
-            converged_hold=_number(
-                "converged_hold", data.get("converged_hold", default["converged_hold"])
-            ),
+            **values,
         )
 
     def to_dict(self) -> dict:
@@ -185,28 +171,15 @@ class Scenario:
                 k: v for k, v in self.control.spec().items() if k != "radius"
             },
             "user": {
-                "v": self.v_user,
-                "tau_r": self.user_torques[0],
-                "tau_l": self.user_torques[1],
-                "noise_amplitude": self.noise_amplitude,
+                **{key: getattr(self, name) for key, name in _USER.items()},
+                **dict(zip(_TORQUES, self.user_torques)),
             },
-            "dt_control": self.dt_control,
-            "dt_physics": self.dt_physics,
-            "t_max": self.t_max,
-            "mode": self.mode,
-            "brake_model": self.brake_model,
-            "seed": self.seed,
-            "stop_when_converged": self.stop_when_converged,
-            "converged_hold": self.converged_hold,
+            **{key: getattr(self, key) for key in _SCALARS},
         }
         if self.initial_pose is not None:
             out["initial_pose"] = list(self.initial_pose)
         if self.initial_frenet is not None:
-            out["initial_frenet"] = {
-                "s": self.initial_frenet[0],
-                "l_norm": self.initial_frenet[1],
-                "theta_tilde": self.initial_frenet[2],
-            }
+            out["initial_frenet"] = dict(zip(_FRENET, self.initial_frenet))
         return out
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "Scenario":
@@ -227,8 +200,8 @@ class Scenario:
             key = None
         last_key, path = _last_path
         if key is None or key != last_key:
-            spec = self.path_spec
-            path = build_path(spec["segments"], spec.get("start_pose", (0, 0, 0)))
+            spec = dict(_known("path", self.path_spec))  # a key left out: build_path's default
+            path = build_path(spec.pop("segments", ()), **spec)
             if key is not None:
                 _last_path = (key, path)
         return path
@@ -293,7 +266,7 @@ class Scenario:
             issues.append(("error", "controller radius must equal the vehicle's d/2"))
         try:
             path = self.build_path()
-        except (PathError, ValueError, KeyError) as exc:
+        except (PathError, ValueError) as exc:
             issues.append(("error", f"path: {exc}"))
             return issues, None
         if self.initial_frenet is not None and not (
@@ -327,16 +300,44 @@ class Scenario:
         return VehicleState.from_body_rates(x, y, th, self.v_user, 0.0, self.vehicle)
 
 
-# The keys of the dict form, by block ("" is the top level; path is unchecked).
+def _flag(key: str, value: Any) -> bool:
+    """``value`` when it is a bool, else ValueError naming ``key``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _integer(key: str, value: Any) -> int:
+    """``value`` as an int when it is an integral number (a bool is not one),
+    else ValueError naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+# The top-level scalars of the dict form, each the Scenario field of the same
+# name, and the reader that turns the dict's value into the field's.
+_SCALARS = {"dt_control": _number, "dt_physics": _number, "t_max": _number,
+            "mode": lambda _, value: str(value), "brake_model": lambda _, value: str(value),
+            "seed": _integer, "stop_when_converged": _flag, "converged_hold": _number}
+# The user block: each scalar key's Scenario field; the torques fill user_torques.
+_USER = {"v": "v_user", "noise_amplitude": "noise_amplitude"}
+_TORQUES = ("tau_r", "tau_l")
+# The initial_frenet block, in field order; s is 0.0 when left out.
+_FRENET = ("s", "l_norm", "theta_tilde")
+
+# The keys of the dict form, by block ("" is the top level; the segments
+# and the delta_profile block check their own).
 _KEYS = {
-    "": {"path", "vehicle", "controller", "user", "initial_pose", "initial_frenet",
-         "dt_control", "dt_physics", "t_max", "mode", "brake_model", "seed",
-         "stop_when_converged", "converged_hold"},
+    "": {*_SCALARS, "path", "vehicle", "controller", "user", "initial_pose",
+         "initial_frenet"},
+    "path": {"segments", "start_pose"},
     "vehicle": {f.name for f in fields(VehicleParams)},
     "controller": {f.name for f in fields(ControllerConfig)},
-    "controller.delta_profile": {f.name for f in fields(DeltaProfile)},
-    "user": {"v", "tau_r", "tau_l", "noise_amplitude"},
-    "initial_frenet": {"s", "l_norm", "theta_tilde"},
+    "user": {*_USER, *_TORQUES},
+    "initial_frenet": set(_FRENET),
 }
 
 
@@ -356,24 +357,6 @@ def _numbers(block: str, given: Any, skip: Sequence[str] = ()) -> dict[str, floa
     out; ``_known`` rejects any key the block does not have."""
     return {k: _number(f"{block}.{k}", v) for k, v in _known(block, given).items()
             if k not in skip}
-
-
-def _profile(given: Any) -> DeltaProfile:
-    """The ``controller.delta_profile`` block as a DeltaProfile: ``_known``
-    rejects a key it does not have, and every value but ``kind`` goes
-    through ``_number``, a table item by item."""
-    block = "controller.delta_profile"
-    spec = {}
-    for key, value in _known(block, given).items():
-        if key == "kind":
-            spec[key] = value
-        elif key in ("table_l", "table_delta"):
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{block}.{key} must be a list of numbers, got {value!r}")
-            spec[key] = [_number(f"{block}.{key}", v) for v in value]
-        else:
-            spec[key] = _number(f"{block}.{key}", value)
-    return DeltaProfile.from_spec(spec)
 
 
 def apply_overrides(data: dict, overrides: Mapping[str, Any]) -> dict:

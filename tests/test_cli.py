@@ -243,6 +243,31 @@ def test_demo_rejects_a_bad_scalar_in_one_line(tmp_path, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override, message", [
+    ("controller.delta_profile.kind=tanhh",
+     "controller.delta_profile.kind must be one of constant, tanh, custom, got 'tanhh'"),
+    ("stop_when_converged=no", "stop_when_converged must be true or false, got 'no'"),
+])
+def test_demo_rejects_an_unknown_profile_kind_or_a_non_bool_in_one_line(
+    tmp_path, capsys, override, message
+):
+    # The kind used to end in a bare KeyError ("error: 'table_l'"), and "no"
+    # to read as True.
+    out = tmp_path / "o"
+    assert main(["demo", "--set", override, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_demo_rejects_a_curvature_on_a_line(tmp_path, capsys):
+    # The curvature used to be zeroed, and the demo ran on a straight line.
+    out = tmp_path / "o"
+    assert main(["demo", "--set", "path.segments.0.curvature=0.5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: path: path.segments.0.curvature is not a key of kind line\n"
+    )
+
+
 def test_demo_overrides_a_segment_by_its_index(tmp_path):
     # A list in the key used to die with AttributeError: no setdefault.
     out = tmp_path / "o"

@@ -384,6 +384,12 @@ def test_profile_spec_round_trip():
         assert DeltaProfile.from_spec(prof.spec()) == prof
 
 
+def test_tanh_and_an_absent_spec_key_take_the_field_defaults():
+    assert DeltaProfile.tanh() == DeltaProfile("tanh")
+    assert DeltaProfile.from_spec({"kind": "tanh", "gain": 2.0}) == DeltaProfile("tanh", gain=2.0)
+    assert DeltaProfile.from_spec({"kind": "constant"}) == DeltaProfile("constant")
+
+
 def test_constant_profile_feasible_everywhere():
     feasible, l_hat = curvature_feasible(DeltaProfile.constant(PI / 3), 1.0, 0.3)
     assert feasible and l_hat == math.inf

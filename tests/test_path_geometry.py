@@ -1,11 +1,14 @@
 import bisect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from brakesteer.path_geometry import (
+    _CLOTHOID_NODE_STEP,
+    MAX_CLOTHOID_NODES,
     AmbiguousProjection,
     ContinuityError,
     EmptyPath,
@@ -148,6 +151,25 @@ def test_nonfinite_segment_start_pose_rejected():
     with pytest.raises(ValueError, match="segment start_pose must be finite"):
         build_path([{"kind": "line", "length": 5},
                     {"kind": "clothoid", "length": 1, "curvature_end": 0.5, "start_pose": given}])
+
+
+def test_a_clothoid_over_the_node_cap_is_rejected_before_it_integrates():
+    # A 1e300 m clothoid used to integrate nodes without end, and a 1e5 m
+    # one took about 5 s; the largest length overflows length / step.
+    at_cap = MAX_CLOTHOID_NODES * _CLOTHOID_NODE_STEP
+    path = build_path([{"kind": "clothoid", "length": at_cap, "curvature_end": 1e-3}])
+    assert len(path.segments[0]._node_xy) == MAX_CLOTHOID_NODES + 1
+    for length in (at_cap * (1.0 + 1e-12), 1e300, sys.float_info.max):
+        with pytest.raises(ValueError, match=f"at most {MAX_CLOTHOID_NODES:,} are allowed"):
+            build_path([{"kind": "clothoid", "length": length, "curvature_end": 1e-3}])
+
+
+@pytest.mark.parametrize("c", [5e-324, -1e-310])
+def test_an_arc_whose_radius_overflows_is_rejected(c):
+    # Such an arc used to build, and a run on it stopped after one row as
+    # nonfinite_state.
+    with pytest.raises(ValueError, match=f"arc curvature {c!r} is too small"):
+        build_path([{"kind": "arc", "length": 1.0, "curvature": c}])
 
 
 # -- pose_at / curvature ---------------------------------------------------

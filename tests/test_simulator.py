@@ -1,10 +1,11 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from brakesteer.analysis import summarize
 from brakesteer.simulator import (
@@ -634,6 +635,189 @@ def test_to_dict_from_dict_round_trip(sc):
     again = Scenario.from_dict(sc.to_dict())
     assert again == sc
     assert again.to_dict() == sc.to_dict()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("path.segments.1.curvature_ned", -0.6, "unknown key path.segments.1.curvature_ned"),
+    ("path.segments.0.lenght", 15.0, "unknown key path.segments.0.lenght"),
+    ("path.foo", 1, "unknown key path.foo"),
+    ("path.segments.0.curvature", 0.5, "path.segments.0.curvature is not a key of kind line"),
+    ("path.segments.2.curvature_start", 0.9,
+     "path.segments.2.curvature_start is not a key of kind arc"),
+    ("path.segments.0.kind", "Line",
+     "path.segments.0.kind must be one of line, arc, clothoid, got 'Line'"),
+    ("path.segments", 5, "path.segments must be a list, got 5"),
+    ("path", 5, "path must be a mapping, got 5"),
+])
+def test_validate_rejects_a_misspelt_unknown_or_foreign_path_key(key, value, message):
+    # Each used to validate with no issue: the key was dropped, a line's
+    # curvature zeroed, an arc's curvature_start ignored, the kind lowered.
+    sc = build_demo_scenario().with_overrides({key: value})
+    assert sc.validate() == [("error", f"path: {message}")]
+
+
+@pytest.mark.parametrize("key", ["kind", "length"])
+def test_validate_names_a_missing_segment_key(key):
+    data = build_demo_scenario().to_dict()
+    del data["path"]["segments"][1][key]
+    assert Scenario.from_dict(data).validate() == [
+        ("error", f"path: missing key path.segments.1.{key}")
+    ]
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("path.segments.2.curvature", 5e-324,
+     "arc curvature 5e-324 is too small: its radius 1/c is not finite"),
+    ("path.segments.1.length", 1e300,
+     "clothoid of length 1e+300 needs 2e+301 integration nodes; at most 100,000 are allowed"),
+])
+def test_validate_rejects_an_arc_radius_overflow_and_a_clothoid_over_the_node_cap(
+    key, value, message
+):
+    # The arc used to validate and stop after one row as nonfinite_state;
+    # the clothoid, to integrate nodes without end.
+    sc = build_demo_scenario().with_overrides({key: value})
+    assert sc.validate() == [("error", f"path: {message}")]
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"kind": "tanhh"},
+     "controller.delta_profile.kind must be one of constant, tanh, custom, got 'tanhh'"),
+    ({"kind": ["tanh"]},
+     "controller.delta_profile.kind must be one of constant, tanh, custom, got ['tanh']"),
+    ({"kind": "constant", "delta0": 0.5, "gain": 1.0},
+     "controller.delta_profile.gain is not a key of kind constant"),
+    ({"kind": "tanh", "table_l": [0.0, 1.0]},
+     "controller.delta_profile.table_l is not a key of kind tanh"),
+])
+def test_from_dict_rejects_an_unknown_profile_kind_or_a_key_of_another_kind(profile, message):
+    # An unknown kind used to be read as custom and die with KeyError 'table_l'.
+    data = build_demo_scenario().to_dict()
+    data["controller"]["delta_profile"] = profile
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(data)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("stop_when_converged", "no", "stop_when_converged must be true or false, got 'no'"),
+    ("stop_when_converged", None, "stop_when_converged must be true or false, got None"),
+    ("stop_when_converged", 1, "stop_when_converged must be true or false, got 1"),
+    ("seed", 1.7, "seed must be an integer, got 1.7"),
+    ("seed", True, "seed must be a number, got True"),
+    ("seed", "1", "seed must be a number, got '1'"),
+    ("seed", math.inf, "seed must be an integer, got inf"),
+])
+def test_from_dict_does_not_coerce_a_bool_or_a_seed(key, value, message):
+    # "no" used to read as True, null as False, and 1.7 and true as seed 1.
+    data = build_demo_scenario().to_dict()
+    data[key] = value
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_from_dict_reads_an_integral_seed_as_an_int():
+    data = build_demo_scenario().to_dict()
+    data["seed"] = 3.0
+    seed = Scenario.from_dict(data).seed
+    assert seed == 3 and type(seed) is int
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"path": None}, "missing key path"),
+    ({"controller": {"delta_profile": {"gain": 2.0}}},
+     "missing key controller.delta_profile.kind"),
+    ({"initial_pose": None, "initial_frenet": {"s": 1.0, "theta_tilde": 0.0}},
+     "missing key initial_frenet.l_norm"),
+    ({"initial_pose": None, "initial_frenet": {"l_norm": 1.0}},
+     "missing key initial_frenet.theta_tilde"),
+])
+def test_from_dict_names_a_missing_key(patch, message):
+    # A missing path used to raise a bare KeyError, printed as "error: 'path'".
+    data = build_demo_scenario().to_dict()
+    data.update(patch)
+    data = {k: v for k, v in data.items() if v is not None}
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(data)
+    assert str(exc.value) == message
+
+
+_finite = st.floats(-5.0, 5.0, allow_nan=False)
+
+
+def _optional(draw, block: dict, key: str, strategy) -> None:
+    """Put a drawn value for ``key`` in ``block``, or leave the key out."""
+    if draw(st.booleans()):
+        block[key] = draw(strategy)
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Valid scenario dicts, one key of each block or kind after another,
+    every optional key sometimes left out."""
+    segments = []
+    for kind in draw(st.lists(st.sampled_from(["line", "arc", "clothoid"]), min_size=1,
+                              max_size=3)):
+        segment = {"kind": kind, "length": draw(st.floats(0.5, 5.0))}
+        if kind == "arc":
+            segment["curvature"] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1, 1]))
+        elif kind == "clothoid":
+            _optional(draw, segment, "curvature_start", st.floats(-1.0, 1.0))
+            _optional(draw, segment, "curvature_end", st.floats(-1.0, 1.0))
+        segments.append(segment)
+    data = {"path": {"segments": segments}}
+    _optional(draw, data["path"], "start_pose", st.tuples(_finite, _finite, _finite).map(list))
+    profile = {"kind": draw(st.sampled_from(["constant", "tanh", "custom"]))}
+    if profile["kind"] == "constant":
+        _optional(draw, profile, "delta0", st.floats(0.0, 3.0))
+    elif profile["kind"] == "tanh":
+        _optional(draw, profile, "amplitude", st.floats(0.1, 3.0))
+        _optional(draw, profile, "gain", st.floats(0.1, 10.0))
+    else:
+        profile["table_l"] = [0.0, draw(st.floats(0.1, 2.0))]
+        profile["table_delta"] = [0.0, draw(st.floats(0.0, 3.0))]
+    data["controller"] = {"delta_profile": profile}
+    _optional(draw, data["controller"], "eps_theta", st.floats(0.01, 0.1))
+    _optional(draw, data, "vehicle", st.fixed_dictionaries({"d": st.floats(0.3, 1.0)}))
+    user = {}
+    _optional(draw, user, "v", st.floats(0.5, 2.0))
+    _optional(draw, user, "tau_r", _finite)
+    _optional(draw, user, "tau_l", _finite)
+    _optional(draw, user, "noise_amplitude", st.floats(0.0, 0.5))
+    _optional(draw, data, "user", st.just(user))
+    for key, strategy in [
+        ("dt_control", st.floats(0.01, 0.05)), ("dt_physics", st.floats(0.0005, 0.01)),
+        ("t_max", st.floats(0.1, 5.0)), ("mode", st.sampled_from(["kinematic", "dynamic"])),
+        ("brake_model", st.sampled_from(["instant", "viscous"])),
+        ("seed", st.integers(0, 2**40)), ("stop_when_converged", st.booleans()),
+        ("converged_hold", st.floats(0.0, 3.0)),
+    ]:
+        _optional(draw, data, key, strategy)
+    if draw(st.booleans()):
+        data["initial_pose"] = draw(st.tuples(_finite, _finite, _finite).map(list))
+    else:
+        frenet = {"l_norm": draw(_finite), "theta_tilde": draw(st.floats(-3.0, 3.0))}
+        _optional(draw, frenet, "s", st.floats(0.0, 0.5))
+        data["initial_frenet"] = frenet
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario_dicts())
+def test_every_valid_dict_round_trips_through_the_key_tables(data):
+    sc = Scenario.from_dict(data)
+    out = sc.to_dict()
+    # from_dict rejects a key it does not read, so every key to_dict
+    # writes is one it reads; and the drawn path builds.
+    again = Scenario.from_dict(out)
+    assert again == sc and again.to_dict() == out
+    assert not [msg for _, msg in sc.validate() if msg.startswith("path:")]
+    # A key the dict leaves out takes the field default.
+    default = Scenario(path_spec={})
+    for f in fields(Scenario):
+        if f.name in out and f.name not in data:
+            assert getattr(sc, f.name) == getattr(default, f.name)
 
 
 def test_demo_scenario_converges():
