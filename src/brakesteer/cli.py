@@ -43,12 +43,10 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 
 
 def _finalize_scenario(data: dict, args: argparse.Namespace) -> Scenario:
-    overrides = dict(kv.split("=", 1) for kv in (args.set or []))
-    apply_overrides(data, overrides)
-    if getattr(args, "mode", None):
-        data["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
-        data["seed"] = args.seed
+    for item in args.set or []:
+        if "=" not in item:
+            raise ValueError(f"--set {item!r} is not KEY=VALUE")
+    apply_overrides(data, dict(item.split("=", 1) for item in args.set or []))
     return Scenario.from_dict(data)
 
 
@@ -187,10 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="dotted-key override, repeatable")
-        p.add_argument("--mode", choices=["kinematic", "dynamic"], default=None)
+                       help="dotted-key override of any scenario value, repeatable")
 
     p_sim = sub.add_parser("simulate", help="run one scenario")
     add_common(p_sim)

@@ -270,10 +270,10 @@ class PathSegment:
         return x, y
 
 
-def _number(key: str, value: Any, kind: type = float) -> Any:
-    """``kind(value)``, or ValueError naming ``key`` for a null or a non-number."""
+def _number(key: str, value: Any) -> float:
+    """``float(value)``, or ValueError naming ``key`` for a null or a non-number."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{key} must be a number, got {value!r}") from None
 
@@ -641,7 +641,14 @@ class Path:
         seg: PathSegment, x: float, y: float, ua: float, ub: float
     ) -> tuple[list[float], float]:
         """The arc's nearest points to the pose on ``[ua, ub]`` and the
-        pose's distance ``rho`` from the arc's center."""
+        pose's distance ``rho`` from the arc's center.
+
+        The nearest points are the stationary points ``u0 + k * period``
+        within 1e-12 of the window, each clamped to it.  A window of one
+        period ``2 * pi / |c|`` or more holds the same point of the circle
+        once a period, so it is offered once: the first such point at or
+        after ``ua``, found without a loop over ``k`` (the first offer wins
+        a tie, so a later copy could only lose)."""
         c = seg.curvature_start
         x0, y0, th0 = seg.start_pose
         cos0, sin0 = seg._dir
@@ -655,6 +662,9 @@ class Path:
         th_target = phi + math.copysign(0.5 * math.pi, c)
         u0 = wrap_angle(th_target - th0) / c
         period = TWO_PI / abs(c)
+        if (ub - ua) * abs(c) >= TWO_PI:
+            u = ua + (u0 - ua) % period
+            return [ub if ub < u else u], rho
         out = []
         k_min = math.floor((ua - u0) / period) - 1
         k_max = math.ceil((ub - u0) / period) + 1

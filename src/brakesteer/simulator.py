@@ -34,6 +34,7 @@ from .path_geometry import (
     SingularProjection,
     _number,
     _pop,
+    _pose,
     build_path,
 )
 
@@ -134,8 +135,7 @@ class Scenario:
         path = _pop(data, "path", "")
         vehicle = VehicleParams(**_numbers("vehicle", data.get("vehicle", {})))
         given = data.get("controller", {})
-        # radius is always derived from the axle length.
-        ctl = _numbers("controller", given, skip=("delta_profile", "radius"))
+        ctl = _numbers("controller", given, skip=("delta_profile",))
         if "delta_profile" in given:
             ctl["delta_profile"] = DeltaProfile.from_spec(given["delta_profile"])
         values = {key: read(key, data[key]) for key, read in _SCALARS.items() if key in data}
@@ -144,22 +144,18 @@ class Scenario:
         values["user_torques"] = tuple(
             user.get(key, default) for key, default in zip(_TORQUES, cls.user_torques)
         )
-        init_pose = data.get("initial_pose")
-        init_frenet = data.get("initial_frenet")
-        if isinstance(init_frenet, Mapping):
-            frenet = _numbers("initial_frenet", init_frenet)
-            init_frenet = (frenet.get(_FRENET[0], 0.0),
-                           *(_pop(frenet, key, "initial_frenet") for key in _FRENET[1:]))
-        elif init_frenet is not None:
-            init_frenet = tuple(_number("initial_frenet", v) for v in init_frenet)
-        if init_pose:
-            init_pose = tuple(_number("initial_pose", v) for v in init_pose)
+        if data.get("initial_pose") is not None:
+            values["initial_pose"] = _pose("initial_pose", data["initial_pose"])
+        if data.get("initial_frenet") is not None:
+            frenet = _numbers("initial_frenet", data["initial_frenet"])
+            values["initial_frenet"] = (frenet.get(_FRENET[0], 0.0),
+                                        *(_pop(frenet, key, "initial_frenet")
+                                          for key in _FRENET[1:]))
         return cls(
             path_spec=copy.deepcopy(path),
             vehicle=vehicle,
+            # R is always vehicle.d / 2, as VehicleParams.R derives it.
             control=ControllerConfig(radius=vehicle.R, **ctl),
-            initial_pose=init_pose or None,
-            initial_frenet=init_frenet,
             **values,
         )
 
@@ -227,7 +223,8 @@ class Scenario:
         if self.mode not in ("kinematic", "dynamic"):
             issues.append(("error", f"unknown mode {self.mode!r}"))
         if self.brake_model not in ("instant", "viscous"):
-            issues.append(("error", f"unknown brake model {self.brake_model!r}"))
+            issues.append(("error", f"unknown brake model {self.brake_model!r}: "
+                                    "brake_model must be instant or viscous"))
         substeps = 1.0
         if self.mode == "dynamic" and dt_ok:
             if not 0.0 < self.dt_physics <= self.dt_control:
@@ -258,10 +255,16 @@ class Scenario:
             issues.append(("error", "noise_amplitude must be nonnegative and finite"))
         if not 0.0 <= self.converged_hold < math.inf:
             issues.append(("error", "converged_hold must be nonnegative and finite"))
+        if self.seed < 0:
+            issues.append(("error", f"seed must be nonnegative, got {self.seed!r}"))
+        name = "initial_pose" if self.initial_frenet is None else "initial_frenet"
+        start = getattr(self, name)
         if (self.initial_pose is None) == (self.initial_frenet is None):
             issues.append(("error", "give exactly one of initial_pose / initial_frenet"))
-        elif not all(math.isfinite(v) for v in self.initial_pose or self.initial_frenet):
-            issues.append(("error", "initial condition must be finite"))
+        elif len(start) != 3:
+            issues.append(("error", f"{name} must be three values, got {start!r}"))
+        elif not all(math.isfinite(v) for v in start):
+            issues.append(("error", f"initial condition {name} must be finite"))
         if abs(self.control.radius - self.vehicle.R) > 1e-12:
             issues.append(("error", "controller radius must equal the vehicle's d/2"))
         try:
@@ -269,7 +272,7 @@ class Scenario:
         except (PathError, ValueError) as exc:
             issues.append(("error", f"path: {exc}"))
             return issues, None
-        if self.initial_frenet is not None and not (
+        if self.initial_frenet is not None and len(self.initial_frenet) == 3 and not (
             0.0 <= self.initial_frenet[0] <= path.total_length
         ):
             issues.append(("error", "initial_frenet.s outside the path domain"))
@@ -335,7 +338,7 @@ _KEYS = {
          "initial_frenet"},
     "path": {"segments", "start_pose"},
     "vehicle": {f.name for f in fields(VehicleParams)},
-    "controller": {f.name for f in fields(ControllerConfig)},
+    "controller": {f.name for f in fields(ControllerConfig)} - {"radius"},
     "user": {*_USER, *_TORQUES},
     "initial_frenet": set(_FRENET),
 }
@@ -539,11 +542,10 @@ class SweepResult:
     error: Optional[str] = None
 
 
-def _sweep_one(args: tuple[dict, dict]) -> SweepResult:
-    base_data, overrides = args
+def _sweep_one(args: tuple[Scenario, dict]) -> SweepResult:
+    base, overrides = args
     try:
-        scenario = Scenario.from_dict(apply_overrides(copy.deepcopy(base_data), overrides))
-        trace = run(scenario)
+        trace = run(base.with_overrides(overrides))
         return SweepResult(
             overrides=dict(overrides), summary=summarize(trace), error=abort_reason(trace)
         )
@@ -559,7 +561,7 @@ def sweep(
     """Run the scenario once per override set, in deterministic grid order."""
     if not grid:
         raise ValueError("sweep grid is empty")
-    jobs = [(base.to_dict(), dict(ov)) for ov in grid]
+    jobs = [(base, dict(ov)) for ov in grid]
     if parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -611,10 +613,6 @@ def build_demo_scenario() -> Scenario:
                 ],
             },
             "initial_pose": [1.0, 5.0, 0.0],
-            "user": {"v": 1.0},
             "dt_control": 0.01,
-            "t_max": 60.0,
-            "mode": "kinematic",
-            "seed": 0,
         }
     )

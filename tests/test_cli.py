@@ -259,6 +259,47 @@ def test_demo_rejects_an_unknown_profile_kind_or_a_non_bool_in_one_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["initial_pose=5"], "initial_pose must be three numbers, got 5"),
+    (["initial_pose=[1,2]"], "initial_pose must be three numbers, got [1, 2]"),
+    (["controller.radius=abc"], "unknown key controller.radius"),
+    (["foo"], "--set 'foo' is not KEY=VALUE"),
+    (["seed=-1", "user.noise_amplitude=0.1"], "seed must be nonnegative, got -1"),
+])
+def test_demo_rejects_a_value_that_skipped_its_check_in_one_line(
+    tmp_path, capsys, overrides, message
+):
+    # initial_pose=5 used to end in a TypeError traceback, [1,2] to fail to
+    # unpack in run, controller.radius=abc to be dropped, foo to read
+    # "dictionary update sequence element #0 has length 1; 2 is required",
+    # and seed -1 to raise numpy's "expected non-negative integer" mid-run.
+    out = tmp_path / "o"
+    argv = ["demo", "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--mode=dynamic", "--seed=1"])
+def test_set_is_the_one_override(tmp_path, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", option, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_demo_on_a_1e300_curvature_arc_ends(tmp_path):
+    # The arc projection used to loop over each of its ~1e299 periods.
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="cannot hold this curvature"):
+        code = main(["demo", "--set", "path.segments.2.curvature=1e300", "--set", "t_max=1",
+                     "--out", str(out)])
+    assert code in (0, 2)
+    assert (out / "trace.csv").exists()
+
+
 def test_demo_rejects_a_curvature_on_a_line(tmp_path, capsys):
     # The curvature used to be zeroed, and the demo ran on a straight line.
     out = tmp_path / "o"

@@ -948,3 +948,91 @@ def test_global_projection_returns_python_floats():
     f = path.frenet_project((20.197401659079283, 1.092016168567227, 0.3819557256764625))
     assert [type(v) for v in (f.s, f.l, f.theta_tilde)] == [float, float, float]
     assert f.s == 17.99677956757714
+
+
+# -- arc offers ------------------------------------------------------------
+
+
+def arc_offers_by_loop(seg, x, y, ua, ub):
+    """The arc's offers as a loop over every period near ``[ua, ub]``: the
+    stationary points ``u0 + k * period`` within 1e-12 of the window, each
+    clamped to it.  Its cost grows with the window's length in periods."""
+    c = seg.curvature_start
+    x0, y0, th0 = seg.start_pose
+    cos0, sin0 = seg._dir
+    cx, cy = x0 - sin0 / c, y0 + cos0 / c
+    phi = math.atan2(y - cy, x - cx)
+    u0 = wrap_angle(phi + math.copysign(0.5 * math.pi, c) - th0) / c
+    period = 2.0 * math.pi / abs(c)
+    out = []
+    for k in range(math.floor((ua - u0) / period) - 1, math.ceil((ub - u0) / period) + 2):
+        u = u0 + k * period
+        if ua - 1e-12 <= u <= ub + 1e-12:
+            u = ua if ua > u else u
+            out.append(ub if ub < u else u)
+    return out
+
+
+@st.composite
+def arc_windows(draw, periods):
+    """An arc segment, a pose off its center and a window ``[ua, ub]`` of
+    ``periods`` (a strategy of fractions) periods; one end sometimes lies
+    within 1e-12 of a stationary point."""
+    c = draw(st.floats(0.05, 12.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    start = (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)), draw(st.floats(-4.0, 4.0)))
+    seg = build_path([{"kind": "arc", "length": 10.0, "curvature": c}],
+                     start_pose=start).segments[0]
+    x, y = draw(st.floats(-8.0, 8.0)), draw(st.floats(-8.0, 8.0))
+    period = 2.0 * math.pi / abs(c)
+    width = draw(periods) * period
+    if draw(st.booleans()):
+        ua = draw(st.floats(0.0, 5.0))
+    else:
+        points = arc_offers_by_loop(seg, x, y, 1.0, 1.0 + period)
+        edge = points[0] + draw(st.sampled_from([-1e-12, -5e-13, 0.0, 5e-13, 1e-12]))
+        ua = edge if draw(st.booleans()) else edge - width
+    return seg, x, y, ua, ua + width
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_windows(st.floats(0.0, 1.0, exclude_max=True)))
+def test_a_short_arc_window_offers_what_the_loop_over_periods_offers_bitwise(query):
+    seg, x, y, ua, ub = query
+    assume(abs(seg.curvature_start) * (ub - ua) < 2.0 * math.pi)
+    assume(math.hypot(x - seg.start_pose[0] + seg._dir[1] / seg.curvature_start,
+                      y - seg.start_pose[1] - seg._dir[0] / seg.curvature_start) >= 1e-15)
+    got = Path._project_arc(seg, x, y, ua, ub)[0]
+    want = arc_offers_by_loop(seg, x, y, ua, ub)
+    assert [u.hex() for u in got] == [u.hex() for u in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_windows(st.floats(1.0, 4.0)))
+def test_a_long_arc_window_offers_its_first_stationary_point_once(query):
+    # Every stationary point in a window of a period or more is the same
+    # point of the circle, so the window offers one: the first at or after
+    # ua, which wins a tie with any later copy.
+    seg, x, y, ua, ub = query
+    c = seg.curvature_start
+    assume(abs(c) * (ub - ua) >= 2.0 * math.pi)
+    (u,) = Path._project_arc(seg, x, y, ua, ub)[0]
+    assert ua <= u <= ub
+    assert u <= ua + 2.0 * math.pi / abs(c)
+    loop = arc_offers_by_loop(seg, x, y, ua, ub)
+    px, py = seg.point(u)
+    for v in loop:
+        qx, qy = seg.point(v)
+        assert math.hypot(px - qx, py - qy) < 1e-9 * (1.0 + 1.0 / abs(c))
+
+
+def test_a_window_of_1e299_periods_offers_one_point_without_looping():
+    # The loop over periods took about 1e299 turns here.
+    path = build_path([{"kind": "line", "length": 1.0},
+                       {"kind": "arc", "length": 2.0, "curvature": 1e300}])
+    seg = path.segments[1]
+    offers, _ = Path._project_arc(seg, 1.5, 0.2, 0.25, 0.85)
+    assert len(offers) == 1 and 0.25 <= offers[0] <= 0.85
+    # The arc's center lies 1e-300 m from it, so nearly every pose is
+    # beyond it: the hinted projection ends, and says so.
+    with pytest.raises(SingularProjection):
+        path.frenet_project((1.5, 0.2, 0.0), hint_s=1.5, radius=0.3)

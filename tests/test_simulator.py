@@ -1,6 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
+import tempfile
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brakesteer.analysis import summarize
+from brakesteer.cli import main
 from brakesteer.simulator import (
     MAX_PHYSICS_STEPS,
     Scenario,
@@ -593,7 +599,7 @@ def test_from_dict_defaults_are_the_dataclass_defaults():
     ("vehicle.m", "abc", "vehicle.m must be a number, got 'abc'"),
     ("user.v", None, "user.v must be a number, got None"),
     ("seed", None, "seed must be a number, got None"),
-    ("initial_frenet", [0.0, None, 0.0], "initial_frenet must be a number, got None"),
+    ("initial_frenet", [0.0, None, 0.0], "initial_frenet must be a mapping, got [0.0, None, 0.0]"),
     ("controller.foo", 1, "unknown key controller.foo"),
     ("vehicle.bogus", 1, "unknown key vehicle.bogus"),
     ("vehicle", None, "vehicle must be a mapping, got None"),
@@ -869,3 +875,140 @@ def test_sweep_phase_portraits_spiral_to_origin():
         assert res.summary.final_V < 1e-3
         if res.summary.max_V > 0.0:
             assert res.summary.final_V < res.summary.max_V
+
+
+# -- one way in for each value -----------------------------------------------
+
+
+@pytest.mark.parametrize("value", [5, [1, 2], [], [1, 2, 3, 4], "abc", {"x": 1}])
+def test_from_dict_reads_initial_pose_as_three_numbers(value):
+    # 5 used to die with TypeError, [1, 2] to validate and then fail to
+    # unpack in run, and [] to read as no initial pose at all.
+    with pytest.raises(ValueError) as exc:
+        build_demo_scenario().with_overrides({"initial_pose": value})
+    assert str(exc.value) == f"initial_pose must be three numbers, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [[0, 1], [0.0, 1.0, 0.0], 5])
+def test_from_dict_reads_initial_frenet_as_a_mapping_only(value):
+    # A list used to read as (s, l_norm, theta_tilde), and two numbers validated.
+    with pytest.raises(ValueError) as exc:
+        build_demo_scenario().with_overrides({"initial_pose": None, "initial_frenet": value})
+    assert str(exc.value) == f"initial_frenet must be a mapping, got {value!r}"
+
+
+@pytest.mark.parametrize("name, value", [("initial_pose", (1.0, 2.0)),
+                                         ("initial_frenet", (0.0, 1.0)),
+                                         ("initial_frenet", ())])
+def test_validate_rejects_an_initial_condition_not_of_three_values(name, value):
+    # A Scenario built in code skips from_dict; run used to fail to unpack it.
+    sc = Scenario(path_spec=STRAIGHT["path"], **{name: value})
+    message = f"{name} must be three values, got {value!r}"
+    assert ("error", message) in sc.validate()
+    with pytest.raises(ScenarioInvalid, match=re.escape(message)):
+        run(sc)
+
+
+@pytest.mark.parametrize("value", ["abc", 0.3, 1.0])
+def test_controller_radius_is_not_a_key_of_the_dict_form(value):
+    # It used to be dropped silently, abc included: R is vehicle.d / 2.
+    with pytest.raises(ValueError) as exc:
+        build_demo_scenario().with_overrides({"controller.radius": value})
+    assert str(exc.value) == "unknown key controller.radius"
+    assert build_demo_scenario().with_overrides({"vehicle.d": 0.8}).control.radius == 0.4
+
+
+def test_validate_rejects_a_negative_seed():
+    # A noisy run used to validate, then raise numpy's "expected
+    # non-negative integer" at its first draw.
+    sc = build_demo_scenario().with_overrides({"seed": -1, "user.noise_amplitude": 0.1})
+    assert ("error", "seed must be nonnegative, got -1") in sc.validate()
+    with pytest.raises(ScenarioInvalid, match="seed must be nonnegative"):
+        run(sc)
+
+
+def test_sweep_runs_what_with_overrides_builds():
+    base = build_demo_scenario().with_overrides({"t_max": 3.0})
+    grid = frenet_grid([-1.0, 0.5], [0.0, 1.0], s0=5.0)
+    for res, overrides in zip(sweep(base, grid), grid):
+        want = summarize(run(base.with_overrides(overrides)))
+        assert res.error is None
+        assert {k: v.hex() if isinstance(v, float) else v
+                for k, v in res.summary.as_dict().items()} == {
+            k: v.hex() if isinstance(v, float) else v for k, v in want.as_dict().items()}
+
+
+# The keys the property test below sets, with the odd values it sets them to.
+_MUTABLE_KEYS = [
+    "dt_control", "dt_physics", "t_max", "mode", "brake_model", "seed",
+    "stop_when_converged", "converged_hold",
+    "user", "user.v", "user.noise_amplitude", "user.tau_r", "user.tau_l",
+    "initial_pose", "initial_pose.1", "initial_frenet", "initial_frenet.s",
+    "initial_frenet.l_norm", "initial_frenet.theta_tilde", "controller.radius",
+    "foo", "t_maxx", "user.foo", "initial_frenet.foo",
+]
+_SPECIAL = st.sampled_from([NAN, INF, -INF, 1e300, -1e300, 5e-324])
+_ITEM = st.one_of(st.floats(-5.0, 5.0), _SPECIAL, st.none(), st.booleans(), st.text(max_size=3))
+_ODD_VALUE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=5), _SPECIAL,
+    st.floats(max_value=-5e-324, allow_infinity=False), st.integers(max_value=-1),
+    st.lists(_ITEM, max_size=4),
+    st.dictionaries(st.sampled_from(["s", "l_norm", "theta_tilde", "v", "foo"]), _ITEM,
+                    max_size=3),
+)
+_STOP_PREFIXES = ("projection lost: ", "nonfinite_state: ")
+
+
+def _key_names(data, prefix=""):
+    """Every key of the dict form ``data``, dotted."""
+    for key, value in data.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _key_names(value, f"{prefix}{key}.")
+
+
+_KEY_NAMES = {*_key_names(build_demo_scenario().to_dict()), *_MUTABLE_KEYS,
+              *(f.name for f in fields(Scenario))}
+
+
+def _names_a_key(message):
+    return any(re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", message)
+               for name in _KEY_NAMES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MUTABLE_KEYS), _ODD_VALUE), min_size=1,
+                max_size=3, unique_by=lambda kv: kv[0]))
+def test_a_mutated_demo_is_rejected_naming_a_key_or_runs_to_a_named_stop(mutations):
+    overrides = dict(mutations)
+    t_max = overrides.get("t_max", math.inf)
+    if isinstance(t_max, (int, float)) and t_max > 0.5:
+        overrides["t_max"] = 0.5
+    try:
+        sc = build_demo_scenario().with_overrides(overrides)
+        errors = [msg for level, msg in sc.validate() if level == "error"]
+    except ValueError as exc:
+        errors = [str(exc)]
+    if errors:
+        assert all(_names_a_key(msg) for msg in errors), errors
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            trace = run(sc)
+        reason = trace.meta["stop_reason"]
+        assert reason in ("t_max", "path_end", "converged") or reason.startswith(_STOP_PREFIXES)
+        assert trace.rows
+        for row in trace.rows:
+            assert all(math.isfinite(v) for v in row if isinstance(v, float)), row
+    # The CLI reads the same overrides: apply_overrides parses a string as
+    # JSON, and a JSON text of any other value reads back as that value.
+    argv = ["demo"]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value if isinstance(value, str) else json.dumps(value)}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = main([*argv, "--out", out])
+    assert code == 1 if errors else code in (0, 2)
+    assert "Traceback" not in err.getvalue()
