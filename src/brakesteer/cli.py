@@ -5,7 +5,8 @@ Verbs:
   sweep      run an initial-condition grid, write sweep.csv
   field      dump switching-boundary values and region labels to field.csv
   validate   check a scenario config and report
-  demo       run the built-in demonstration scenario
+  demo       simulate the built-in demonstration scenario, and also write
+             it to scenario.json
 
 Exit codes: 0 success (converged), 1 error, 2 ran but did not converge.
 """
@@ -38,11 +39,12 @@ EXIT_NOT_CONVERGED = 2
 
 
 def _load_scenario(args: argparse.Namespace) -> Scenario:
-    data = json.loads(FilePath(args.config).read_text(encoding="utf-8"))
-    return _finalize_scenario(data, args)
-
-
-def _finalize_scenario(data: dict, args: argparse.Namespace) -> Scenario:
+    """The scenario of ``--config`` (the built-in demo's for ``demo``, which
+    has no such option) with the ``--set`` overrides applied."""
+    if args.config is None:
+        data = build_demo_scenario().to_dict()
+    else:
+        data = json.loads(FilePath(args.config).read_text(encoding="utf-8"))
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set {item!r} is not KEY=VALUE")
@@ -50,35 +52,24 @@ def _finalize_scenario(data: dict, args: argparse.Namespace) -> Scenario:
     return Scenario.from_dict(data)
 
 
-def _write_outputs(trace, out_dir: FilePath) -> bool:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace.write_csv(out_dir / "trace.csv")
-    summary = summarize(trace)
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return summary.converged
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """``simulate``, and ``demo`` as ``simulate`` of the built-in scenario,
+    which also writes that scenario to scenario.json."""
     scenario = _load_scenario(args)
     trace = run(scenario)
-    converged = _write_outputs(trace, FilePath(args.out))
-    print(f"trace rows: {len(trace.rows)}, converged: {converged}")
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
-
-
-def _cmd_demo(args: argparse.Namespace) -> int:
-    data = build_demo_scenario().to_dict()
-    scenario = _finalize_scenario(data, args)
+    summary = summarize(trace)
     out_dir = FilePath(args.out)
-    trace = run(scenario)
-    converged = _write_outputs(trace, out_dir)
-    (out_dir / "scenario.json").write_text(
-        json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"demo trace rows: {len(trace.rows)}, converged: {converged}")
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "trace.csv").write_text(trace.to_csv(), encoding="utf-8", newline="\n")
+    documents = {"summary.json": summary.as_dict()}
+    if args.config is None:
+        documents["scenario.json"] = scenario.to_dict()
+    for name, doc in documents.items():
+        (out_dir / name).write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    print(f"trace rows: {len(trace.rows)}, converged: {summary.converged}")
+    return EXIT_OK if summary.converged else EXIT_NOT_CONVERGED
 
 
 def _parse_linspace(spec: str) -> list[float]:
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run the built-in demo scenario")
     add_common(p_demo, config_required=False)
-    p_demo.set_defaults(func=_cmd_demo)
+    p_demo.set_defaults(func=_cmd_simulate, config=None)
 
     p_sweep = sub.add_parser("sweep", help="run an initial-condition grid")
     add_common(p_sweep)
@@ -229,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ScenarioInvalid, ValueError, KeyError) as exc:
+    # ScenarioInvalid and json.JSONDecodeError are ValueErrors.
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

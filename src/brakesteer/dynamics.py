@@ -95,14 +95,13 @@ class VehicleParams:
 
     m: float = 20.0       # mass, kg
     J: float = 1.0        # yaw inertia, kg m^2
-    J_w: float = 0.01     # wheel inertia, kg m^2
     d: float = 0.6        # rear axle length, m
     r: float = 0.1        # wheel radius, m
     b_w: float = 0.05     # rolling viscous coefficient, N m s
     b_max: float = 50.0   # brake viscous coefficient when engaged, N m s
 
     def __post_init__(self) -> None:
-        for name in ("m", "J", "J_w", "d", "r", "b_max"):
+        for name in ("m", "J", "d", "r", "b_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if not self.b_w >= 0.0:
@@ -216,8 +215,9 @@ def step_dynamic(
     spin rate to zero and projecting the body rates) and then integrates the
     remaining degree of freedom.  ``brake_model="viscous"`` keeps all wheels
     free and applies the engaged brake as a strong viscous torque, giving an
-    exponential transient with time constant ~ J_w / b_max.  The forward
-    speed is clamped nonnegative; reverse motion is out of scope.
+    exponential transient with time constants of order m r^2 / b_max and
+    4 J r^2 / (b_max d^2); the wheels have no inertia of their own.  The
+    forward speed is clamped nonnegative; reverse motion is out of scope.
 
     The checks, the brake settings, user torques and other constants are
     resolved once per call, and the substeps then run the four RK4 stages on

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -271,11 +272,14 @@ class PathSegment:
 
 
 def _number(key: str, value: Any) -> float:
-    """``float(value)``, or ValueError naming ``key`` for a null or a non-number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
+    """``float(value)`` for a real number (a bool is not one), or ValueError
+    naming ``key`` for anything else: a null, a string, an int too large."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
 
 
 def _pop(given: dict, name: str, block: str) -> Any:
@@ -312,8 +316,8 @@ def _pose(key: str, value: Any) -> tuple[float, float, float]:
     """``value`` as an ``(x, y, theta)`` of floats, or ValueError naming ``key``."""
     if isinstance(value, Sequence) and not isinstance(value, str) and len(value) == 3:
         try:
-            return (float(value[0]), float(value[1]), float(value[2]))
-        except (TypeError, ValueError, OverflowError):
+            return (_number(key, value[0]), _number(key, value[1]), _number(key, value[2]))
+        except ValueError:
             pass
     raise ValueError(f"{key} must be three numbers, got {value!r}")
 

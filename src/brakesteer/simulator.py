@@ -14,7 +14,6 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path as FilePath
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .analysis import RunSummary, abort_reason, in_convergence_band, lyapunov, summarize
@@ -98,9 +97,6 @@ class Trace:
         lines = [TRACE_COLUMNS]
         lines += [_TRACE_ROW % r for r in self.rows]
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str | FilePath) -> None:
-        FilePath(path).write_text(self.to_csv(), encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)
@@ -208,10 +204,6 @@ class Scenario:
         Level 'curvature' marks a path the vehicle cannot follow exactly
         (|c| * R > 1); runs still execute but tracking will saturate.
         """
-        return self._validate()[0]
-
-    def _validate(self) -> tuple[list[tuple[str, str]], Optional[Path]]:
-        """``validate``'s issues plus the path it built (None if that failed)."""
         # Comparisons are written so that NaN fails them.
         issues: list[tuple[str, str]] = []
         t_ok = 0.0 < self.t_max < math.inf
@@ -271,7 +263,7 @@ class Scenario:
             path = self.build_path()
         except (PathError, ValueError) as exc:
             issues.append(("error", f"path: {exc}"))
-            return issues, None
+            return issues
         if self.initial_frenet is not None and len(self.initial_frenet) == 3 and not (
             0.0 <= self.initial_frenet[0] <= path.total_length
         ):
@@ -285,10 +277,10 @@ class Scenario:
         if worst > 1.0:
             issues.append(
                 ("curvature",
-                 f"segment {worst_idx} needs |c|*R = {worst:.3f} > 1; "
+                 f"segment {worst_idx} needs |c|*R = {worst:.3g} > 1; "
                  "the cart cannot hold this curvature")
             )
-        return issues, path
+        return issues
 
     def initial_state(self, path: Path) -> VehicleState:
         if self.initial_pose is not None:
@@ -311,11 +303,9 @@ def _flag(key: str, value: Any) -> bool:
 
 
 def _integer(key: str, value: Any) -> int:
-    """``value`` as an int when it is an integral number (a bool is not one),
+    """``value`` as an int when ``_number`` reads it as an integral float,
     else ValueError naming ``key``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    if isinstance(value, float) and not value.is_integer():
+    if not _number(key, value).is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -422,13 +412,14 @@ def run(scenario: Scenario) -> Trace:
     zeros before the first row).  Every Stop row has finite fields, and a
     scenario that passes validation never makes ``run`` raise.
     """
-    issues, path = scenario._validate()
+    issues = scenario.validate()
     errors = [msg for level, msg in issues if level == "error"]
     if errors:
         raise ScenarioInvalid(errors)
     for level, msg in issues:
         if level == "curvature":
             warnings.warn(msg, stacklevel=2)
+    path = scenario.build_path()  # the Path validate() just built and remembered
     params = scenario.vehicle
     cfg = scenario.control
     radius = params.R

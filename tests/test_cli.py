@@ -50,6 +50,18 @@ def test_demo_output_bytes_are_pinned(tmp_path):
     )
 
 
+def test_demo_is_simulate_of_the_scenario_it_writes(tmp_path, capsys):
+    demo, sim = tmp_path / "demo", tmp_path / "sim"
+    assert main(["demo", "--set", "t_max=4", "--out", str(demo)]) == 2
+    demo_line = capsys.readouterr().out
+    assert main(["simulate", "--config", str(demo / "scenario.json"), "--out", str(sim)]) == 2
+    assert capsys.readouterr().out == demo_line == "trace rows: 401, converged: False\n"
+    for name in ("trace.csv", "summary.json"):
+        assert (demo / name).read_bytes() == (sim / name).read_bytes()
+    assert sorted(p.name for p in demo.iterdir()) == ["scenario.json", "summary.json", "trace.csv"]
+    assert sorted(p.name for p in sim.iterdir()) == ["summary.json", "trace.csv"]
+
+
 def test_simulate_exit_codes(tmp_path, demo_config):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(demo_config), "--out", str(out)]) == 0
@@ -298,6 +310,34 @@ def test_demo_on_a_1e300_curvature_arc_ends(tmp_path):
                      "--out", str(out)])
     assert code in (0, 2)
     assert (out / "trace.csv").exists()
+
+
+def test_demo_warns_of_a_1e300_curvature_in_one_short_line(tmp_path):
+    # |c|*R used to print with .3f: a number of about 300 digits.
+    with pytest.warns(UserWarning) as record:
+        main(["demo", "--set", "path.segments.2.curvature=1e300", "--set", "t_max=1",
+              "--out", str(tmp_path / "o")])
+    [message] = [str(w.message) for w in record]
+    assert message == "segment 2 needs |c|*R = 3e+299 > 1; the cart cannot hold this curvature"
+
+
+@pytest.mark.parametrize("override, message", [
+    ("t_max=true", "t_max must be a number, got True"),
+    ('user.v="2"', "user.v must be a number, got '2'"),
+    ('initial_pose=["1",true,0]', "initial_pose must be three numbers, got ['1', True, 0]"),
+])
+def test_demo_rejects_a_bool_or_a_string_as_a_number(tmp_path, capsys, override, message):
+    # t_max=true used to run for 1.0 s.
+    out = tmp_path / "o"
+    assert main(["demo", "--set", override, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_set_reads_a_number_as_json(tmp_path):
+    out = tmp_path / "o"
+    assert main(["demo", "--set", "user.v=2", "--set", "t_max=1", "--out", str(out)]) in (0, 2)
+    assert json.loads((out / "scenario.json").read_text())["user"]["v"] == 2
 
 
 def test_demo_rejects_a_curvature_on_a_line(tmp_path, capsys):

@@ -384,6 +384,19 @@ def test_a_failed_or_unkeyed_build_is_not_remembered(monkeypatch):
     assert good.build_path() is path and len(built) == 5
 
 
+def test_run_takes_the_path_its_validation_built(monkeypatch):
+    # run validates (which builds the path) and then reads the remembered
+    # Path, for a pose start and under a curvature warning alike.
+    demo = build_demo_scenario().with_overrides({"t_max": 0.5})
+    tight = demo.with_overrides({"path.segments.2.curvature": -4.0})
+    for sc, n_warnings in ((demo, 0), (tight, 1)):
+        built = count_builds(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(sc)
+        assert (len(built), len(caught)) == (1, n_warnings)
+
+
 def hexed(value):
     """``value`` with every float replaced by its ``float.hex``."""
     if isinstance(value, float):
@@ -616,6 +629,43 @@ def test_from_dict_names_the_key_of_a_bad_value(key, value, message):
     with pytest.raises(ValueError) as exc:
         build_demo_scenario().with_overrides({key: value})
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("block, key, value, message", [
+    ("", "t_max", True, "t_max must be a number, got True"),
+    ("user", "v", "2", "user.v must be a number, got '2'"),
+    ("", "initial_pose", ["1", True, 0], "initial_pose must be three numbers, got ['1', True, 0]"),
+    ("", "seed", "3", "seed must be a number, got '3'"),
+])
+def test_from_dict_rejects_a_bool_or_a_string_as_a_number(block, key, value, message):
+    # Each used to read as float(value): t_max 1.0, v 2.0, pose (1, 1, 0).
+    data = build_demo_scenario().to_dict()
+    (data[block] if block else data)[key] = value
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(data)
+    assert str(exc.value) == message
+
+
+def test_validate_rejects_a_bool_as_a_segment_length():
+    sc = build_demo_scenario().with_overrides({"path.segments.0.length": False})
+    assert sc.validate() == [("error", "path: path.segments.0.length must be a number, got False")]
+
+
+def test_from_dict_reads_an_integral_seed_and_numpy_numbers():
+    sc = build_demo_scenario().with_overrides(
+        {"seed": 3.0, "user.v": np.float32(0.5), "initial_pose": [np.int64(1), 5, 0.0]}
+    )
+    assert (sc.seed, sc.v_user, sc.initial_pose) == (3, 0.5, (1.0, 5.0, 0.0))
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
+        build_demo_scenario().with_overrides({"seed": 2.5})
+
+
+def test_vehicle_wheel_inertia_is_not_a_key():
+    # vehicle.J_w was read and checked positive, and nothing used it.
+    with pytest.raises(ValueError) as exc:
+        build_demo_scenario().with_overrides({"vehicle.J_w": 0.01})
+    assert str(exc.value) == "unknown key vehicle.J_w"
+    assert "J_w" not in build_demo_scenario().to_dict()["vehicle"]
 
 
 def test_from_dict_rejects_a_scenario_that_is_no_mapping():
