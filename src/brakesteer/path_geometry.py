@@ -359,10 +359,6 @@ class Path:
     segments: tuple[PathSegment, ...]
     total_length: float
     cumulative_s: tuple[float, ...]
-    # Coarse scan: the abscissae linspace(0, total_length, n + 1) and the
-    # path point at each.
-    _scan_s: tuple[float, ...] = field(repr=False, compare=False)
-    _scan_xy: tuple[tuple[float, float], ...] = field(repr=False, compare=False)
 
     # -- queries ---------------------------------------------------------
 
@@ -403,7 +399,7 @@ class Path:
         ``pose`` is read as its first three items, ``(x, y, heading)``, so a
         ``VehicleState`` is projected as it is.  With ``hint_s`` the search
         is restricted to ``hint_s +- radius`` (continuity mode for tracking
-        loops); otherwise a global coarse scan seeds local refinement.
+        loops); otherwise each segment's own minima and the path's ends compete.
         ``radius`` also sets the separation beyond which two equally near
         minima raise AmbiguousProjection.  A pose at or beyond its nearest
         point's center of curvature raises SingularProjection instead,
@@ -519,27 +515,42 @@ class Path:
         l = (x - px) * nx + (y - py) * ny
         if 1.0 - c * l <= 1e-12:
             raise SingularProjection(
-                f"pose at or beyond center of curvature (s={s:.6f}, c={c:.6f}, l={l:.6f})"
+                f"pose at or beyond center of curvature (s={s:.6g}, c={c:.6g}, l={l:.6g})"
             )
         return _new(FrenetState, (s, l, (th - thd + math.pi) % TWO_PI - math.pi))  # wrap_angle
 
     def _global_minimum(
         self, x: float, y: float, th: float, radius: float
     ) -> tuple[float, float, int, Optional[tuple[float, float]]]:
-        d2 = [(sx - x) * (sx - x) + (sy - y) * (sy - y) for sx, sy in self._scan_xy]
-        last = len(d2) - 1
-        step = self.total_length / last
-        # Local minima of the sampled distance, ties included, refined
-        # independently.
-        candidates = []
-        for j, d in enumerate(d2):
-            if (j == 0 or d <= d2[j - 1]) and (j == last or d <= d2[j + 1]):
-                if not d < math.inf and not min(d2) < math.inf:
-                    # Every sample overflowed, and so would every window.
-                    return 0.0, math.inf, 0, None
-                s = self._scan_s[j]
-                lo, hi = max(0.0, s - step), min(self.total_length, s + step)
-                candidates.append(self._best_in_window(x, y, lo, hi))
+        # The path's ends and each segment's minima over the whole segment,
+        # in s order, so the stable sort gives a tie to the lowest s: scored,
+        # as (s, d2, i, p), or for a clothoid's node-grid minima (ties
+        # included) as windows (lo, d2, hi) over the neighbouring nodes.
+        cum = self.cumulative_s
+        found = [(0.0, *self._d2_from(0, x, y, 0.0))]
+        for i, seg in enumerate(self.segments):
+            s0, length = cum[i], seg.length
+            if seg.kind == "line":
+                x0, y0, _ = seg.start_pose
+                u = (x - x0) * seg._dir[0] + (y - y0) * seg._dir[1]
+                us = [0.0 if u < 0.0 else length if u > length else u]
+            elif seg.kind == "arc":  # past a period, the rest apart: two copies are ambiguous
+                period = TWO_PI / abs(seg.curvature_start)
+                parts = [(0.0, period), (period, length)] if period < length else [(0.0, length)]
+                us = [u for ua, ub in parts for u in self._project_arc(seg, x, y, ua, ub)[0]]
+            else:
+                h, last = seg._clothoid[:2]
+                d2 = [(px - x) * (px - x) + (py - y) * (py - y) for px, py in seg._node_xy]
+                found += [(s0 + max(k - 1, 0) * h, d, s0 + min((k + 1) * h, length))
+                          for k, d in enumerate(d2)
+                          if (k == 0 or d <= d2[k - 1]) and (k == last or d <= d2[k + 1])]
+                us = []
+            found += [(s0 + u, *self._d2_from(i, x, y, s0 + u)) for u in us]
+        end = self.total_length
+        found.append((end, *self._d2_from(len(cum) - 1, x, y, end)))
+        if not min(c[1] for c in found) < math.inf:
+            return 0.0, math.inf, 0, None  # every distance overflowed, as would every window's
+        candidates = [c if len(c) == 4 else self._best_in_window(x, y, c[0], c[2]) for c in found]
         candidates.sort(key=lambda c: c[1])
         s_best, d_best, i_best, p_best = candidates[0]
         for s_other, d_other, _, _ in candidates[1:]:
@@ -550,7 +561,7 @@ class Path:
                 # whole arc: _finish reports that as the singularity it is.
                 self._finish(x, y, th, s_best, i_best, p_best)
                 raise AmbiguousProjection(
-                    f"equidistant projections at s={s_best:.6f} and s={s_other:.6f}"
+                    f"equidistant projections at s={s_best:.6g} and s={s_other:.6g}"
                 )
         return s_best, d_best, i_best, p_best
 
@@ -795,18 +806,4 @@ def build_path(
         segments.append(seg)
         cumulative.append(cumulative[-1] + seg.length)
         pose = seg.pose(seg.length)
-    total = cumulative[-1]
-    scan_step = min(0.25, max(total / 1000.0, 1e-3))
-    n = max(2, math.ceil(total / scan_step))
-    scan_s = linspace(0.0, total, n + 1)
-    scan_xy = []
-    for s in scan_s:
-        i = min(bisect.bisect_right(cumulative, s) - 1, len(segments) - 1)
-        scan_xy.append(segments[i].point(s - cumulative[i]))
-    return Path(
-        segments=tuple(segments),
-        total_length=total,
-        cumulative_s=tuple(cumulative[:-1]),
-        _scan_s=tuple(scan_s),
-        _scan_xy=tuple(scan_xy),
-    )
+    return Path(tuple(segments), cumulative[-1], tuple(cumulative[:-1]))

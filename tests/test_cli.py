@@ -367,6 +367,18 @@ def test_demo_rejects_a_segment_index_out_of_range_in_one_line(tmp_path, capsys)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("length", [1e6, 1e300])
+def test_validate_accepts_a_very_long_first_line(tmp_path, demo_config, capsys, length):
+    data = json.loads(demo_config.read_text())
+    data["path"]["segments"][0]["length"] = length
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out.endswith("scenario: ok\n")
+
+
 def test_validate_names_a_null_segment_length(tmp_path, demo_config, capsys):
     # A null length used to end validate with TypeError from float().
     data = json.loads(demo_config.read_text())

@@ -375,6 +375,20 @@ def test_custom_profile_rejects_nonfinite_tables(offsets, magnitudes):
         DeltaProfile.custom(offsets, magnitudes)
 
 
+@pytest.mark.parametrize("table_l, table_delta, message", [
+    ([0.0], [0.0], "custom profile needs matching tables, >= 2 points"),
+    ([0.0, 1.0, 2.0], [0.0, 0.5], "custom profile needs matching tables, >= 2 points"),
+    ([0.0, 1.0, 1.0], [0.0, 0.5, 0.6], "custom profile offsets must increase"),
+    ([0.0, 2.0, 1.0], [0.0, 0.5, 0.6], "custom profile offsets must increase"),
+])
+def test_custom_profile_spec_rejects_short_unmatched_or_unordered_tables(
+    table_l, table_delta, message
+):
+    spec = {"kind": "custom", "table_l": table_l, "table_delta": table_delta}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DeltaProfile.from_spec(spec)
+
+
 def test_profile_spec_round_trip():
     for prof in (
         DeltaProfile.constant(0.7),

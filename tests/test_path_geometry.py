@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 import sys
 
@@ -76,7 +77,7 @@ def test_wrap_range_and_periodicity(theta):
 @example(-40.0, -1.0, 9)
 @example(0.0, 5e-324, 3)  # the step underflows to 0
 @example(-1e300, 1e300, 11)
-@example(0.0, 1234.56789, 4940)  # build_path's scan of a 1.2 km path
+@example(0.0, 1234.56789, 4940)  # a point every 0.25 m over 1.2 km
 def test_linspace_is_numpy_linspace_bitwise(lo, hi, n):
     # A range wider than the largest float overflows to inf on both sides.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,6 +135,18 @@ def test_invalid_segments_rejected():
         build_path([{"kind": "arc", "length": 1, "curvature": 0.0}])
     with pytest.raises(ValueError):
         build_path([{"kind": "helix", "length": 1}])
+
+
+@pytest.mark.parametrize("kind, c0, c1, message", [
+    ("helix", 0.0, 0.0, "unknown segment kind 'helix'"),
+    ("line", 0.5, 0.5, "line segments must have zero curvature"),
+    ("arc", 0.5, 0.6, "arc segments need equal start/end curvature"),
+])
+def test_path_segment_rejects_what_the_dict_form_cannot_say(kind, c0, c1, message):
+    # build_path's reader rejects each of these by key first; the public
+    # constructor holds the rule for any other caller.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PathSegment(kind, 1.0, c0, c1, (0.0, 0.0, 0.0))
 
 
 @pytest.mark.parametrize("pose", [(0.0, 0.0, math.nan), (math.inf, 0.0, 0.0)],
@@ -283,6 +296,29 @@ def test_ambiguous_projection_between_parallel_branches():
     )
     with pytest.raises(AmbiguousProjection):
         p.frenet_project((2.0, 1.0, 0.0))
+
+
+def test_global_projection_onto_a_turn_and_a_half_is_ambiguous_where_it_turns_twice():
+    # The arc covers its first half turn twice, at u and u + 2 pi: the first
+    # period and the rest are searched apart, so both copies are offered.
+    p = build_path([{"kind": "arc", "length": 3.0 * math.pi, "curvature": 1.0}])
+    with pytest.raises(AmbiguousProjection) as exc:
+        p.frenet_project(offset_pose(p, 1.0, 0.2))
+    # Either copy may round nearer; the message names both in six digits.
+    assert str(exc.value) in ("equidistant projections at s=1 and s=7.28319",
+                              "equidistant projections at s=7.28319 and s=1")
+    # Its second half turn is covered once.
+    f = p.frenet_project(offset_pose(p, 4.0, 0.2))
+    assert (f.s, f.l) == pytest.approx((4.0, 0.2))
+
+
+def test_a_singular_projection_says_so_in_one_short_line():
+    # Formatted with .6f, the 1e300 curvature made a 374-character message.
+    p = build_path([{"kind": "line", "length": 5}, {"kind": "arc", "length": 2, "curvature": 1e300},
+                    {"kind": "line", "length": 5}])
+    with pytest.raises(SingularProjection) as exc:
+        p.frenet_project((5.5, 0.5, 0.0), hint_s=5.0)
+    assert len(str(exc.value)) < 100
 
 
 def test_round_trip_random_offsets():
@@ -598,35 +634,60 @@ def reference_window(path, x, y, lo, hi):
     return best_s, best_d2
 
 
+# The loop-form nodes of each clothoid the oracle meets, computed once.
+reference_nodes_of = functools.lru_cache(maxsize=None)(reference_nodes)
+
+
+def reference_global(path, x, y, radius):
+    """The global search's rule, spelled apart from it: the path's two ends,
+    each line's foot point clamped to the line, each arc's stationary points
+    (over its first period and the rest apart, when it is longer), and each
+    clothoid's local minima on its loop-form node grid (ties included), each
+    searched by ``reference_window`` between its neighbouring nodes.  Each
+    point is scored through ``pose_at``.  The nearest wins, the lowest s on
+    a tie, unless another equally near lies farther than ``radius`` off."""
+
+    def dist2(s):
+        px, py, _ = path.pose_at(s)
+        return (x - px) * (x - px) + (y - py) * (y - py)
+
+    found = [0.0]
+    for seg, s0 in zip(path.segments, path.cumulative_s):
+        if seg.kind == "line":
+            x0, y0, th0 = seg.start_pose
+            u = (x - x0) * math.cos(th0) + (y - y0) * math.sin(th0)
+            found.append(s0 + min(max(u, 0.0), seg.length))
+        elif seg.kind == "arc":
+            period = 2.0 * math.pi / abs(seg.curvature_start)
+            cuts = [0.0, period, seg.length] if seg.length > period else [0.0, seg.length]
+            for ua, ub in zip(cuts, cuts[1:]):
+                found += [s0 + u for u in Path._project_arc(seg, x, y, ua, ub)[0]]
+        else:
+            h, nodes = reference_nodes_of(seg)
+            xy = np.array(nodes)
+            d2 = (xy[:, 0] - x) * (xy[:, 0] - x) + (xy[:, 1] - y) * (xy[:, 1] - y)
+            padded = np.r_[np.inf, d2, np.inf]
+            # The node abscissae clamped to the clothoid, and one past its end.
+            u = np.minimum(np.arange(len(nodes) + 1) * h, seg.length)
+            for k in np.flatnonzero((d2 <= padded[:-2]) & (d2 <= padded[2:])):
+                lo, hi = float(s0 + u[max(k - 1, 0)]), float(s0 + u[k + 1])
+                found.append(reference_window(path, x, y, lo, hi)[0])
+    found.append(path.total_length)
+    scored = sorted(((s, dist2(s)) for s in found), key=lambda c: c[1])
+    s, d_best = scored[0]
+    for s_other, d_other in scored[1:]:
+        if abs(s_other - s) > radius and abs(math.sqrt(d_other) - math.sqrt(d_best)) <= 1e-9:
+            raise AmbiguousProjection(f"{s} and {s_other}")
+    return s
+
+
 def reference_project(path, pose, hint_s=None, radius=0.3):
     x, y, th = (float(v) for v in pose)
     if hint_s is not None:
         lo, hi = max(0.0, hint_s - radius), min(path.total_length, hint_s + radius)
         s = reference_window(path, x, y, lo, hi)[0]
     else:
-        # build_path's scan: the path point every ~0.25 m (finer on short
-        # paths), at np.linspace's abscissae.
-        total = path.total_length
-        n = max(2, math.ceil(total / min(0.25, max(total / 1000.0, 1e-3))))
-        scan_s = np.linspace(0.0, total, n + 1)
-        xy = np.array([path.pose_at(s)[:2] for s in scan_s])
-        d2 = (xy[:, 0] - x) ** 2 + (xy[:, 1] - y) ** 2
-        local_min = np.r_[False, (d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:]), False]
-        local_min[0] = d2[0] <= d2[1]
-        local_min[-1] = d2[-1] <= d2[-2]
-        step = scan_s[1] - scan_s[0]
-        found = sorted(
-            (
-                reference_window(path, x, y, max(0.0, scan_s[i] - step),
-                                 min(path.total_length, scan_s[i] + step))
-                for i in np.flatnonzero(local_min)
-            ),
-            key=lambda c: c[1],
-        )
-        s, d_best = found[0]
-        for s_other, d_other in found[1:]:
-            if abs(s_other - s) > radius and abs(math.sqrt(d_other) - math.sqrt(d_best)) <= 1e-9:
-                raise AmbiguousProjection(f"{s} and {s_other}")
+        s = reference_global(path, x, y, radius)
     px, py, thd = path.pose_at(s)
     l = (x - px) * -math.sin(thd) + (y - py) * math.cos(thd)
     c, _ = path.curvature(s)
@@ -699,6 +760,7 @@ def outcome(project):
 LINE_250 = build_path([{"kind": "line", "length": 250.0}])
 ARC_6 = build_path([{"kind": "arc", "length": 6.0, "curvature": 1.0}])
 ARC_TIGHT = build_path([{"kind": "arc", "length": 2.0, "curvature": 12.0}])
+ARC_TURN_AND_A_HALF = build_path([{"kind": "arc", "length": 3.0 * math.pi, "curvature": 1.0}])
 # A hint whose window lies inside the last line of ORACLE_PATHS[0].
 MARGIN_HINT = math.sqrt(2.0) + 2.1 + 2.5
 
@@ -732,7 +794,8 @@ def margin_pose(path, hint, end, factor, l=0.3):
 @example((ORACLE_PATHS[0], offset_pose(ORACLE_PATHS[0], 2.0, 0.3, heading=1.0), 2.45))
 # hi on the clothoid wins, and s0 + (hi - s0) != hi there.
 @example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 3.3, 0.2, heading=0.4), 2.7506))
-# An exact tie between scan samples 10.0 and 10.25: both are local minima.
+# An exact tie between the samples 10.0 and 10.25 of a coarse scan, which
+# once seeded the global search: both were local minima.
 @example((build_path([{"kind": "line", "length": 256.0}]), (10.125, 1.0, 0.0), None))
 # A line's foot just within and just beyond the skip margin, at lo and at hi.
 @example((ORACLE_PATHS[0], margin_pose(ORACLE_PATHS[0], MARGIN_HINT, -1, 0.9), MARGIN_HINT))
@@ -764,6 +827,10 @@ def margin_pose(path, hint, end, factor, l=0.3):
           math.sqrt(2.0) + 1.05))
 @example((ARC_6, (1.2663821125330031e-12, 1.0000000000027196, 0.0), 3.0))
 @example((ARC_TIGHT, (0.02037320187588751, 0.27130451608233386, 0.0), 1.0))
+# A global search on an arc of one and a half turns: where it turns twice
+# (ambiguous), and where it turns once.
+@example((ARC_TURN_AND_A_HALF, offset_pose(ARC_TURN_AND_A_HALF, 1.0, 0.2), None))
+@example((ARC_TURN_AND_A_HALF, offset_pose(ARC_TURN_AND_A_HALF, 4.0, -0.3), None))
 def test_projection_matches_reference_window_search_bitwise(query):
     path, pose, hint = query
     got = outcome(lambda: path.frenet_project(pose, hint_s=hint, radius=0.3))

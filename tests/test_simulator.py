@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import time
 import warnings
 from dataclasses import fields
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from brakesteer.analysis import summarize
 from brakesteer.cli import main
+from brakesteer.controller import ControllerConfig
 from brakesteer.simulator import (
     MAX_PHYSICS_STEPS,
     Scenario,
@@ -265,7 +267,7 @@ def test_run_ends_a_nonfinite_state_with_a_finite_stop_row(overrides):
          "0801a925701e2d607ac92557f1dadf5c99a150371bba4b218b532042ddeab7b8"),
         (Scenario.from_dict(SINGULAR_START),
          "projection lost: pose at or beyond center of curvature"
-         " (s=2.525840, c=1.000000, l=1.000000)",
+         " (s=0, c=1, l=1)",
          "1da13364fa1885401668e4b6c30079ffbde9a0a60642e3ac536bf384f27164e6"),
         (build_demo_scenario().with_overrides({"t_max": 1.0}), "t_max",
          "65c5e208d52b386fdd896c246f68622e2a94e2a7ff68bbc8586bad93369770b0"),
@@ -593,6 +595,40 @@ def test_validate_names_a_bad_path_value(key, value, message):
     with pytest.raises(ScenarioInvalid) as info:
         run(sc)
     assert info.value.reasons == [message]
+
+
+@pytest.mark.parametrize("length", [1e6, 1e300])
+def test_validate_of_a_very_long_first_line_returns_at_once(length):
+    # While the global projection sampled the whole path every 0.25 m, a 1e6 m
+    # line took seconds and 750 MB to validate, and a 1e300 m one ran out of
+    # memory.
+    sc = build_demo_scenario().with_overrides({"path.segments.0.length": length})
+    t0 = time.perf_counter()
+    assert sc.validate() == []
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("s", [-1.0, 1.0], ids=["before", "beyond"])
+def test_validate_rejects_an_initial_frenet_s_off_the_path(s):
+    sc = build_demo_scenario()
+    end = sc.build_path().total_length
+    sc = sc.with_overrides({"initial_pose": None, "initial_frenet": {
+        "s": s if s < 0.0 else end + s, "l_norm": 0.0, "theta_tilde": 0.0}})
+    assert sc.validate() == [("error", "initial_frenet.s outside the path domain")]
+
+
+def test_from_dict_rejects_an_integer_beyond_float_range():
+    data = build_demo_scenario().to_dict()
+    data["t_max"] = 10**400
+    with pytest.raises(ValueError, match="^t_max must be a number, got 1000"):
+        Scenario.from_dict(data)
+
+
+def test_validate_rejects_a_controller_radius_other_than_half_the_axle():
+    # The dict form derives R from vehicle.d; the constructor takes both.
+    sc = Scenario(STRAIGHT["path"], control=ControllerConfig(radius=0.5),
+                  initial_pose=(0.0, 0.0, 0.0))
+    assert sc.validate() == [("error", "controller radius must equal the vehicle's d/2")]
 
 
 def test_scenario_round_trip():
