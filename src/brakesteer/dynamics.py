@@ -104,6 +104,8 @@ class VehicleParams:
         for name in ("m", "J", "d", "r", "b_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+        if not self.R > 0.0:  # d = 5e-324 is positive, but its half rounds to 0
+            raise ValueError(f"d must be large enough that R = d / 2 is positive, got {self.d!r}")
         if not self.b_w >= 0.0:
             raise ValueError("b_w must be nonnegative")
 

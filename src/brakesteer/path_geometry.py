@@ -146,6 +146,8 @@ class PathSegment:
     # A clothoid's node step h, last node index, th0, c0, c1 - c0 and
     # 2 * length, fixed at construction for the Gauss-Legendre evaluator.
     _clothoid: tuple = field(default=(), repr=False, compare=False)
+    # A clothoid's largest |curvature|, for the bound _project_clothoid checks.
+    _c_max: float = field(default=0.0, repr=False, compare=False)
     # (cos, sin) of the start heading, computed once for line and arc queries.
     _dir: tuple[float, float] = field(default=(1.0, 0.0), repr=False, compare=False)
     # A line's heading and left normal (-sin, cos), as heading(u) gives them
@@ -193,6 +195,7 @@ class PathSegment:
                 self, "_clothoid", (step, last, th0, c0, self.curvature_end - c0, 2.0 * self.length)
             )
             object.__setattr__(self, "_node_xy", self._integrate_nodes())
+            object.__setattr__(self, "_c_max", max(abs(c0), abs(self.curvature_end)))
 
     # -- local queries (u is arc length from the segment start) ---------
 
@@ -261,7 +264,7 @@ class PathSegment:
         return x + half * sx, y + half * sy
 
     def _clothoid_point(self, u: float) -> tuple[float, float]:
-        h, last = self._clothoid[:2]
+        h, last, _, _, _, _ = self._clothoid  # unpacked: a slice builds a tuple
         k = int(u / h)
         k = (k if k < last else last) if k > 0 else 0
         x, y = self._node_xy[k]
@@ -444,8 +447,9 @@ class Path:
             # an end) of its exact value, and the gap exceeds both errors by a
             # factor near 2**20, however far the pose lies.  A fixed margin
             # would not do: 1e6 m from a line the scores round at about 1e-4,
-            # and an end 2 mm from the foot point can win.  Any other window
-            # goes on to the walk, which scores both ends.
+            # and an end 2 mm from the foot point can win.  A window inside
+            # one clothoid is answered by _clothoid_window, which scores both
+            # ends as the walk does.  Any other window goes on to the walk.
             s0 = cum[i]
             nxt = cum[i + 1] if i + 1 < len(cum) else math.inf
             if hi < nxt and kind != "clothoid":
@@ -485,10 +489,15 @@ class Path:
                             thd, nx, ny = seg._frame
                         else:  # heading(v) is th_p + 0.0, as is its sine
                             thd, nx, ny = th_p + 0.0, -(sn + 0.0), cs
+                        # Never singular: on an arc the test forces rho * |c| >
+                        # 4e-9, as m < 1.5 / |c| and scale >= 2 / |c|, and
+                        # 1 - c * l is rho * |c| or 1 + rho * |c| at the offer.
                         l = (x - px) * nx + (y - py) * ny
-                        if not line and 1.0 - c * l <= 1e-12:  # singular: _finish raises
-                            return self._finish(x, y, th, s, i, (px, py))
                         return _new(FrenetState, (s, l, (th - thd + math.pi) % TWO_PI - math.pi))
+            elif hi < nxt:
+                answer = self._clothoid_window(x, y, th, lo, hi, i, nxt)
+                if answer is not None:
+                    return answer
             s_best, d2, i, p = self._best_in_window(x, y, lo, hi, i)
         else:
             s_best, d2, i, p = self._global_minimum(x, y, th, radius)
@@ -518,6 +527,63 @@ class Path:
                 f"pose at or beyond center of curvature (s={s:.6g}, c={c:.6g}, l={l:.6g})"
             )
         return _new(FrenetState, (s, l, (th - thd + math.pi) % TWO_PI - math.pi))  # wrap_angle
+
+    def _clothoid_window(
+        self, x: float, y: float, th: float, lo: float, hi: float, i: int, nxt: float
+    ) -> Optional[FrenetState]:
+        """The projection onto ``[lo, hi]`` inside clothoid ``i``, whose end
+        ``nxt`` lies past ``hi``, or None to leave the window to the walk.
+
+        This is ``_best_in_window`` and ``_finish`` over the one segment,
+        with their operations in their order: the points at ``lo`` and
+        ``hi``, each evaluated once and handed to ``_project_clothoid``;
+        then ``lo``, the clamped root and ``hi`` scored, the first strictly
+        smaller winning; then the heading and curvature at the winner.  The
+        root search evaluates both ends' points anyway, so scoring them
+        costs four products and needs no margin.  A root whose ``s`` rounds
+        onto the next joint, an overflowing distance and a singular pose go
+        on to the walk, which hands the first to the next segment and raises
+        for the other two.
+        """
+        seg = self.segments[i]
+        s0 = self.cumulative_s[i]
+        ua = lo - s0  # lo lies on segment i: ua >= +0.0, as the walk clamps it
+        v_hi = hi - s0
+        ub = v_hi if v_hi < seg.length else seg.length
+        p_lo = seg._clothoid_point(ua)
+        p_hi = seg._clothoid_point(v_hi)
+        px, py = p_lo
+        best_s, best_v, best_p = lo, ua, p_lo
+        best_d2 = (x - px) * (x - px) + (y - py) * (y - py)
+        if ub > ua:
+            u = self._project_clothoid(seg, x, y, ua, ub, p_lo, p_hi if ub == v_hi else None)
+            if u is not None:
+                u = ua if u < ua else ub if u > ub else u
+                s = s0 + u
+                if not s < nxt:
+                    return None
+                # s - s0 is the walk's min(s, total_length) - s0: s0 + u is
+                # at most s0 + length rounded, the next joint or the path's end.
+                v = s - s0
+                p = seg._clothoid_point(v)
+                px, py = p
+                d2 = (x - px) * (x - px) + (y - py) * (y - py)
+                if d2 < best_d2:
+                    best_s, best_d2, best_v, best_p = s, d2, v, p
+        px, py = p_hi
+        d2 = (x - px) * (x - px) + (y - py) * (y - py)
+        if d2 < best_d2:
+            best_s, best_d2, best_v, best_p = hi, d2, v_hi, p_hi
+        if not best_d2 < math.inf:
+            return None
+        # heading(v) and curvature(v), in their operations.
+        _, _, th0, c0, dc, two_len = seg._clothoid
+        thd = th0 + c0 * best_v + dc * best_v * best_v / two_len
+        px, py = best_p
+        l = (x - px) * -math.sin(thd) + (y - py) * math.cos(thd)
+        if 1.0 - (c0 + dc * best_v / seg.length) * l <= 1e-12:
+            return None
+        return _new(FrenetState, (best_s, l, (th - thd + math.pi) % TWO_PI - math.pi))
 
     def _global_minimum(
         self, x: float, y: float, th: float, radius: float
@@ -588,8 +654,9 @@ class Path:
         clothoid's search is handed the points at ``lo`` and ``hi`` where
         its part ends there, so neither end is evaluated twice.
         ``frenet_project`` answers a hinted window within one line or arc
-        whose one offer must win itself, with these same operations, and
-        hands any other window to this search.
+        whose one offer must win, and one within a clothoid
+        (``_clothoid_window``), itself with these same operations, and hands
+        any other window to this search.
         """
         cum = self.cumulative_s
         if first is None:
@@ -709,8 +776,7 @@ class Path:
         # and the window's end values decide whether it has one.  pa and pb
         # are P(ua) and P(ub), if the caller has them already.
         ga, lpa = self._tangency(seg, x, y, ua, pa)
-        c_max = max(abs(seg.curvature_start), abs(seg.curvature_end))
-        if c_max * (math.hypot(ga, lpa) + (ub - ua)) < 1.0:
+        if seg._c_max * (math.hypot(ga, lpa) + (ub - ua)) < 1.0:
             gb = self._tangency(seg, x, y, ub, pb)[0]
             return self._tangent_root(seg, x, y, ua, ub, ga, gb)
         # Far from the segment g may have several roots: bracket them on a
@@ -757,6 +823,8 @@ class Path:
             return a
         if not ga > 0.0 > gb:
             return None
+        _, _, _, c0, dc, _ = seg._clothoid
+        length = seg.length
         u = a + ga * (b - a) / (ga - gb)
         for _ in range(60):
             gu, lp = Path._tangency(seg, x, y, u)
@@ -766,7 +834,7 @@ class Path:
                 a = u
             else:
                 b = u
-            dg = seg.curvature(u) * lp - 1.0
+            dg = (c0 + dc * u / length) * lp - 1.0  # curvature(u) * lp - 1
             u_new = 0.5 * (a + b)
             if dg != 0.0 and a <= u - gu / dg <= b:
                 u_new = u - gu / dg

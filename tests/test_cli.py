@@ -277,6 +277,7 @@ def test_demo_rejects_an_unknown_profile_kind_or_a_non_bool_in_one_line(
     (["controller.radius=abc"], "unknown key controller.radius"),
     (["foo"], "--set 'foo' is not KEY=VALUE"),
     (["seed=-1", "user.noise_amplitude=0.1"], "seed must be nonnegative, got -1"),
+    (["vehicle.d=5e-324"], "d must be large enough that R = d / 2 is positive, got 5e-324"),
 ])
 def test_demo_rejects_a_value_that_skipped_its_check_in_one_line(
     tmp_path, capsys, overrides, message
@@ -284,7 +285,9 @@ def test_demo_rejects_a_value_that_skipped_its_check_in_one_line(
     # initial_pose=5 used to end in a TypeError traceback, [1,2] to fail to
     # unpack in run, controller.radius=abc to be dropped, foo to read
     # "dictionary update sequence element #0 has length 1; 2 is required",
-    # and seed -1 to raise numpy's "expected non-negative integer" mid-run.
+    # seed -1 to raise numpy's "expected non-negative integer" mid-run, and
+    # vehicle.d=5e-324 to say "radius must be positive", a key it no longer
+    # has, because d / 2 rounds to 0.
     out = tmp_path / "o"
     argv = ["demo", "--out", str(out)]
     for item in overrides:

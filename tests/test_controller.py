@@ -404,6 +404,29 @@ def test_tanh_and_an_absent_spec_key_take_the_field_defaults():
     assert DeltaProfile.from_spec({"kind": "constant"}) == DeltaProfile("constant")
 
 
+@pytest.mark.parametrize("offsets, magnitudes, verdict", [
+    # Steep: 2.4 rad per l~ up to 0.5, so |delta' * sin(delta)| > 1 once
+    # sin(2.4 * l~) > 1 / 2.4, at l~ > 0.1791: the first sample past it is 0.18.
+    ((0.0, 0.5, 1.0, 2.0), (0.0, 1.2, 1.4, 1.5), (False, 0.18)),
+    # Gentle: at most 0.3 rad per l~, so feasible everywhere.
+    ((0.0, 2.0, 4.0), (0.0, 0.6, 1.0), (True, math.inf)),
+], ids=["steep", "gentle"])
+def test_custom_profile_feasibility_reads_its_finite_difference_slope(
+    offsets, magnitudes, verdict
+):
+    # A custom profile has no closed-form slope: curvature_feasible reads the
+    # central difference of value() over +-1e-6.
+    profile = DeltaProfile.custom(offsets, magnitudes)
+    assert curvature_feasible(profile, 1.0, 0.3) == verdict
+    assert profile.slope(0.25) == pytest.approx(-magnitudes[1] / offsets[1], rel=1e-9)
+
+
+def test_controller_config_rejects_a_radius_that_is_not_positive():
+    for radius in (0.0, -0.3, NAN):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            ControllerConfig(radius=radius)
+
+
 def test_constant_profile_feasible_everywhere():
     feasible, l_hat = curvature_feasible(DeltaProfile.constant(PI / 3), 1.0, 0.3)
     assert feasible and l_hat == math.inf

@@ -110,6 +110,17 @@ def test_params_validation():
     assert VehicleParams(d=0.6).R == 0.3
 
 
+@pytest.mark.parametrize("d", [5e-324, 0.0])
+def test_params_reject_a_d_whose_half_is_not_positive(d):
+    # 5e-324 is positive, yet R = d / 2 rounds to 0.  The message names d,
+    # the key a scenario gives, and not the controller radius that R sets.
+    with pytest.raises(ValueError) as exc:
+        VehicleParams(d=d)
+    assert str(exc.value).startswith("d must be ")
+    assert "radius" not in str(exc.value)
+    assert VehicleParams(d=1e-323).R == 5e-324
+
+
 # -- kinematic stepping -------------------------------------------------------
 
 

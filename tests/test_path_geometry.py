@@ -575,8 +575,10 @@ def test_projection_of_a_far_pose_overflows_with_one_fixed_message(hint):
 
 
 def test_projection_of_a_pose_too_far_gives_up_before_any_window_pass(monkeypatch):
-    # Every coarse-scan distance overflows, so every sample ties as a local
-    # minimum; refining each of them would find only infinities again.
+    # Every segment-minimum candidate's distance overflows: the path's ends,
+    # each line's foot point, the arc's stationary point and each clothoid's
+    # integration nodes, which all tie as local minima.  Refining each
+    # clothoid's would find only infinities again.
     calls = []
     window = Path._best_in_window
     monkeypatch.setattr(
@@ -1015,6 +1017,178 @@ def test_global_projection_returns_python_floats():
     f = path.frenet_project((20.197401659079283, 1.092016168567227, 0.3819557256764625))
     assert [type(v) for v in (f.s, f.l, f.theta_tilde)] == [float, float, float]
     assert f.s == 17.99677956757714
+
+
+# -- a window inside one clothoid, answered in place ------------------------
+
+# A clothoid that ends the path, after an arc: a window on it can end at
+# total_length, with no joint past it.
+END_CLOTHOID = build_path(
+    [
+        {"kind": "arc", "length": 1.1, "curvature": -0.4},
+        {"kind": "clothoid", "length": 2.3, "curvature_start": -0.4, "curvature_end": 1.7},
+    ],
+    start_pose=(-3.0, 2.0, 2.5),
+)
+
+
+def walk(path, pose, hint, radius):
+    """The hinted projection through ``_best_in_window`` and ``_finish``."""
+    x, y, th = pose
+    lo, hi = max(0.0, hint - radius), min(path.total_length, hint + radius)
+    s, d2, i, p = path._best_in_window(x, y, lo, hi)
+    if not d2 < math.inf:
+        raise OverflowError("pose too far from the path to project")
+    return path._finish(x, y, th, s, i, p)
+
+
+def log_walks(monkeypatch):
+    """The list to which each later ``_best_in_window`` call appends its arguments."""
+    calls = []
+    window = Path._best_in_window
+    monkeypatch.setattr(
+        Path, "_best_in_window", lambda self, *args: calls.append(args) or window(self, *args)
+    )
+    return calls
+
+
+def outcome_or_overflow(project):
+    """``outcome``, which names an OverflowError too."""
+    try:
+        return outcome(project)
+    except OverflowError:
+        return "OverflowError"
+
+
+def inside_one_clothoid(path, hint, radius):
+    lo, hi = max(0.0, hint - radius), min(path.total_length, hint + radius)
+    i = bisect.bisect_right(path.cumulative_s, lo) - 1
+    nxt = path.cumulative_s[i + 1] if i + 1 < len(path.cumulative_s) else math.inf
+    return path.segments[i].kind == "clothoid" and hi < nxt
+
+
+@st.composite
+def clothoid_window_query(draw):
+    """A pose and a hinted window inside one clothoid: ``(path, pose, hint,
+    radius)``.  The window lies anywhere, starts or ends on an integration
+    node, starts at the clothoid's first point, ends a few ulps short of its
+    last one, or ends the path; its radius is 0.3, 0 or small.  The foot
+    lies inside the window, 1e-13 to 1e-3 m inside or outside either end,
+    or beyond an end; the pose is near, far enough that the single-root
+    bound fails, or at the center of curvature (singular)."""
+    path = draw(st.sampled_from((ORACLE_PATHS[1], END_CLOTHOID)))
+    k = draw(st.sampled_from([j for j, seg in enumerate(path.segments) if seg.kind == "clothoid"]))
+    seg, s0 = path.segments[k], path.cumulative_s[k]
+    s1 = s0 + seg.length
+    radius = draw(st.sampled_from((0.3, 0.0, 0.05)))
+    where = draw(st.sampled_from(("anywhere", "node", "first", "last")))
+    if where == "anywhere":
+        hint = draw(st.floats(s0 + radius, s1 - radius))
+    elif where == "node":
+        node = s0 + draw(st.integers(0, seg._clothoid[1])) * seg._clothoid[0]
+        hint = node + draw(st.sampled_from((-1.0, 1.0))) * radius
+    elif where == "first":
+        hint = s0 + radius
+    elif k + 1 < len(path.segments):
+        hint = s1 - radius - draw(st.integers(1, 3)) * math.ulp(s1)
+    else:
+        hint = path.total_length
+    hint = min(max(hint, 0.0), path.total_length)
+    assume(inside_one_clothoid(path, hint, radius))
+    lo, hi = max(0.0, hint - radius), min(path.total_length, hint + radius)
+    foot = draw(st.sampled_from(("inside", "edge", "outside")))
+    if foot == "inside":
+        s = draw(st.floats(lo, hi))
+    elif foot == "edge":  # a root just inside or just outside an end
+        s = draw(st.sampled_from((lo, hi))) + draw(
+            st.sampled_from((0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3))
+        )
+    else:
+        s = draw(st.sampled_from((lo, hi))) + draw(st.floats(-0.5, 0.5))
+    s = min(max(s, 0.0), path.total_length)
+    pose = draw(st.sampled_from(("near", "far", "center")))
+    if pose == "near":
+        l = draw(st.floats(-1.0, 1.0))
+    elif pose == "far":  # c_max * (|pose - P(ua)| + (ub - ua)) >= 1
+        l = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(2.0, 60.0))
+    else:
+        c = path.curvature(s)[0]
+        assume(c != 0.0)
+        l = 1.0 / c * (1.0 + draw(st.sampled_from((0.0, 1e-13, -1e-13, 1e-9))))
+    return path, offset_pose(path, s, l, heading=draw(st.floats(-math.pi, math.pi))), hint, radius
+
+
+# The pose at the center of curvature of the window's one point: singular.
+CENTER_HINT = END_CLOTHOID.total_length - 0.4
+
+
+@settings(max_examples=500, deadline=None)
+@given(clothoid_window_query())
+@example((END_CLOTHOID, offset_pose(END_CLOTHOID, CENTER_HINT, 1.0 / END_CLOTHOID.curvature(
+    CENTER_HINT)[0]), CENTER_HINT, 0.0))
+# 40 m right of the clothoid of ORACLE_PATHS[1]: the single-root bound fails.
+@example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 3.0, -40.0), 3.0, 0.3))
+def test_clothoid_window_matches_the_walk_bitwise(query):
+    path, pose, hint, radius = query
+    got = outcome_or_overflow(lambda: path.frenet_project(pose, hint_s=hint, radius=radius))
+    assert got == outcome_or_overflow(lambda: walk(path, pose, hint, radius))
+
+
+@pytest.mark.parametrize("foot_s, l", [
+    (3.0, 0.2), (3.0, -0.2), (2.5, 0.2), (3.5, -0.2), (3.0, -40.0), (3.0, -1e300),
+], ids=["root-left", "root-right", "lo-wins", "hi-wins", "far", "overflow"])
+def test_a_window_inside_one_clothoid_is_answered_without_the_walk(monkeypatch, foot_s, l):
+    # Whether the root, lo or hi wins, and when the single-root bound fails
+    # (40 m right of a bend that curves left), the answer is the walk's and
+    # the walk is not run.  An overflowing distance goes on to the walk,
+    # which raises.
+    path = ORACLE_PATHS[1]
+    pose = offset_pose(path, foot_s, l)
+    want = outcome_or_overflow(lambda: walk(path, pose, 3.0, 0.3))
+    calls = log_walks(monkeypatch)
+    assert outcome_or_overflow(lambda: path.frenet_project(pose, hint_s=3.0)) == want
+    assert len(calls) == (1 if l == -1e300 else 0)
+
+
+# NEG_ARC with a clothoid for its line: hi one ulp short of the clothoid's
+# end, where s0 + (hi - s0) rounds up onto the joint (see NEG_ARC).
+NEG_CLOTHOID = build_path(
+    [
+        {"kind": "arc", "length": math.sqrt(10.0), "curvature": -0.9},
+        {"kind": "clothoid", "length": math.e + 2.0, "curvature_start": -0.9, "curvature_end": 0.5},
+        {"kind": "arc", "length": 1.5, "curvature": 0.5},
+    ],
+    start_pose=(0.0, 0.0, -0.0),
+)
+
+
+def test_a_clothoid_root_that_rounds_onto_the_next_joint_is_left_to_the_walk(monkeypatch):
+    # A root at ub, as Newton returns when the tangency root lies within an
+    # ulp of it: its s = s0 + ub is the next joint, which belongs to the next
+    # segment, so the window goes on to the walk, which scores it there.
+    path = NEG_CLOTHOID
+    s0, joint = path.cumulative_s[1], path.cumulative_s[2]
+    hint = joint - 0.3 - math.ulp(joint)
+    hi = hint + 0.3
+    assert hi < joint and s0 + (hi - s0) == joint
+    monkeypatch.setattr(Path, "_project_clothoid", lambda self, seg, x, y, ua, ub, *ends: ub)
+    pose = offset_pose(path, joint, 0.2)
+    want = outcome(lambda: walk(path, pose, hint, 0.3))
+    calls = log_walks(monkeypatch)
+    assert outcome(lambda: path.frenet_project(pose, hint_s=hint)) == want
+    assert len(calls) == 1
+
+
+def test_a_singular_pose_on_a_clothoid_window_is_left_to_the_walk(monkeypatch):
+    # A window of radius 0 at the path's end, the pose at that point's
+    # center of curvature: the in-place answer hands it to the walk, whose
+    # _finish raises.
+    path, s = END_CLOTHOID, END_CLOTHOID.total_length
+    pose = offset_pose(path, s, 1.0 / path.curvature(s)[0])
+    calls = log_walks(monkeypatch)
+    with pytest.raises(SingularProjection):
+        path.frenet_project(pose, hint_s=s, radius=0.0)
+    assert len(calls) == 1
 
 
 # -- arc offers ------------------------------------------------------------
