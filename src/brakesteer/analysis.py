@@ -229,6 +229,9 @@ def field_dump(
     eps_b=band)``; ``sigma_n``/``sigma_p`` are drawn for reference only.
     Rows vary ``theta_tilde`` fastest, for contour or heat-map replotting;
     every value is computed here, the per-heading ones once per column.  A
+    row off the origin band is labelled whole, from its side's off-curve
+    codes and hand-off values; a row within ``band`` of ``l~ = 0`` takes
+    the partition a sample at a time.  A
     ``delta`` outside [0, pi) or a ``band`` outside (0, inf) raises
     ValueError, from the config.
     """
@@ -242,6 +245,19 @@ def field_dump(
     cos_th = [math.cos(th) for th in thetas]
     columns = [(th, _heading_half(th, cfg)) for th in map(wrap_angle, thetas)]
     two_cos_delta, b = 2.0 * math.cos(delta), cfg.eps_b
+    # A row off the origin band (|l~| > b) lies wholly on one side, where
+    # _offset_half gives that side's off-curve region except on its
+    # final-turn curve.  So per side: the row of off-curve codes, and the
+    # receptive columns with the cosine of the wrapped th~ the hand-off takes.
+    left_off, right_off = (
+        bytes([_REGION_CODE[heading[side][2].label] for _, heading in columns])
+        for side in (1, 2)
+    )
+    left_cos, right_cos = (
+        [(j, heading[0]) for j, (_, heading) in enumerate(columns) if heading[side][0]]
+        for side in (1, 2)
+    )
+    on_l, on_r = _REGION_CODE[Region.ON_SIGMA_L.label], _REGION_CODE[Region.ON_SIGMA_R.label]
     l_col, s_r, s_l, s_n, s_p = (array("d") for _ in range(5))
     codes = bytearray()
     # Each row is appended as one array: array.extend takes an iterable an
@@ -256,6 +272,18 @@ def field_dump(
         s_l += array("d", [down + c for c in cos_th])
         s_n += array("d", [up_n + c for c in cos_th])
         s_p += array("d", [down_p - c for c in cos_th])
-        codes += bytes([_REGION_CODE[_offset_half(l_norm, th, heading, b)[0].label]
-                        for th, heading in columns])
+        if l_norm > b:  # side +1, hand-off sigma_l = (l~ - 1) + cos(th~)
+            row = bytearray(left_off)
+            for j, c in left_cos:
+                if abs(down + c) <= b:
+                    row[j] = on_l
+        elif l_norm < -b:  # side -1, hand-off sigma_r = (l~ + 1) - cos(th~)
+            row = bytearray(right_off)
+            for j, c in right_cos:
+                if abs(up - c) <= b:
+                    row[j] = on_r
+        else:  # the origin band, or a NaN l~: the partition, a sample at a time
+            row = bytes([_REGION_CODE[_offset_half(l_norm, th, heading, b)[0].label]
+                         for th, heading in columns])
+        codes += row
     return FieldDump(l_col, array("d", thetas) * grid.n_l, s_r, s_l, s_n, s_p, bytes(codes))

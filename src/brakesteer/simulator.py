@@ -455,30 +455,32 @@ def run(scenario: Scenario) -> Trace:
     # What the Stop row repeats: (pose, (s, l, theta_tilde)), where None
     # stands for the last logged row's.  None itself means no Stop row.
     stop = None
+    # The three layers and the step's fixed arguments, bound once.  The
+    # drive is the speed or the torques, which a noisy run redraws each step.
+    project, select = path.frenet_project, select_maneuver
+    step, drive = (step_kinematic, v_user) if kinematic else (step_dynamic, user)
+    dt_physics, brake_model = scenario.dt_physics, scenario.brake_model
     n_steps = int(math.floor(scenario.t_max / dt + 1e-9))
     for k in range(n_steps + 1):
         t = k * dt
         if k:
             try:
                 if kinematic:
-                    v_k = v_user
                     if noise > 0.0:
-                        v_k = max(0.0, v_k * (1.0 + rng.uniform(-noise, noise)))
-                    state = step_kinematic(state, cmd, v_k, dt, params)
+                        drive = max(0.0, v_user * (1.0 + rng.uniform(-noise, noise)))
+                    state = step(state, cmd, drive, dt, params)
                 else:
-                    step_user = user
                     if noise > 0.0:
-                        step_user = UserInput(
+                        drive = UserInput(
                             user.tau_r + rng.uniform(-noise, noise),
                             user.tau_l + rng.uniform(-noise, noise),
                         )
-                    state = step_dynamic(state, cmd, step_user, scenario.dt_physics,
-                                         params, scenario.brake_model, n_sub)
+                    state = step(state, cmd, drive, dt_physics, params, brake_model, n_sub)
             except (OverflowError, ValueError) as exc:
                 reason, stop = _nonfinite("step", exc), (None, None)
                 break
         try:
-            fren = path.frenet_project(state, hint_s=hint, radius=radius)
+            fren = project(state, hint, radius)
         except (SingularProjection, AmbiguousProjection) as exc:
             reason, stop = f"projection lost: {exc}", (state.pose(), None)
             break
@@ -486,19 +488,20 @@ def run(scenario: Scenario) -> Trace:
             # The pose may not be finite: stop at the last logged one.
             reason, stop = _nonfinite("projection", exc), (None, None)
             break
-        hint = fren.s
-        if fren.s >= end_s:
+        s, l, theta_tilde = fren
+        hint = s
+        if s >= end_s:
             reason, stop = "path_end", (state.pose(), fren)
             break
-        cmd, ctrl = select_maneuver(fren, ctrl, cfg)
+        cmd, ctrl = select(fren, ctrl, cfg)
+        x, y, theta, v, omega, _, _ = state
         rows.append(_new(TraceRow, (
-            t, state.x, state.y, state.theta, state.v, state.omega,
-            fren.s, fren.l, fren.theta_tilde,
+            t, x, y, theta, v, omega, s, l, theta_tilde,
             cmd.action.label, ctrl.hybrid_state.label, ctrl.phase.label,
-            lyapunov(fren.l / radius, fren.theta_tilde),
+            lyapunov(l / radius, theta_tilde),
         )))
         if stop_when_converged:
-            if in_convergence_band(fren.l, fren.theta_tilde, radius):
+            if in_convergence_band(l, theta_tilde, radius):
                 if in_band_since is None:
                     in_band_since = t
                 elif t - in_band_since >= scenario.converged_hold:

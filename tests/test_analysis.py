@@ -5,6 +5,7 @@ from collections.abc import Sequence
 import pytest
 from hypothesis import example, given, strategies as st
 
+from brakesteer import analysis
 from brakesteer.analysis import (
     EmptyTrace,
     FieldSample,
@@ -202,6 +203,30 @@ _delta = st.floats(0.0, math.pi, exclude_max=True)
                   n_l=3, n_theta=17), -0.0, 0.05)
 @example(GridSpec(l_min=-0.4, l_max=0.4, theta_min=-math.pi, theta_max=math.pi,
                   n_l=5, n_theta=9), math.pi / 3, 0.4)
+# The default band's edges: rows at -0.002, -band, 0, band and 0.002, so
+# the origin band's per-sample rows sit beside whole rows on each side.
+@example(GridSpec(l_min=-0.002, l_max=0.002, n_l=5, n_theta=33), math.pi / 3,
+         ControllerConfig.eps_b)
+# Hand-off values exactly on the band's edge: at (l0, -1.46) sigma_l is
+# -0.05 and at (-l0, 1.46) sigma_r is +0.05, both receptive (l0 is about
+# 0.8394); and at (l1, -1.5663), (-l1, 1.5663) the same at the default band.
+@example(GridSpec(l_min=float.fromhex("0x1.adc9cc3de4cd8p-1"),
+                  l_max=-float.fromhex("0x1.adc9cc3de4cd8p-1"),
+                  theta_min=-1.46, theta_max=1.46, n_l=2, n_theta=2), 1.0, 0.05)
+@example(GridSpec(l_min=float.fromhex("0x1.fd2f966279d2cp-1"),
+                  l_max=-float.fromhex("0x1.fd2f966279d2cp-1"),
+                  theta_min=-1.5663, theta_max=1.5663, n_l=2, n_theta=2),
+         1.0, ControllerConfig.eps_b)
+# A th~ beyond pi, whose cosine differs from its wrapped one's: at
+# (l2, 4.58729), l2 about 1.0748, sigma_l of the wrapped th~ is exactly
+# -0.05 (on the curve), and of the unwrapped one just beyond the band.
+@example(GridSpec(l_min=float.fromhex("0x1.132451c7b5cfap+0"), l_max=0.0,
+                  theta_min=4.58729, theta_max=0.0, n_l=2, n_theta=2), 1.0, 0.05)
+# A descending l~ axis through 0 on the default th~ axis.
+@example(GridSpec(l_min=2.5, l_max=-2.5, n_l=11, n_theta=41), math.pi / 4,
+         ControllerConfig.eps_b)
+# A wide band: nine of the 21 rows lie in the origin band.
+@example(GridSpec(l_min=-1.0, l_max=1.0, n_l=21, n_theta=33), 1.0, 0.4)
 def test_field_dump_matches_reference_bitwise(grid, delta, band):
     want = reference_field_dump(delta, grid, band)
     got = field_dump(delta, grid, band)
@@ -248,6 +273,27 @@ def test_field_dump_memory_stays_compact():
         tracemalloc.stop()
     assert len(field) == 301 * 301
     assert peak < 6e6
+
+
+def test_field_dump_labels_only_the_origin_band_a_sample_at_a_time(monkeypatch):
+    # A row off the origin band is labelled whole from its side's codes, so
+    # only rows with |l~| <= eps_b call _offset_half, once per sample.  At
+    # 301 x 301 that is the l~ = 0 row: 301 calls, where labelling every
+    # sample would make 90,601.
+    calls = 0
+    offset_half = analysis._offset_half
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return offset_half(*args)
+
+    monkeypatch.setattr(analysis, "_offset_half", counted)
+    grid = GridSpec(n_l=301, n_theta=301)
+    field = field_dump(ControllerConfig.delta_approach, grid)
+    band_rows = [l for l in field.l_norm[::301] if abs(l) <= ControllerConfig.eps_b]
+    assert band_rows == [0.0]
+    assert calls == 301 * len(band_rows)
 
 
 def test_grid_spec_validation():

@@ -195,6 +195,14 @@ def test_step_dynamic_rejects_bad_substeps(substeps):
                      "viscous", substeps)
 
 
+def test_step_dynamic_names_an_unknown_brake_model():
+    # A scenario's brake_model is checked by validate; a library call is
+    # checked here, before any state is touched.
+    with pytest.raises(ValueError, match="unknown brake model 'bogus'"):
+        step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), 1e-3, PARAMS,
+                     brake_model="bogus")
+
+
 # -- dynamic stepping ---------------------------------------------------------
 
 

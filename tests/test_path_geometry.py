@@ -251,6 +251,14 @@ def test_out_of_range():
         p.curvature(-0.1)
 
 
+def test_a_hint_outside_the_path_domain_is_out_of_range():
+    p = build_path([{"kind": "line", "length": 5}])
+    with pytest.raises(OutOfRange, match="hint_s=6"):
+        p.frenet_project((1.0, 0.1, 0.0), hint_s=p.total_length + 1)
+    with pytest.raises(OutOfRange, match="hint_s=-1"):
+        p.frenet_project((1.0, 0.1, 0.0), hint_s=-1.0)
+
+
 def test_pose_continuity_in_s():
     p = mixed_path()
     max_c = 0.5
