@@ -25,7 +25,6 @@ from .controller import (
     DeltaProfile,
     HybridState,
     Phase,
-    ProjectionLost,
     Region,
     classify,
     curvature_feasible,
@@ -37,7 +36,6 @@ from .controller import (
     sigma_r,
 )
 from .dynamics import (
-    BrakeCommand,
     Maneuver,
     NonPositiveDt,
     UserInput,

@@ -163,9 +163,11 @@ class GridSpec:
     n_theta: int = 81
 
     def __post_init__(self) -> None:
-        for v in (self.l_min, self.l_max, self.theta_min, self.theta_max):
-            if not math.isfinite(v):
-                raise ValueError("grid bounds must be finite")
+        for axis, lo, hi in (("l", self.l_min, self.l_max),
+                             ("theta", self.theta_min, self.theta_max)):
+            if not math.isfinite(hi - lo):  # also fails unless both bounds are finite
+                raise ValueError(f"--{axis}-min and --{axis}-max must be finite and span "
+                                 f"a finite range, got {lo!r} and {hi!r}")
         for n in (self.n_l, self.n_theta):
             if type(n) is not int or n < 2:
                 raise ValueError(f"grid needs an int of at least 2 points per axis, got {n!r}")

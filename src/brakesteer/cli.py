@@ -72,15 +72,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.converged else EXIT_NOT_CONVERGED
 
 
-def _parse_linspace(spec: str) -> list[float]:
-    lo, hi, n = spec.split(":")
-    return linspace(float(lo), float(hi), int(n))
+def _parse_linspace(option: str, spec: str) -> list[float]:
+    """The points of a sweep grid spec ``MIN:MAX:N`` given as ``option``."""
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(f"{option} must be MIN:MAX:N, got {spec!r}") from None
+    return linspace(lo, hi, n)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args)
     grid = frenet_grid(
-        _parse_linspace(args.grid_l), _parse_linspace(args.grid_theta), s0=args.grid_s
+        _parse_linspace("--grid-l", args.grid_l),
+        _parse_linspace("--grid-theta", args.grid_theta),
+        s0=args.grid_s,
     )
     # The grid sets only the initial condition, so one point's validation
     # covers everything its points share.

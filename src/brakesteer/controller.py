@@ -50,13 +50,13 @@ Two operating phases:
   Controlled state and rides them into the origin.
 
 ``select_maneuver`` is a pure transition, ``(FrenetState, ControllerState)
--> (BrakeCommand, ControllerState)``: ``phase_switch`` picks the phase (a
+-> (Maneuver, ControllerState)``: ``phase_switch`` picks the phase (a
 switch starts it from a fresh ``ControllerState(phase)``), then that
 phase's step runs, and each of its branches builds the next state in full.
-Its records are immutable NamedTuples and its command one of the interned
-``dynamics.COMMANDS``.  It never commands Stop; halting is the caller's.
-The step reads enum members and commands from module constants and builds
-each record with ``tuple.__new__``, giving every field.
+Its records are immutable NamedTuples and its command a ``Maneuver``
+member.  It never commands Stop; halting is the caller's.  The step reads
+enum members from module constants and builds each record with
+``tuple.__new__``, giving every field.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, NamedTuple, Optional, Sequence
 
-from .dynamics import COMMANDS, BrakeCommand, Maneuver
+from .dynamics import Maneuver
 from .path_geometry import TWO_PI, FrenetState, _number, _read_kind, linspace
 
 HALF_PI = math.pi / 2.0
@@ -75,10 +75,6 @@ HALF_PI = math.pi / 2.0
 # A Controlled-state ride is abandoned when its boundary value drifts this
 # far from zero (curved paths perturb the invariant circles).
 _CONTROLLED_DRIFT_LIMIT = 0.15
-
-
-class ProjectionLost(RuntimeError):
-    """Raised when the controller receives a non-finite Frenet state."""
 
 
 class Phase(Enum):
@@ -112,18 +108,16 @@ class Region(Enum):
         self.label = label  # the value, as a plain attribute
 
 
-# The members the step reads, as module constants (an Enum member read as a
-# class attribute goes through ``EnumType.__getattr__``), and the commands it
-# hands out, from ``COMMANDS``.
+# The members the step reads and the commands it hands out, as module
+# constants: an Enum member read as a class attribute goes through
+# ``EnumType.__getattr__``.
 _APPROACH, _TRACK = Phase.APPROACH, Phase.TRACK
 _TURNING, _STRAIGHT = HybridState.TURNING, HybridState.STRAIGHT
 _CONTROLLED = HybridState.CONTROLLED
 _RIGHT_FIRST, _LEFT_FIRST = Region.RIGHT_TURN_FIRST, Region.LEFT_TURN_FIRST
 _ON_SIGMA_R, _ON_SIGMA_L = Region.ON_SIGMA_R, Region.ON_SIGMA_L
 _ON_DELTA_LINE = Region.ON_DELTA_LINE
-_GO = COMMANDS[Maneuver.GO_STRAIGHT]
-_RIGHT = COMMANDS[Maneuver.TURN_RIGHT]
-_LEFT = COMMANDS[Maneuver.TURN_LEFT]
+_GO, _RIGHT, _LEFT = Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT, Maneuver.TURN_LEFT
 
 # Builds a record from a tuple of all its fields, without the Python-level
 # ``__new__`` of a NamedTuple; the step gives every field, each already valid.
@@ -481,7 +475,7 @@ def classify(l_norm: float, theta_tilde: float, cfg: ControllerConfig) -> Region
 # -- relay with latched hysteresis ------------------------------------------
 
 
-def _relay(err: float, state: ControllerState, eps: float) -> tuple[BrakeCommand, HybridState, int]:
+def _relay(err: float, state: ControllerState, eps: float) -> tuple[Maneuver, HybridState, int]:
     turn_dir = state.turn_dir
     if state.hybrid_state is _TURNING and turn_dir != 0 and not abs(err) <= eps:
         # The latched turn holds outside the band.  A left turn normally
@@ -512,7 +506,7 @@ def _relay(err: float, state: ControllerState, eps: float) -> tuple[BrakeCommand
 
 def _track_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
-) -> tuple[BrakeCommand, ControllerState]:
+) -> tuple[Maneuver, ControllerState]:
     b = cfg.eps_b
     err = (th - cfg.delta_profile.value(l_norm) + math.pi) % TWO_PI - math.pi  # wrap_angle
     if abs(l_norm) <= b and abs(th) <= b:
@@ -533,7 +527,7 @@ def _track_step(
 
 def _approach_step(
     l_norm: float, th: float, state: ControllerState, cfg: ControllerConfig
-) -> tuple[BrakeCommand, ControllerState]:
+) -> tuple[Maneuver, ControllerState]:
     region, side, handoff, receptive, err = _approach_partition(l_norm, th, cfg)
     if not side:
         return _GO, _new(ControllerState, (_APPROACH, _STRAIGHT, 0, err, None, 0))
@@ -564,15 +558,15 @@ def select_maneuver(
     frenet: FrenetState,
     ctrl: ControllerState,
     params: ControllerConfig,
-) -> tuple[BrakeCommand, ControllerState]:
+) -> tuple[Maneuver, ControllerState]:
     """One controller transition; assumes forward motion (v > 0).
 
-    Raises ProjectionLost on a non-finite Frenet state, in which case the
+    Raises ValueError on a non-finite Frenet state, in which case the
     caller is expected to command Stop.
     """
     s, l, theta_tilde = frenet
     if not (math.isfinite(s) and math.isfinite(l) and math.isfinite(theta_tilde)):
-        raise ProjectionLost(f"invalid frenet state {frenet}")
+        raise ValueError(f"invalid frenet state {frenet}")
     l_norm = l / params.radius
     ctrl = _phase_switch(l_norm, ctrl, params)
     th = (theta_tilde + math.pi) % TWO_PI - math.pi  # wrap_angle

@@ -26,7 +26,7 @@ class NonPositiveDt(ValueError):
 
 
 class Maneuver(Enum):
-    """The four admissible brake actions."""
+    """The four admissible brake actions; a command is one of them."""
 
     GO_STRAIGHT = "go_straight"
     TURN_RIGHT = "turn_right"
@@ -36,34 +36,11 @@ class Maneuver(Enum):
     def __init__(self, label: str) -> None:
         self.label = label  # the value, as a plain attribute
 
-
-# The members the step reads, as module constants: an Enum member read as a
-# class attribute goes through ``EnumType.__getattr__``.
-_GO, _RIGHT = Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT
-_LEFT, _STOP = Maneuver.TURN_LEFT, Maneuver.STOP
-
-
-@dataclass(frozen=True)
-class BrakeCommand:
-    """A quantized brake command and its per-wheel expansion."""
-
-    action: Maneuver
-
-    @classmethod
-    def go_straight(cls) -> "BrakeCommand":
-        return cls(Maneuver.GO_STRAIGHT)
-
-    @classmethod
-    def turn_right(cls) -> "BrakeCommand":
-        return cls(Maneuver.TURN_RIGHT)
-
-    @classmethod
-    def turn_left(cls) -> "BrakeCommand":
-        return cls(Maneuver.TURN_LEFT)
-
-    @classmethod
-    def stop(cls) -> "BrakeCommand":
-        return cls(Maneuver.STOP)
+    @property
+    def action(self) -> "Maneuver":
+        """The member itself.  Only the benchmark's replay reads it, until
+        that replay reads ``label`` directly."""
+        return self
 
     def wheel_settings(self, b_max: float) -> tuple[tuple[float, float], tuple[float, float]]:
         """Per-wheel ``(b_brake, c_hold)`` pairs, right wheel first.
@@ -71,18 +48,22 @@ class BrakeCommand:
         ``b_brake`` is the brake's viscous coefficient (0 or ``b_max``) and
         ``c_hold`` the at-rest holding fraction (0 or 1).
         """
-        action = self.action
-        right_braked = action is _RIGHT or action is _STOP
-        left_braked = action is _LEFT or action is _STOP
+        right_braked = self is _RIGHT or self is _STOP
+        left_braked = self is _LEFT or self is _STOP
         return (
             (b_max if right_braked else 0.0, 1.0 if right_braked else 0.0),
             (b_max if left_braked else 0.0, 1.0 if left_braked else 0.0),
         )
 
 
-# The four commands, built once: the controller hands these out rather than
-# building a new command every step.
-COMMANDS = {action: BrakeCommand(action) for action in Maneuver}
+# The members the step reads, as module constants: an Enum member read as a
+# class attribute goes through ``EnumType.__getattr__``.
+_GO, _RIGHT = Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT
+_LEFT, _STOP = Maneuver.TURN_LEFT, Maneuver.STOP
+
+
+def _not_a_maneuver(command: object) -> TypeError:
+    return TypeError(f"command must be a Maneuver member, got {command!r}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +146,7 @@ def wheel_rates(v: float, omega: float, params: VehicleParams) -> tuple[float, f
 
 def step_kinematic(
     state: VehicleState,
-    command: BrakeCommand,
+    command: Maneuver,
     v_user: float,
     dt: float,
     params: VehicleParams,
@@ -175,28 +156,36 @@ def step_kinematic(
     The command fixes the angular rate: 0 when free, ``-v/R`` turning right,
     ``+v/R`` turning left; Stop halts instantly (wheel lock time is treated
     as negligible) and leaves the pose unchanged.  The wheel rates are
-    :func:`wheel_rates`' expressions, in its operand order.
+    :func:`wheel_rates`' expressions, in its operand order.  A command that
+    is not a :class:`Maneuver` member raises TypeError.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
-    action = command.action
     x, y, theta = state.x, state.y, state.theta
-    if action is _STOP:
-        return _new(VehicleState, (x, y, theta, 0.0, 0.0, 0.0, 0.0))
     v = v_user if v_user > 0.0 else 0.0  # max(0.0, v_user), which also maps NaN to 0
     d, r = params.d, params.r
-    if action is _GO:
+    if command is _GO:
         omega = 0.0
         x += v * dt * math.cos(theta)
         y += v * dt * math.sin(theta)
-    elif v > 0.0:
-        omega = (-v if action is _RIGHT else v) / (d / 2.0)  # v / R
-        theta_0, theta = theta, theta + omega * dt
-        rho = v / omega  # signed turn radius, magnitude R
-        x += rho * (math.sin(theta) - math.sin(theta_0))
-        y -= rho * (math.cos(theta) - math.cos(theta_0))
     else:
-        omega = 0.0  # no motion, no rotation about a wheel
+        # The controller never commands Stop, so it is tested last.
+        if command is _RIGHT:
+            signed_v = -v
+        elif command is _LEFT:
+            signed_v = v
+        elif command is _STOP:
+            return _new(VehicleState, (x, y, theta, 0.0, 0.0, 0.0, 0.0))
+        else:
+            raise _not_a_maneuver(command)
+        if v > 0.0:
+            omega = signed_v / (d / 2.0)  # v / R
+            theta_0, theta = theta, theta + omega * dt
+            rho = v / omega  # signed turn radius, magnitude R
+            x += rho * (math.sin(theta) - math.sin(theta_0))
+            y -= rho * (math.cos(theta) - math.cos(theta_0))
+        else:
+            omega = 0.0  # no motion, no rotation about a wheel
     return _new(
         VehicleState, (x, y, theta, v, omega, (v + omega * d / 2.0) / r, (v - omega * d / 2.0) / r)
     )
@@ -204,7 +193,7 @@ def step_kinematic(
 
 def step_dynamic(
     state: VehicleState,
-    command: BrakeCommand,
+    command: Maneuver,
     user: UserInput,
     dt: float,
     params: VehicleParams,
@@ -228,7 +217,8 @@ def step_dynamic(
     per-wheel torque and wrench formulas, so every substep is bitwise an RK4
     step built from those formulas one derivative call per stage, as the
     reference in ``tests/test_dynamics.py`` builds it, and one call with
-    ``substeps=n`` equals ``n`` chained calls bit for bit.
+    ``substeps=n`` equals ``n`` chained calls bit for bit.  A command that
+    is not a :class:`Maneuver` member raises TypeError.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
@@ -236,23 +226,24 @@ def step_dynamic(
         raise ValueError(f"unknown brake model {brake_model!r}")
     if type(substeps) is not int or substeps < 1:
         raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
-    action = command.action
     x, y, th = state.x, state.y, state.theta
     r, d, b_w = params.r, params.d, params.b_w
     half = 0.5 * dt
     sixth = dt / 6.0
     cos, sin = math.cos, math.sin
 
-    if brake_model == "instant" and action is not _GO:
-        if action is _STOP:
+    if brake_model == "instant" and command is not _GO:
+        if command is _STOP:
             return _new(VehicleState, (x, y, th, 0.0, 0.0, 0.0, 0.0))
         # One wheel locked: the free wheel's rate u is the only degree of
         # freedom, with v = r u / 2 and omega = sr u / d about the locked wheel.
-        right = action is _RIGHT
+        right = command is _RIGHT
         if right:
             sr, u, tau = -r, state.alpha_dot_l, user.tau_l
-        else:
+        elif command is _LEFT:
             sr, u, tau = r, state.alpha_dot_r, user.tau_r
+        else:
+            raise _not_a_maneuver(command)
         m_eff = params.m * (r * r) / 4.0 + params.J * (r * r) / (d * d)
 
         for _ in range(substeps):
@@ -289,7 +280,10 @@ def step_dynamic(
             # VehicleState field would store it.
             u = (v - omega * d / 2.0) / r if right else (v + omega * d / 2.0) / r
     else:
-        (b_r, c_r), (b_l, c_l) = command.wheel_settings(params.b_max)
+        try:
+            (b_r, c_r), (b_l, c_l) = command.wheel_settings(params.b_max)
+        except AttributeError:
+            raise _not_a_maneuver(command) from None
         tau_r, tau_l = user.tau_r, user.tau_l
         held_r, held_l = (1.0 - c_r) * tau_r, (1.0 - c_l) * tau_l
         m, J, two_r = params.m, params.J, 2.0 * r

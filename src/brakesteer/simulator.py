@@ -497,7 +497,7 @@ def run(scenario: Scenario) -> Trace:
         x, y, theta, v, omega, _, _ = state
         rows.append(_new(TraceRow, (
             t, x, y, theta, v, omega, s, l, theta_tilde,
-            cmd.action.label, ctrl.hybrid_state.label, ctrl.phase.label,
+            cmd.label, ctrl.hybrid_state.label, ctrl.phase.label,
             lyapunov(l / radius, theta_tilde),
         )))
         if stop_when_converged:

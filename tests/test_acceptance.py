@@ -24,7 +24,7 @@ from brakesteer.controller import (
     sigma_r,
 )
 from brakesteer.dynamics import (
-    BrakeCommand,
+    Maneuver,
     UserInput,
     VehicleParams,
     VehicleState,
@@ -94,7 +94,7 @@ def test_criterion_03_single_wheel_circle_exact():
     dt = 2 * math.pi * params.R / v / n
     state = VehicleState.from_body_rates(0.4, -0.9, 1.1, v, 0.0, params)
     for _ in range(n):
-        state = step_kinematic(state, BrakeCommand.turn_right(), v, dt, params)
+        state = step_kinematic(state, Maneuver.TURN_RIGHT, v, dt, params)
     closure = math.hypot(state.x - 0.4, state.y + 0.9)
     ok = closure < 1e-9 and abs(state.theta - (1.1 - 2 * math.pi)) < 1e-9
     report(3, ok, f"closure error {closure:.2e} m after a full revolution")
@@ -292,7 +292,7 @@ def test_criterion_09_dynamic_integrator():
     def final(dt, T=1.0):
         s = VehicleState.from_body_rates(0, 0, 0.2, 1.2, 0.3, params)
         for _ in range(round(T / dt)):
-            s = step_dynamic(s, BrakeCommand.turn_right(), user, dt, params, "viscous")
+            s = step_dynamic(s, Maneuver.TURN_RIGHT, user, dt, params, "viscous")
         return np.array([s.x, s.y, s.theta, s.v, s.omega])
 
     a, b, c = final(0.01), final(0.005), final(0.0025)
@@ -300,8 +300,7 @@ def test_criterion_09_dynamic_integrator():
     ratio_ok = 16 * 0.7 <= ratio <= 16 * 1.3
 
     dissipative = True
-    for cmd in (BrakeCommand.go_straight(), BrakeCommand.turn_right(),
-                BrakeCommand.turn_left(), BrakeCommand.stop()):
+    for cmd in (Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT, Maneuver.TURN_LEFT, Maneuver.STOP):
         s = VehicleState.from_body_rates(0, 0, 0, 1.5, 0.8, params)
         e = s.kinetic_energy(params)
         for _ in range(1000):

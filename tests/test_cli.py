@@ -117,6 +117,18 @@ def test_field_rejects_bad_arguments(tmp_path, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["l", "theta"])
+def test_field_rejects_a_span_that_overflows(tmp_path, capsys, axis):
+    # Each bound is finite, but max - min is not: the l axis used to write
+    # nan and inf rows, each labelled a region, and the theta axis to fail
+    # with a bare "math domain error".
+    out = tmp_path / "f.csv"
+    assert main(["field", f"--{axis}-min=-1e308", f"--{axis}-max=1e308", "--resolution", "3",
+                 "--out", str(out)]) == 1
+    assert f"--{axis}-min and --{axis}-max must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_field_zero_delta_columns_collapse(tmp_path):
     out = tmp_path / "field0.csv"
     assert main(["field", "--delta", "0", "--resolution", "15", "--out", str(out)]) == 0
@@ -427,6 +439,18 @@ def test_sweep_rejects_an_invalid_scenario_before_running(tmp_path, demo_config,
                  "--grid-l=1:2:2", "--grid-theta=0:0:1"]) == 1
     assert "unknown brake model 'bogus'" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("option, spec", [("--grid-l", "1:2"), ("--grid-l", "1:2:x"),
+                                          ("--grid-theta", "0:1:2:3")])
+def test_sweep_names_the_option_of_a_malformed_grid_spec(tmp_path, demo_config, capsys,
+                                                         option, spec):
+    # Exit 1, not argparse's 2, which here means "ran, did not converge".
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(demo_config), "--out", str(out),
+                 f"{option}={spec}"]) == 1
+    assert f"error: {option} must be MIN:MAX:N, got {spec!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_csv_carries_the_fixed_overflow_reason(tmp_path, demo_config):

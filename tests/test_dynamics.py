@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from brakesteer.dynamics import (
-    BrakeCommand,
     Maneuver,
     NonPositiveDt,
     UserInput,
@@ -93,9 +92,7 @@ def test_brake_command_has_exactly_four_actions():
     assert {m for m in Maneuver} == {
         Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT, Maneuver.TURN_LEFT, Maneuver.STOP
     }
-    settings = {
-        BrakeCommand(m).wheel_settings(PARAMS.b_max) for m in Maneuver
-    }
+    settings = {m.wheel_settings(PARAMS.b_max) for m in Maneuver}
     assert len(settings) == 4
     for (b_r, c_r), (b_l, c_l) in settings:
         assert b_r in (0.0, PARAMS.b_max) and b_l in (0.0, PARAMS.b_max)
@@ -125,28 +122,28 @@ def test_params_reject_a_d_whose_half_is_not_positive(d):
 
 
 def test_straight_step():
-    s = step_kinematic(state_at(), BrakeCommand.go_straight(), 1.0, 1.0, PARAMS)
+    s = step_kinematic(state_at(), Maneuver.GO_STRAIGHT, 1.0, 1.0, PARAMS)
     assert (s.x, s.y, s.theta) == pytest.approx((1, 0, 0))
     assert s.omega == 0.0
 
 
 def test_left_turn_quarter_circle():
     p = VehicleParams(d=1.0)  # R = 0.5
-    s = step_kinematic(state_at(params=p), BrakeCommand.turn_left(), 1.0, math.pi / 4, p)
+    s = step_kinematic(state_at(params=p), Maneuver.TURN_LEFT, 1.0, math.pi / 4, p)
     assert s.theta == pytest.approx(math.pi / 2)
     assert (s.x, s.y) == pytest.approx((0.5, 0.5))
 
 
 def test_turn_right_is_clockwise():
-    s = step_kinematic(state_at(), BrakeCommand.turn_right(), 1.0, 0.1, PARAMS)
+    s = step_kinematic(state_at(), Maneuver.TURN_RIGHT, 1.0, 0.1, PARAMS)
     assert s.theta < 0.0
     assert s.omega == pytest.approx(-1.0 / PARAMS.R)
 
 
 def test_stop_is_idempotent_and_freezes_pose():
     s0 = state_at(v=1.3, omega=0.4, x=2.0, y=-1.0, theta=0.7)
-    s1 = step_kinematic(s0, BrakeCommand.stop(), 1.0, 5.0, PARAMS)
-    s2 = step_kinematic(s1, BrakeCommand.stop(), 1.0, 5.0, PARAMS)
+    s1 = step_kinematic(s0, Maneuver.STOP, 1.0, 5.0, PARAMS)
+    s2 = step_kinematic(s1, Maneuver.STOP, 1.0, 5.0, PARAMS)
     assert (s1.x, s1.y, s1.theta) == (2.0, -1.0, 0.7)
     assert s1.v == s1.omega == 0.0
     assert s1 == s2
@@ -158,40 +155,51 @@ def test_single_wheel_circle_closes_to_nanometers():
     dt = 2 * math.pi * PARAMS.R / v / n
     s = state_at(v=v, x=0.3, y=-1.2, theta=0.7)
     for _ in range(n):
-        s = step_kinematic(s, BrakeCommand.turn_left(), v, dt, PARAMS)
+        s = step_kinematic(s, Maneuver.TURN_LEFT, v, dt, PARAMS)
     assert math.hypot(s.x - 0.3, s.y + 1.2) < 1e-9
     assert s.theta == pytest.approx(0.7 + 2 * math.pi, abs=1e-9)
 
 
 def test_wheel_rates_stay_consistent():
     s = state_at(v=1.0)
-    for cmd in (BrakeCommand.turn_left(), BrakeCommand.go_straight(), BrakeCommand.turn_right()):
+    for cmd in (Maneuver.TURN_LEFT, Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT):
         s = step_kinematic(s, cmd, 1.0, 0.02, PARAMS)
         assert s.rates_consistent(PARAMS)
 
 
 def test_nonpositive_dt_rejected():
     with pytest.raises(NonPositiveDt):
-        step_kinematic(state_at(), BrakeCommand.go_straight(), 1.0, 0.0, PARAMS)
+        step_kinematic(state_at(), Maneuver.GO_STRAIGHT, 1.0, 0.0, PARAMS)
     with pytest.raises(NonPositiveDt):
-        step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), -0.1, PARAMS)
+        step_dynamic(state_at(), Maneuver.GO_STRAIGHT, UserInput(), -0.1, PARAMS)
 
 
 @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
 def test_nonfinite_dt_rejected(dt):
     # A NaN dt used to pass the guard and return an all-NaN state.
     with pytest.raises(NonPositiveDt):
-        step_kinematic(state_at(), BrakeCommand.turn_left(), 1.0, dt, PARAMS)
+        step_kinematic(state_at(), Maneuver.TURN_LEFT, 1.0, dt, PARAMS)
     for model in ("instant", "viscous"):
         with pytest.raises(NonPositiveDt):
-            step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), dt, PARAMS, model)
+            step_dynamic(state_at(), Maneuver.GO_STRAIGHT, UserInput(), dt, PARAMS, model)
+
+
+@pytest.mark.parametrize("command", [None, "turn_left"])
+@pytest.mark.parametrize("model", ["kinematic", "instant", "viscous"])
+def test_a_command_that_is_no_maneuver_raises_type_error(model, command):
+    # Such a command used to turn left (kinematic, instant) or go straight.
+    with pytest.raises(TypeError, match=repr(command)):
+        if model == "kinematic":
+            step_kinematic(state_at(v=1.0), command, 1.0, 0.01, PARAMS)
+        else:
+            step_dynamic(state_at(v=1.0), command, UserInput(0.1, 0.1), 1e-3, PARAMS, model)
 
 
 @pytest.mark.parametrize("substeps", [0, -1, 2.0])
 def test_step_dynamic_rejects_bad_substeps(substeps):
     # substeps=0 would otherwise hand the state back unchanged.
     with pytest.raises(ValueError, match="substeps"):
-        step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), 1e-3, PARAMS,
+        step_dynamic(state_at(), Maneuver.GO_STRAIGHT, UserInput(), 1e-3, PARAMS,
                      "viscous", substeps)
 
 
@@ -199,7 +207,7 @@ def test_step_dynamic_names_an_unknown_brake_model():
     # A scenario's brake_model is checked by validate; a library call is
     # checked here, before any state is touched.
     with pytest.raises(ValueError, match="unknown brake model 'bogus'"):
-        step_dynamic(state_at(), BrakeCommand.go_straight(), UserInput(), 1e-3, PARAMS,
+        step_dynamic(state_at(), Maneuver.GO_STRAIGHT, UserInput(), 1e-3, PARAMS,
                      brake_model="bogus")
 
 
@@ -212,14 +220,14 @@ def test_free_rolling_closed_form():
     tau0, T, n = 0.4, 2.0, 2000
     s = state_at(v=0.0, params=p)
     for _ in range(n):
-        s = step_dynamic(s, BrakeCommand.go_straight(), UserInput(tau0, tau0), T / n, p, "viscous")
+        s = step_dynamic(s, Maneuver.GO_STRAIGHT, UserInput(tau0, tau0), T / n, p, "viscous")
     assert s.v == pytest.approx(2 * tau0 * T / (p.r * p.m), rel=1e-9)
     assert s.omega == pytest.approx(0.0, abs=1e-12)
 
 
 def test_full_brake_decay_matches_dense_reference():
     p = VehicleParams()
-    cmd = BrakeCommand.stop()
+    cmd = Maneuver.STOP
 
     def integrate(dt, T=0.05):
         s = state_at(v=1.5, params=p)
@@ -245,7 +253,7 @@ def test_rk4_richardson_ratio():
     def final(dt, T=1.0):
         s = VehicleState.from_body_rates(0, 0, 0.2, 1.2, 0.3, p)
         for _ in range(round(T / dt)):
-            s = step_dynamic(s, BrakeCommand.turn_right(), user, dt, p, "viscous")
+            s = step_dynamic(s, Maneuver.TURN_RIGHT, user, dt, p, "viscous")
         return np.array([s.x, s.y, s.theta, s.v, s.omega])
 
     a, b, c = final(0.01), final(0.005), final(0.0025)
@@ -254,11 +262,8 @@ def test_rk4_richardson_ratio():
 
 
 @pytest.mark.parametrize("model", ["viscous", "instant"])
-@pytest.mark.parametrize(
-    "cmd",
-    [BrakeCommand.go_straight(), BrakeCommand.turn_right(),
-     BrakeCommand.turn_left(), BrakeCommand.stop()],
-)
+# The ids stay the positional ones the suite has always printed.
+@pytest.mark.parametrize("cmd", list(Maneuver), ids=[f"cmd{i}" for i in range(4)])
 def test_braking_dissipates_energy(model, cmd):
     p = VehicleParams(b_max=2.0)
     s = VehicleState.from_body_rates(0, 0, 0, 1.5, 0.8, p)
@@ -274,7 +279,7 @@ def test_instant_lock_traces_fixed_radius():
     # With the right wheel locked the body rates satisfy omega = -v / R.
     s = state_at(v=1.0)
     for _ in range(200):
-        s = step_dynamic(s, BrakeCommand.turn_right(), UserInput(0.5, 0.5), 1e-3, PARAMS)
+        s = step_dynamic(s, Maneuver.TURN_RIGHT, UserInput(0.5, 0.5), 1e-3, PARAMS)
         if s.v > 0:
             assert s.omega == pytest.approx(-s.v / PARAMS.R, rel=1e-12)
         assert s.alpha_dot_r == pytest.approx(0.0, abs=1e-12)
@@ -284,7 +289,7 @@ def test_forward_speed_clamped_nonnegative():
     p = VehicleParams(b_w=0.0)
     s = state_at(v=0.05, params=p)
     for _ in range(200):
-        s = step_dynamic(s, BrakeCommand.go_straight(), UserInput(-2.0, -2.0), 1e-2, p, "viscous")
+        s = step_dynamic(s, Maneuver.GO_STRAIGHT, UserInput(-2.0, -2.0), 1e-2, p, "viscous")
         assert s.v >= 0.0
     assert s.v == 0.0
 
@@ -305,11 +310,10 @@ def _reference_rk4(vec, deriv, dt):
 
 def reference_step_dynamic(state, command, user, dt, p, brake_model):
     """RK4 step assembled from the public helpers, one derivative call per stage."""
-    action = command.action
-    if brake_model == "instant" and action is not Maneuver.GO_STRAIGHT:
-        if action is Maneuver.STOP:
+    if brake_model == "instant" and command is not Maneuver.GO_STRAIGHT:
+        if command is Maneuver.STOP:
             return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
-        right = action is Maneuver.TURN_RIGHT
+        right = command is Maneuver.TURN_RIGHT
         sign = -1.0 if right else 1.0
         u = state.alpha_dot_l if right else state.alpha_dot_r
         # Lock the braked wheel: body rates from the free wheel, then the
@@ -377,7 +381,7 @@ def test_step_dynamic_matches_helper_reference_bitwise(
     action, brake_model, dt, pose, v, omega, torques, params
 ):
     state = VehicleState.from_body_rates(*pose, v, omega, params)
-    args = (state, BrakeCommand(action), UserInput(*torques), dt, params, brake_model)
+    args = (state, action, UserInput(*torques), dt, params, brake_model)
     assert step_dynamic(*args) == reference_step_dynamic(*args)
 
 
@@ -398,7 +402,7 @@ def test_substeps_equal_chained_calls_bitwise(
     action, brake_model, n, dt, pose, v, omega, torques, params
 ):
     state = VehicleState.from_body_rates(*pose, v, omega, params)
-    command, user = BrakeCommand(action), UserInput(*torques)
+    command, user = action, UserInput(*torques)
     chained = state
     for _ in range(n):
         chained = step_dynamic(chained, command, user, dt, params, brake_model)
@@ -414,16 +418,16 @@ def reference_step_kinematic(state, command, v_user, dt, params):
     VehicleState.from_body_rates (and so through wheel_rates)."""
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
-    if command.action is Maneuver.STOP:
+    if command is Maneuver.STOP:
         return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
     v = max(0.0, v_user)
-    if command.action is Maneuver.GO_STRAIGHT:
+    if command is Maneuver.GO_STRAIGHT:
         omega = 0.0
         x = state.x + v * dt * math.cos(state.theta)
         y = state.y + v * dt * math.sin(state.theta)
         theta = state.theta
     else:
-        sign = -1.0 if command.action is Maneuver.TURN_RIGHT else 1.0
+        sign = -1.0 if command is Maneuver.TURN_RIGHT else 1.0
         omega = sign * v / params.R
         theta = state.theta + omega * dt
         if v > 0.0:
@@ -466,6 +470,6 @@ def test_step_kinematic_matches_body_rate_reference_bitwise(
     action, v_user, dt, pose, rates, params
 ):
     state = VehicleState.from_body_rates(*pose, *rates, params)
-    args = (state, BrakeCommand(action), v_user, dt, params)
+    args = (state, action, v_user, dt, params)
     got, want = step_kinematic(*args), reference_step_kinematic(*args)
     assert [f.hex() for f in got] == [f.hex() for f in want]

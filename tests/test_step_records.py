@@ -24,7 +24,7 @@ from brakesteer.controller import (
     select_maneuver,
 )
 from brakesteer.dynamics import (
-    COMMANDS, Maneuver, UserInput, VehicleParams, VehicleState, step_dynamic, step_kinematic,
+    Maneuver, UserInput, VehicleParams, VehicleState, step_dynamic, step_kinematic,
 )
 from brakesteer.path_geometry import FrenetState
 from brakesteer.simulator import TraceRow, build_demo_scenario, run
@@ -87,12 +87,11 @@ APPROACH_BRANCHES = {
 def test_every_phase_step_branch_builds_a_well_formed_state(step, cfg, case):
     l_norm, th, prior, branch = case
     command, state = step(l_norm, th, prior, cfg)
-    assert (command.action, state.hybrid_state) == branch
-    assert command is COMMANDS[command.action]
+    assert (command, state.hybrid_state) == branch
     assert_well_formed(state, ControllerState)
     # The same branch through select_maneuver (radius 1: l is l~).
     command, state = select_maneuver(FrenetState(0.0, l_norm, th), prior, cfg)
-    assert (command.action, state.hybrid_state) == branch
+    assert (command, state.hybrid_state) == branch
     assert_well_formed(state, ControllerState)
 
 
@@ -124,9 +123,9 @@ def test_projection_builds_well_formed_frenet_states():
 def test_stepping_builds_well_formed_vehicle_states(action):
     params = VehicleParams()
     state = VehicleState.from_body_rates(1.0, 2.0, 0.3, 1.0, 0.0, params)
-    assert_well_formed(step_kinematic(state, COMMANDS[action], 1.0, 0.01, params), VehicleState)
+    assert_well_formed(step_kinematic(state, action, 1.0, 0.01, params), VehicleState)
     for brake_model in ("instant", "viscous"):
-        stepped = step_dynamic(state, COMMANDS[action], UserInput(0.1, 0.1), 0.001, params,
+        stepped = step_dynamic(state, action, UserInput(0.1, 0.1), 0.001, params,
                                brake_model, 10)
         assert_well_formed(stepped, VehicleState)
 
@@ -153,7 +152,7 @@ STEP_FUNCTIONS = (
     controller._approach_step,
     dynamics.step_kinematic,
     dynamics.step_dynamic,
-    dynamics.BrakeCommand.wheel_settings,
+    dynamics.Maneuver.wheel_settings,
 )
 ENUM_CLASSES = {"Phase", "HybridState", "Maneuver", "Region"}
 
