@@ -73,10 +73,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_linspace(option: str, spec: str) -> list[float]:
-    """The points of a sweep grid spec ``MIN:MAX:N`` given as ``option``."""
+    """The points of a sweep grid spec ``MIN:MAX:N``, N >= 1, given as ``option``."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
+        if n < 1:
+            raise ValueError  # linspace's own message would name no option
     except ValueError:
         raise ValueError(f"{option} must be MIN:MAX:N, got {spec!r}") from None
     return linspace(lo, hi, n)

@@ -210,15 +210,29 @@ def step_dynamic(
     4 J r^2 / (b_max d^2); the wheels have no inertia of their own.  The
     forward speed is clamped nonnegative; reverse motion is out of scope.
 
-    The checks, the brake settings, user torques and other constants are
-    resolved once per call, and the substeps then run the four RK4 stages on
-    plain floats; one ``VehicleState`` is built, at the end.  Each expression
-    keeps the operand order of :func:`wheel_rates` and of the textbook
-    per-wheel torque and wrench formulas, so every substep is bitwise an RK4
-    step built from those formulas one derivative call per stage, as the
-    reference in ``tests/test_dynamics.py`` builds it, and one call with
-    ``substeps=n`` equals ``n`` chained calls bit for bit.  A command that
-    is not a :class:`Maneuver` member raises TypeError.
+    The checks and constants are resolved once per call, and the command
+    picks one of three loops, which run the four RK4 stages of each substep
+    on plain floats; one ``VehicleState`` is built, at the end:
+
+    - free rolling (``go_straight``, under either brake model): both wheels
+      roll and only the rolling drag ``b_w * rate`` acts.  A released brake
+      would add ``0.0 * rate``; for a finite rate that is a zero whose
+      subtraction moves no bit of the torque, so the loop leaves it out.
+      Only a rate overflowed to inf tells the two apart (``0.0 * inf`` is
+      NaN, the drag alone is infinite), and either state is then
+      non-finite;
+    - locked wheel (``brake_model="instant"``, a turn or Stop): Stop
+      returns the pose at rest, and a turn integrates the free wheel's rate;
+    - viscous braking (``brake_model="viscous"``, a turn or Stop): each
+      wheel's torque carries its brake's ``b_brake * rate`` beside the
+      rolling drag, and a braked wheel at rest is held.
+
+    Each expression keeps the operand order of :func:`wheel_rates` and of
+    the textbook per-wheel torque and wrench formulas, so every substep is
+    bitwise an RK4 step built from those formulas one derivative call per
+    stage, as the reference in ``tests/test_dynamics.py`` builds it, and one
+    call with ``substeps=n`` equals ``n`` chained calls bit for bit.  A
+    command that is not a :class:`Maneuver` member raises TypeError.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
@@ -232,7 +246,51 @@ def step_dynamic(
     sixth = dt / 6.0
     cos, sin = math.cos, math.sin
 
-    if brake_model == "instant" and command is not _GO:
+    if command is _GO:
+        # Free rolling: no 0.0 * rate brake term, and a wheel at rest passes
+        # its user torque through, as the released brake's (1.0 - 0.0) * tau.
+        tau_r, tau_l = user.tau_r, user.tau_l
+        m, J, two_r = params.m, params.J, 2.0 * r
+        v, omega = state.v, state.omega
+
+        for _ in range(substeps):
+            th0, v0, w0 = th, v, omega
+            h = w0 * d / 2.0
+            adr, adl = (v0 + h) / r, (v0 - h) / r
+            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
+            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
+            dx1, dy1 = v0 * cos(th0), v0 * sin(th0)
+            dv1, dw1 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+            th, v2, w2 = th0 + half * w0, v0 + half * dv1, w0 + half * dw1
+            h = w2 * d / 2.0
+            adr, adl = (v2 + h) / r, (v2 - h) / r
+            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
+            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
+            dx2, dy2 = v2 * cos(th), v2 * sin(th)
+            dv2, dw2 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+            th, v3, w3 = th0 + half * w2, v0 + half * dv2, w0 + half * dw2
+            h = w3 * d / 2.0
+            adr, adl = (v3 + h) / r, (v3 - h) / r
+            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
+            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
+            dx3, dy3 = v3 * cos(th), v3 * sin(th)
+            dv3, dw3 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+            th, v4, w4 = th0 + dt * w3, v0 + dt * dv3, w0 + dt * dw3
+            h = w4 * d / 2.0
+            adr, adl = (v4 + h) / r, (v4 - h) / r
+            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
+            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
+            dx4, dy4 = v4 * cos(th), v4 * sin(th)
+            dv4, dw4 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
+
+            v = v0 + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
+            omega = w0 + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+            if v < 0.0:
+                v = 0.0
+            x += sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
+            y += sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
+            th = th0 + sixth * (w0 + 2.0 * w2 + 2.0 * w3 + w4)
+    elif brake_model == "instant":
         if command is _STOP:
             return _new(VehicleState, (x, y, th, 0.0, 0.0, 0.0, 0.0))
         # One wheel locked: the free wheel's rate u is the only degree of
@@ -280,6 +338,8 @@ def step_dynamic(
             # VehicleState field would store it.
             u = (v - omega * d / 2.0) / r if right else (v + omega * d / 2.0) / r
     else:
+        # Viscous braking: every wheel rolls, and an engaged brake adds its
+        # b_max * rate to the rolling drag.
         try:
             (b_r, c_r), (b_l, c_l) = command.wheel_settings(params.b_max)
         except AttributeError:
@@ -291,25 +351,29 @@ def step_dynamic(
 
         for _ in range(substeps):
             th0, v0, w0 = th, v, omega
-            adr, adl = (v0 + w0 * d / 2.0) / r, (v0 - w0 * d / 2.0) / r
+            h = w0 * d / 2.0
+            adr, adl = (v0 + h) / r, (v0 - h) / r
             tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
             tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
             dx1, dy1 = v0 * cos(th0), v0 * sin(th0)
             dv1, dw1 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
             th, v2, w2 = th0 + half * w0, v0 + half * dv1, w0 + half * dw1
-            adr, adl = (v2 + w2 * d / 2.0) / r, (v2 - w2 * d / 2.0) / r
+            h = w2 * d / 2.0
+            adr, adl = (v2 + h) / r, (v2 - h) / r
             tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
             tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
             dx2, dy2 = v2 * cos(th), v2 * sin(th)
             dv2, dw2 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
             th, v3, w3 = th0 + half * w2, v0 + half * dv2, w0 + half * dw2
-            adr, adl = (v3 + w3 * d / 2.0) / r, (v3 - w3 * d / 2.0) / r
+            h = w3 * d / 2.0
+            adr, adl = (v3 + h) / r, (v3 - h) / r
             tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
             tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
             dx3, dy3 = v3 * cos(th), v3 * sin(th)
             dv3, dw3 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
             th, v4, w4 = th0 + dt * w3, v0 + dt * dv3, w0 + dt * dw3
-            adr, adl = (v4 + w4 * d / 2.0) / r, (v4 - w4 * d / 2.0) / r
+            h = w4 * d / 2.0
+            adr, adl = (v4 + h) / r, (v4 - h) / r
             tr = tau_r - b_r * adr - b_w * adr if adr != 0.0 else held_r
             tl = tau_l - b_l * adl - b_w * adl if adl != 0.0 else held_l
             dx4, dy4 = v4 * cos(th), v4 * sin(th)

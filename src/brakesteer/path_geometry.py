@@ -747,12 +747,19 @@ class Path:
         if (ub - ua) * abs(c) >= TWO_PI:
             u = ua + (u0 - ua) % period
             return [ub if ub < u else u], rho
+        # Walk k up from below the window.  u0 + k * period never falls as k
+        # grows (each rounding is monotone), so the walk stops at the first
+        # point past the window's far end; k_max still bounds it where a
+        # period is under 1e-12.
         out = []
+        lo, hi = ua - 1e-12, ub + 1e-12
         k_min = math.floor((ua - u0) / period) - 1
         k_max = math.ceil((ub - u0) / period) + 1
         for k in range(k_min, k_max + 1):
             u = u0 + k * period
-            if ua - 1e-12 <= u <= ub + 1e-12:
+            if u > hi:
+                break
+            if lo <= u:
                 # min(max(u, ua), ub), spelled out: each comparison keeps the
                 # operand the builtin keeps, on a tie and a signed zero too.
                 u = ua if ua > u else u

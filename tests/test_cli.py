@@ -442,7 +442,7 @@ def test_sweep_rejects_an_invalid_scenario_before_running(tmp_path, demo_config,
 
 
 @pytest.mark.parametrize("option, spec", [("--grid-l", "1:2"), ("--grid-l", "1:2:x"),
-                                          ("--grid-theta", "0:1:2:3")])
+                                          ("--grid-theta", "0:1:2:3"), ("--grid-l", "1:2:0")])
 def test_sweep_names_the_option_of_a_malformed_grid_spec(tmp_path, demo_config, capsys,
                                                          option, spec):
     # Exit 1, not argparse's 2, which here means "ran, did not converge".

@@ -377,6 +377,11 @@ STEP_DRAWS = dict(
 @example(Maneuver.TURN_LEFT, "instant", 1e-2, (1.0, 2.0, 0.5), 0.0, 0.0, (-1.0, -1.0), PARAMS)
 # Locking a wheel at 0.95 m/s: the snap moves the free wheel's rate by one bit.
 @example(Maneuver.TURN_LEFT, "instant", 1e-3, (0.0, 0.0, 0.0), 0.95, 0.0, (0.1, 0.1), PARAMS)
+# Free rolling from rest under a -0.0 torque, whose sign the free wheel keeps.
+@example(Maneuver.GO_STRAIGHT, "instant", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-0.0, -0.0), PARAMS)
+# Free rolling with the right wheel exactly at rest (0.3 - 1.0 * 0.6 / 2 = 0)
+# while the left one spins: the first stage passes tau_r through.
+@example(Maneuver.GO_STRAIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.3, -1.0, (0.2, 0.1), PARAMS)
 def test_step_dynamic_matches_helper_reference_bitwise(
     action, brake_model, dt, pose, v, omega, torques, params
 ):
@@ -398,6 +403,12 @@ def test_step_dynamic_matches_helper_reference_bitwise(
 # Rolling slowly against a backward push: the v < 0 clamp is reached mid-sequence.
 @example(Maneuver.GO_STRAIGHT, "viscous", 25, 1e-3, (0.0, 0.0, 0.0), 0.005, 0.0, (-1.0, -1.0),
          PARAMS)
+# Free rolling from rest under a -0.0 torque, whose sign the free wheel keeps.
+@example(Maneuver.GO_STRAIGHT, "instant", 10, 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-0.0, -0.0),
+         PARAMS)
+# Free rolling with the right wheel exactly at rest while the left one spins.
+@example(Maneuver.GO_STRAIGHT, "viscous", 10, 1e-3, (0.0, 0.0, 0.0), 0.3, -1.0, (0.2, 0.1),
+         PARAMS)
 def test_substeps_equal_chained_calls_bitwise(
     action, brake_model, n, dt, pose, v, omega, torques, params
 ):
@@ -408,6 +419,35 @@ def test_substeps_equal_chained_calls_bitwise(
         chained = step_dynamic(chained, command, user, dt, params, brake_model)
     looped = step_dynamic(state, command, user, dt, params, brake_model, n)
     assert [f.hex() for f in looped] == [f.hex() for f in chained]
+
+
+@settings(max_examples=300)
+@given(n=st.sampled_from([1, 2, 10]),
+       **{k: v for k, v in STEP_DRAWS.items() if k not in ("action", "brake_model")})
+@example(10, 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-0.0, -0.0), PARAMS)
+@example(10, 1e-3, (0.0, 0.0, 0.0), 0.3, -1.0, (0.2, 0.1), PARAMS)
+def test_go_straight_is_the_same_under_either_brake_model_bitwise(
+    n, dt, pose, v, omega, torques, params
+):
+    # No brake is engaged, so the brake model has nothing to model.
+    state = VehicleState.from_body_rates(*pose, v, omega, params)
+    user = UserInput(*torques)
+    instant, viscous = (step_dynamic(state, Maneuver.GO_STRAIGHT, user, dt, params, model, n)
+                        for model in ("instant", "viscous"))
+    assert [f.hex() for f in instant] == [f.hex() for f in viscous]
+
+
+@pytest.mark.parametrize("model", ["instant", "viscous"])
+def test_an_overflowing_wheel_rate_leaves_a_nonfinite_state(model):
+    # At 1e308 m/s the wheel rates overflow to inf.  The helper reference's
+    # released brake then gives a torque of 0.0 * inf = NaN, where free
+    # rolling, which leaves that term out, gives -inf.  This is the one way
+    # the two torques differ, and either step ends non-finite, so a run
+    # stops on either.
+    state = state_at(v=1e308)
+    args = (state, Maneuver.GO_STRAIGHT, UserInput(0.1, 0.1), 1e-3, PARAMS, model)
+    for result in (step_dynamic(*args), reference_step_dynamic(*args)):
+        assert not all(math.isfinite(f) for f in result)
 
 
 # -- bitwise oracle for the kinematic step -------------------------------------

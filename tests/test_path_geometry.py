@@ -1255,6 +1255,56 @@ def test_a_short_arc_window_offers_what_the_loop_over_periods_offers_bitwise(que
     assert [u.hex() for u in got] == [u.hex() for u in want]
 
 
+def project_arc_by_loop_over_k(seg, x, y, ua, ub):
+    """``Path._project_arc`` as it was written with a loop over every ``k``
+    from ``k_min`` to ``k_max``, before it walked up from ``k_min`` and
+    stopped past the window."""
+    c = seg.curvature_start
+    x0, y0, th0 = seg.start_pose
+    cos0, sin0 = seg._dir
+    cx = x0 - sin0 / c
+    cy = y0 + cos0 / c
+    rho = math.hypot(x - cx, y - cy)
+    if rho < 1e-15:
+        return [0.5 * (ua + ub)], rho
+    phi = math.atan2(y - cy, x - cx)
+    u0 = wrap_angle(phi + math.copysign(0.5 * math.pi, c) - th0) / c
+    period = 2.0 * math.pi / abs(c)
+    if (ub - ua) * abs(c) >= 2.0 * math.pi:
+        u = ua + (u0 - ua) % period
+        return [ub if ub < u else u], rho
+    out = []
+    k_min = math.floor((ua - u0) / period) - 1
+    k_max = math.ceil((ub - u0) / period) + 1
+    for k in range(k_min, k_max + 1):
+        u = u0 + k * period
+        if ua - 1e-12 <= u <= ub + 1e-12:
+            u = ua if ua > u else u
+            out.append(ub if ub < u else u)
+    return out, rho
+
+
+# A period of 6.3e-14 m, a sixteenth of the 1e-12 slack: every point from
+# k_min to k_max lies within the slack of a window of half a period, and so
+# do the next dozen, so k_max alone ends the walk.
+TINY_PERIOD_ARC = build_path([{"kind": "arc", "length": 1.0, "curvature": 1e14}]).segments[0]
+# Centred on (0, 2).
+HALF_CURVATURE_ARC = build_path([{"kind": "arc", "length": 5.0, "curvature": 0.5}]).segments[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_windows(st.floats(0.0, 4.0)))
+@example((TINY_PERIOD_ARC, 0.3, 0.2, 0.25, 0.25 + 0.5 * 2.0 * math.pi / 1e14))
+@example((HALF_CURVATURE_ARC, 0.0, 2.0, 1.0, 2.0))
+def test_arc_offers_and_distance_match_the_loop_over_k_bitwise(query):
+    # Windows of up to four periods, some with an end within 1e-12 of a
+    # stationary point; the examples add a pose at the centre.
+    got_offers, got_rho = Path._project_arc(*query)
+    want_offers, want_rho = project_arc_by_loop_over_k(*query)
+    assert [u.hex() for u in got_offers] == [u.hex() for u in want_offers]
+    assert got_rho.hex() == want_rho.hex()
+
+
 @settings(max_examples=200, deadline=None)
 @given(arc_windows(st.floats(1.0, 4.0)))
 def test_a_long_arc_window_offers_its_first_stationary_point_once(query):

@@ -223,6 +223,9 @@ NONFINITE_PROJECTION = {"mode": "dynamic", "user.tau_r": 1e300, "user.tau_l": 1e
 NONFINITE_STEP = {"mode": "dynamic", "user.tau_r": 1e308, "user.tau_l": 1e308, "t_max": 2}
 # OverflowError in the first, global projection
 NONFINITE_START = {"initial_pose": [1e300, 0, 0]}
+# Unequal torques near the float range: the pin of this stop dates from
+# before free rolling got a loop of its own
+OVERFLOWING_TORQUES = {"mode": "dynamic", "user.tau_r": 1e200, "user.tau_l": 1e200 * 0.9}
 # The projection's one overflow verdict, the same text on every platform
 TOO_FAR = "nonfinite_state: projection raised OverflowError: pose too far from the path to project"
 
@@ -273,9 +276,13 @@ def test_run_ends_a_nonfinite_state_with_a_finite_stop_row(overrides):
          "65c5e208d52b386fdd896c246f68622e2a94e2a7ff68bbc8586bad93369770b0"),
         (build_demo_scenario().with_overrides({"stop_when_converged": True}), "converged",
          "cd168600f6b369f392291dff5027198e0a74d8652cbbc81fbd57a8d3b07e1968"),
+        (build_demo_scenario().with_overrides(OVERFLOWING_TORQUES), TOO_FAR,
+         "d4b5ace7ee3d3dc4494aa0745560bc6f3d59987b47ae0b47700afa6f91bef58d"),
+        (build_demo_scenario().with_overrides({**OVERFLOWING_TORQUES, "brake_model": "viscous"}),
+         TOO_FAR, "d4b5ace7ee3d3dc4494aa0745560bc6f3d59987b47ae0b47700afa6f91bef58d"),
     ],
     ids=["nonfinite-projection", "nonfinite-step", "nonfinite-start", "singular-start",
-         "t_max", "converged"],
+         "t_max", "converged", "overflowing-torques-instant", "overflowing-torques-viscous"],
 )
 def test_stop_rows_are_pinned(sc, reason, digest):
     # Each way a run stops, held to the bytes of trace.csv from before its
