@@ -5,11 +5,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .controller import ControllerConfig, DeltaProfile, Region, _heading_half, _offset_half
-from .path_geometry import wrap_angle
+from .path_geometry import Record, wrap_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Trace
@@ -46,8 +45,7 @@ def abort_reason(trace: "Trace") -> Optional[str]:
     return None if reason in _PLAYED_OUT else reason
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(Record):
     converged: bool
     t_converge: Optional[float]
     path_length: float
@@ -57,7 +55,7 @@ class RunSummary:
     lyapunov_violations: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def ripple_bound(l_norm: float, eps_theta: float, dt: float, v: float, radius: float) -> float:
@@ -153,8 +151,7 @@ class FieldSample(NamedTuple):
     region: Region
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     l_min: float = -4.0
     l_max: float = 4.0
     theta_min: float = -math.pi

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import json
 import sys
 from pathlib import Path as FilePath
@@ -24,6 +23,7 @@ from .analysis import REGIONS, GridSpec, field_dump, summarize
 from .controller import ControllerConfig, curvature_feasible
 from .path_geometry import linspace
 from .simulator import (
+    GRID_S0,
     Scenario,
     ScenarioInvalid,
     apply_overrides,
@@ -200,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--grid-l", default="-4:4:9", help="l~ grid as min:max:n")
     p_sweep.add_argument("--grid-theta", default="-3:3:9", help="th~ grid as min:max:n")
-    p_sweep.add_argument("--grid-s", type=float,
-                         default=inspect.signature(frenet_grid).parameters["s0"].default,
-                         help="start abscissa")
+    p_sweep.add_argument("--grid-s", type=float, default=GRID_S0, help="start abscissa")
     p_sweep.add_argument("--parallel", type=int, default=1, help="worker processes")
     p_sweep.set_defaults(func=_cmd_sweep)
 

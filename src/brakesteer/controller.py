@@ -63,12 +63,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .dynamics import Maneuver
-from .path_geometry import TWO_PI, FrenetState, _number, _read_kind, linspace
+from .path_geometry import TWO_PI, FrenetState, Record, _number, _read_kind, linspace
 
 HALF_PI = math.pi / 2.0
 
@@ -152,8 +151,7 @@ _PROFILE_KEYS = {"constant": ("delta0",), "tanh": ("amplitude", "gain"),
                  "custom": ("table_l", "table_delta")}
 
 
-@dataclass(frozen=True)
-class DeltaProfile:
+class DeltaProfile(Record):
     """Commanded heading error as a function of the normalized offset.
 
     All kinds share the convergent sign convention: the commanded angle
@@ -306,8 +304,7 @@ def curvature_feasible(
 # -- controller configuration and state ------------------------------------
 
 
-@dataclass(frozen=True)
-class ControllerConfig:
+class ControllerConfig(Record):
     """Tuning block for both phases.
 
     ``radius`` is the vehicle's minimum turning radius, used to normalize
@@ -317,7 +314,7 @@ class ControllerConfig:
 
     radius: float = 0.3
     delta_approach: float = math.pi / 3.0
-    delta_profile: DeltaProfile = field(default_factory=DeltaProfile.tanh)
+    delta_profile: DeltaProfile = DeltaProfile.tanh()
     eps_theta: float = 0.02
     eps_b: float = 1e-3
     threshold_l: float = 1.0
@@ -339,7 +336,7 @@ class ControllerConfig:
         object.__setattr__(self, "_th_clear", math.sqrt(2.0 * self.eps_b))
 
     def spec(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         out["delta_profile"] = self.delta_profile.spec()
         return out
 

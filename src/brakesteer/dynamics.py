@@ -16,9 +16,10 @@ as a strong viscous dissipator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+from .path_geometry import Record
 
 
 class NonPositiveDt(ValueError):
@@ -66,8 +67,7 @@ def _not_a_maneuver(command: object) -> TypeError:
     return TypeError(f"command must be a Maneuver member, got {command!r}")
 
 
-@dataclass(frozen=True)
-class VehicleParams:
+class VehicleParams(Record):
     """Physical parameters (SI units).
 
     Defaults are plausible rollator values chosen for this artifact; they
@@ -96,8 +96,7 @@ class VehicleParams:
         return self.d / 2.0
 
 
-@dataclass(frozen=True)
-class UserInput:
+class UserInput(Record):
     """Constant handle torques transmitted to the wheels, N m."""
 
     tau_r: float = 0.0

@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -81,6 +80,89 @@ class AmbiguousProjection(PathError):
     """Raised when two distant path points are equally close to the pose."""
 
 
+# Sets an attribute of a record, past the __setattr__ that refuses it.
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the immutable records: the paths, configs, scenarios and results.
+
+    A subclass's annotated names, in order, are its fields, ``_fields``; a
+    value the class body gives one is its default, ``_defaults``, shared by
+    every instance, so it must itself be immutable.  ``__init__`` takes the
+    fields by position or keyword, then calls ``__post_init__``, which may
+    check them and add plain attributes with ``object.__setattr__``.  Records
+    compare (within one class), hash and print by their fields, and refuse
+    assignment.  This is ``dataclass(frozen=True)`` without importing
+    ``dataclasses`` and ``inspect`` or compiling methods at start-up.
+
+    A default stays a class attribute, unless it is itself a record: on
+    CPython 3.11 a class attribute that is an instance of a Python class
+    keeps the reads of the instance attribute of that name from being
+    specialized, at about 14 ns a read.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__annotations__)  # the class's own annotations
+        body = vars(cls)
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{name: body[name] for name in own if name in body}}
+        for name in own:
+            if isinstance(body.get(name), Record):
+                delattr(cls, name)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
+                            f"but {len(args)} were given")
+        given = dict(zip(names, args))
+        repeated, unknown = given.keys() & kwargs.keys(), kwargs.keys() - names
+        if repeated:
+            raise TypeError(f"{cls.__name__}() got multiple values for argument "
+                            f"{min(repeated)!r}")
+        if unknown:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword argument "
+                            f"{min(unknown)!r}")
+        values = {**self._defaults, **kwargs, **given}
+        for name in names:
+            if name not in values:
+                raise TypeError(f"{cls.__name__}() missing required argument {name!r}")
+            _setattr(self, name, values[name])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
+
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to ``[-pi, pi)``; ``wrap_angle(pi) == -pi``."""
     return (angle + math.pi) % TWO_PI - math.pi
@@ -128,8 +210,7 @@ class FrenetState(NamedTuple):
     theta_tilde: float
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(Record):
     """One constant-or-linear-curvature piece of a path.
 
     Lines carry zero curvature, arcs a constant nonzero curvature, and
@@ -142,17 +223,22 @@ class PathSegment:
     curvature_start: float
     curvature_end: float
     start_pose: tuple[float, float, float]
-    _node_xy: tuple[tuple[float, float], ...] = field(default=(), repr=False, compare=False)
+
+    # Caches: plain attributes that __post_init__ sets, not fields, so no
+    # comparison or repr shows them.  _dir, the (cos, sin) of the start
+    # heading for line and arc queries, is set on every segment; each cache
+    # below is set on the kind that reads it and is this class value on the
+    # others.
+    # A clothoid's positions at its integration nodes.
+    _node_xy = ()
     # A clothoid's node step h, last node index, th0, c0, c1 - c0 and
     # 2 * length, fixed at construction for the Gauss-Legendre evaluator.
-    _clothoid: tuple = field(default=(), repr=False, compare=False)
+    _clothoid = ()
     # A clothoid's largest |curvature|, for the bound _project_clothoid checks.
-    _c_max: float = field(default=0.0, repr=False, compare=False)
-    # (cos, sin) of the start heading, computed once for line and arc queries.
-    _dir: tuple[float, float] = field(default=(1.0, 0.0), repr=False, compare=False)
+    _c_max = 0.0
     # A line's heading and left normal (-sin, cos), as heading(u) gives them
     # for every finite u: th0 + 0.0, which turns a -0.0 start heading to 0.0.
-    _frame: tuple[float, float, float] = field(default=(0.0, 0.0, 1.0), repr=False, compare=False)
+    _frame = (0.0, 0.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.kind not in ("line", "arc", "clothoid"):
@@ -351,8 +437,7 @@ def _segment_from_spec(
     return PathSegment(kind, length, c0, c1, start_pose)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """Immutable chain of segments with arc-length bookkeeping.
 
     Instances are safe to share across threads/processes: all queries are

@@ -13,7 +13,6 @@ import copy
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping, NamedTuple, Optional, Sequence
 
 from .analysis import RunSummary, abort_reason, in_convergence_band, lyapunov, summarize
@@ -30,6 +29,7 @@ from .path_geometry import (
     AmbiguousProjection,
     Path,
     PathError,
+    Record,
     SingularProjection,
     _number,
     _pop,
@@ -86,8 +86,7 @@ TRACE_COLUMNS = ",".join(TraceRow._fields)
 _TRACE_ROW = "%.9g," * 9 + "%s,%s,%s,%.9g"
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Time-indexed log of one closed-loop run."""
 
     rows: tuple[TraceRow, ...]
@@ -99,13 +98,12 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Everything needed to reproduce one run."""
 
     path_spec: dict
-    vehicle: VehicleParams = field(default_factory=VehicleParams)
-    control: ControllerConfig = field(default_factory=ControllerConfig)
+    vehicle: VehicleParams = VehicleParams()
+    control: ControllerConfig = ControllerConfig()
     initial_pose: Optional[tuple[float, float, float]] = None
     initial_frenet: Optional[tuple[float, float, float]] = None  # (s, l_norm, theta_tilde)
     v_user: float = 1.0
@@ -158,7 +156,7 @@ class Scenario:
     def to_dict(self) -> dict:
         out = {
             "path": copy.deepcopy(self.path_spec),
-            "vehicle": asdict(self.vehicle),
+            "vehicle": self.vehicle._asdict(),
             "controller": {
                 k: v for k, v in self.control.spec().items() if k != "radius"
             },
@@ -327,8 +325,8 @@ _KEYS = {
     "": {*_SCALARS, "path", "vehicle", "controller", "user", "initial_pose",
          "initial_frenet"},
     "path": {"segments", "start_pose"},
-    "vehicle": {f.name for f in fields(VehicleParams)},
-    "controller": {f.name for f in fields(ControllerConfig)} - {"radius"},
+    "vehicle": set(VehicleParams._fields),
+    "controller": set(ControllerConfig._fields) - {"radius"},
     "user": {*_USER, *_TORQUES},
     "initial_frenet": set(_FRENET),
 }
@@ -529,8 +527,7 @@ def run(scenario: Scenario) -> Trace:
     return Trace(rows=tuple(rows), meta=meta)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     overrides: dict
     summary: Optional[RunSummary]
     error: Optional[str] = None
@@ -564,10 +561,15 @@ def sweep(
     return [_sweep_one(job) for job in jobs]
 
 
+# The arc length at which frenet_grid starts every run by default, and so the
+# default of ``brakesteer sweep --grid-s``.
+GRID_S0 = 10.0
+
+
 def frenet_grid(
     l_values: Sequence[float],
     theta_values: Sequence[float],
-    s0: float = 10.0,
+    s0: float = GRID_S0,
 ) -> list[dict]:
     """Initial-condition overrides for a sweep over (l~, th~) pairs.
 

@@ -7,7 +7,6 @@ import re
 import tempfile
 import time
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -914,9 +913,9 @@ def test_every_valid_dict_round_trips_through_the_key_tables(data):
     assert not [msg for _, msg in sc.validate() if msg.startswith("path:")]
     # A key the dict leaves out takes the field default.
     default = Scenario(path_spec={})
-    for f in fields(Scenario):
-        if f.name in out and f.name not in data:
-            assert getattr(sc, f.name) == getattr(default, f.name)
+    for name in Scenario._fields:
+        if name in out and name not in data:
+            assert getattr(sc, name) == getattr(default, name)
 
 
 def test_demo_scenario_converges():
@@ -1061,7 +1060,7 @@ def _key_names(data, prefix=""):
 
 
 _KEY_NAMES = {*_key_names(build_demo_scenario().to_dict()), *_MUTABLE_KEYS,
-              *(f.name for f in fields(Scenario))}
+              *Scenario._fields}
 
 
 def _names_a_key(message):
