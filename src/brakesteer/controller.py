@@ -63,11 +63,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from enum import Enum
 from typing import Any, NamedTuple, Optional, Sequence
 
-from .dynamics import Maneuver
-from .path_geometry import TWO_PI, FrenetState, Record, _number, _read_kind, linspace
+from .dynamics import Labeled, Maneuver
+from .path_geometry import TWO_PI, FrenetState, Record, _new, _number, _read_kind, linspace
 
 HALF_PI = math.pi / 2.0
 
@@ -76,25 +75,19 @@ HALF_PI = math.pi / 2.0
 _CONTROLLED_DRIFT_LIMIT = 0.15
 
 
-class Phase(Enum):
+class Phase(Labeled):
     APPROACH = "approach"
     TRACK = "track"
 
-    def __init__(self, label: str) -> None:
-        self.label = label  # the value, as a plain attribute
 
-
-class HybridState(Enum):
+class HybridState(Labeled):
     TURNING = "turning"
     STRAIGHT = "straight"
     CONTROLLED = "controlled"
     STOPPED = "stopped"
 
-    def __init__(self, label: str) -> None:
-        self.label = label  # the value, as a plain attribute
 
-
-class Region(Enum):
+class Region(Labeled):
     """Labels of the switching-curve partition of the ``(l~, th~)`` plane."""
 
     RIGHT_TURN_FIRST = "right_turn_first"
@@ -102,9 +95,6 @@ class Region(Enum):
     ON_SIGMA_R = "on_sigma_r"
     ON_SIGMA_L = "on_sigma_l"
     ON_DELTA_LINE = "on_delta_line"
-
-    def __init__(self, label: str) -> None:
-        self.label = label  # the value, as a plain attribute
 
 
 # The members the step reads and the commands it hands out, as module
@@ -117,10 +107,6 @@ _RIGHT_FIRST, _LEFT_FIRST = Region.RIGHT_TURN_FIRST, Region.LEFT_TURN_FIRST
 _ON_SIGMA_R, _ON_SIGMA_L = Region.ON_SIGMA_R, Region.ON_SIGMA_L
 _ON_DELTA_LINE = Region.ON_DELTA_LINE
 _GO, _RIGHT, _LEFT = Maneuver.GO_STRAIGHT, Maneuver.TURN_RIGHT, Maneuver.TURN_LEFT
-
-# Builds a record from a tuple of all its fields, without the Python-level
-# ``__new__`` of a NamedTuple; the step gives every field, each already valid.
-_new = tuple.__new__
 
 
 # -- switching boundary functions ----------------------------------------

@@ -19,23 +19,28 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .path_geometry import Record
+from .path_geometry import Record, _new
 
 
 class NonPositiveDt(ValueError):
     """Raised when a stepping function receives a dt that is not positive and finite."""
 
 
-class Maneuver(Enum):
+class Labeled(Enum):
+    """Base of the enums whose values are labels: ``Maneuver`` here, and the
+    controller's ``Phase``, ``HybridState`` and ``Region``."""
+
+    def __init__(self, label: str) -> None:
+        self.label = label  # the value, as a plain attribute
+
+
+class Maneuver(Labeled):
     """The four admissible brake actions; a command is one of them."""
 
     GO_STRAIGHT = "go_straight"
     TURN_RIGHT = "turn_right"
     TURN_LEFT = "turn_left"
     STOP = "stop"
-
-    def __init__(self, label: str) -> None:
-        self.label = label  # the value, as a plain attribute
 
     @property
     def action(self) -> "Maneuver":
@@ -101,11 +106,6 @@ class UserInput(Record):
 
     tau_r: float = 0.0
     tau_l: float = 0.0
-
-
-# Builds a record from a tuple of all its fields, without the Python-level
-# ``__new__`` of a NamedTuple; the step gives every field, each already valid.
-_new = tuple.__new__
 
 
 class VehicleState(NamedTuple):

@@ -193,7 +193,8 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 # Builds a record from a tuple of all its fields, without the Python-level
-# ``__new__`` of a NamedTuple; the projection gives every field, each valid.
+# ``__new__`` of a NamedTuple: for the per-step records, whose callers (the
+# projection, the steps and ``run``) give every field, each already valid.
 _new = tuple.__new__
 
 
@@ -297,15 +298,16 @@ class PathSegment(Record):
         return (self.curvature_end - self.curvature_start) / self.length
 
     def point(self, u: float) -> tuple[float, float]:
+        kind = self.kind
+        if kind == "clothoid":  # first: the walk evaluates each clothoid point here
+            return self._clothoid_point(u)
         x0, y0, th0 = self.start_pose
         cos0, sin0 = self._dir
-        if self.kind == "line":
+        if kind == "line":
             return x0 + u * cos0, y0 + u * sin0
-        if self.kind == "arc":
-            c = self.curvature_start
-            th = th0 + c * u
-            return x0 + (math.sin(th) - sin0) / c, y0 - (math.cos(th) - cos0) / c
-        return self._clothoid_point(u)
+        c = self.curvature_start
+        th = th0 + c * u
+        return x0 + (math.sin(th) - sin0) / c, y0 - (math.cos(th) - cos0) / c
 
     def pose(self, u: float) -> tuple[float, float, float]:
         x, y = self.point(u)
@@ -532,9 +534,8 @@ class Path(Record):
             # an end) of its exact value, and the gap exceeds both errors by a
             # factor near 2**20, however far the pose lies.  A fixed margin
             # would not do: 1e6 m from a line the scores round at about 1e-4,
-            # and an end 2 mm from the foot point can win.  A window inside
-            # one clothoid is answered by _clothoid_window, which scores both
-            # ends as the walk does.  Any other window goes on to the walk.
+            # and an end 2 mm from the foot point can win.  Any other window,
+            # one inside a clothoid too, goes on to the walk.
             s0 = cum[i]
             nxt = cum[i + 1] if i + 1 < len(cum) else math.inf
             if hi < nxt and kind != "clothoid":
@@ -579,10 +580,6 @@ class Path(Record):
                         # 1 - c * l is rho * |c| or 1 + rho * |c| at the offer.
                         l = (x - px) * nx + (y - py) * ny
                         return _new(FrenetState, (s, l, (th - thd + math.pi) % TWO_PI - math.pi))
-            elif hi < nxt:
-                answer = self._clothoid_window(x, y, th, lo, hi, i, nxt)
-                if answer is not None:
-                    return answer
             s_best, d2, i, p = self._best_in_window(x, y, lo, hi, i)
         else:
             s_best, d2, i, p = self._global_minimum(x, y, th, radius)
@@ -612,63 +609,6 @@ class Path(Record):
                 f"pose at or beyond center of curvature (s={s:.6g}, c={c:.6g}, l={l:.6g})"
             )
         return _new(FrenetState, (s, l, (th - thd + math.pi) % TWO_PI - math.pi))  # wrap_angle
-
-    def _clothoid_window(
-        self, x: float, y: float, th: float, lo: float, hi: float, i: int, nxt: float
-    ) -> Optional[FrenetState]:
-        """The projection onto ``[lo, hi]`` inside clothoid ``i``, whose end
-        ``nxt`` lies past ``hi``, or None to leave the window to the walk.
-
-        This is ``_best_in_window`` and ``_finish`` over the one segment,
-        with their operations in their order: the points at ``lo`` and
-        ``hi``, each evaluated once and handed to ``_project_clothoid``;
-        then ``lo``, the clamped root and ``hi`` scored, the first strictly
-        smaller winning; then the heading and curvature at the winner.  The
-        root search evaluates both ends' points anyway, so scoring them
-        costs four products and needs no margin.  A root whose ``s`` rounds
-        onto the next joint, an overflowing distance and a singular pose go
-        on to the walk, which hands the first to the next segment and raises
-        for the other two.
-        """
-        seg = self.segments[i]
-        s0 = self.cumulative_s[i]
-        ua = lo - s0  # lo lies on segment i: ua >= +0.0, as the walk clamps it
-        v_hi = hi - s0
-        ub = v_hi if v_hi < seg.length else seg.length
-        p_lo = seg._clothoid_point(ua)
-        p_hi = seg._clothoid_point(v_hi)
-        px, py = p_lo
-        best_s, best_v, best_p = lo, ua, p_lo
-        best_d2 = (x - px) * (x - px) + (y - py) * (y - py)
-        if ub > ua:
-            u = self._project_clothoid(seg, x, y, ua, ub, p_lo, p_hi if ub == v_hi else None)
-            if u is not None:
-                u = ua if u < ua else ub if u > ub else u
-                s = s0 + u
-                if not s < nxt:
-                    return None
-                # s - s0 is the walk's min(s, total_length) - s0: s0 + u is
-                # at most s0 + length rounded, the next joint or the path's end.
-                v = s - s0
-                p = seg._clothoid_point(v)
-                px, py = p
-                d2 = (x - px) * (x - px) + (y - py) * (y - py)
-                if d2 < best_d2:
-                    best_s, best_d2, best_v, best_p = s, d2, v, p
-        px, py = p_hi
-        d2 = (x - px) * (x - px) + (y - py) * (y - py)
-        if d2 < best_d2:
-            best_s, best_d2, best_v, best_p = hi, d2, v_hi, p_hi
-        if not best_d2 < math.inf:
-            return None
-        # heading(v) and curvature(v), in their operations.
-        _, _, th0, c0, dc, two_len = seg._clothoid
-        thd = th0 + c0 * best_v + dc * best_v * best_v / two_len
-        px, py = best_p
-        l = (x - px) * -math.sin(thd) + (y - py) * math.cos(thd)
-        if 1.0 - (c0 + dc * best_v / seg.length) * l <= 1e-12:
-            return None
-        return _new(FrenetState, (best_s, l, (th - thd + math.pi) % TWO_PI - math.pi))
 
     def _global_minimum(
         self, x: float, y: float, th: float, radius: float
@@ -739,9 +679,8 @@ class Path(Record):
         clothoid's search is handed the points at ``lo`` and ``hi`` where
         its part ends there, so neither end is evaluated twice.
         ``frenet_project`` answers a hinted window within one line or arc
-        whose one offer must win, and one within a clothoid
-        (``_clothoid_window``), itself with these same operations, and hands
-        any other window to this search.
+        whose one offer must win itself, with these same operations, and
+        hands any other window to this search.
         """
         cum = self.cumulative_s
         if first is None:

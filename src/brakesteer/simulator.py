@@ -31,6 +31,7 @@ from .path_geometry import (
     PathError,
     Record,
     SingularProjection,
+    _new,
     _number,
     _pop,
     _pose,
@@ -76,10 +77,6 @@ class TraceRow(NamedTuple):
     phase: str
     V: float
 
-
-# Builds a record from a tuple of all its fields, without the Python-level
-# ``__new__`` of a NamedTuple; ``run`` gives every field, each already valid.
-_new = tuple.__new__
 
 TRACE_COLUMNS = ",".join(TraceRow._fields)
 # One trace.csv row: every float to 9 significant digits, the labels as they are.

@@ -1027,7 +1027,7 @@ def test_global_projection_returns_python_floats():
     assert f.s == 17.99677956757714
 
 
-# -- a window inside one clothoid, answered in place ------------------------
+# -- a window inside one clothoid, answered by the walk ---------------------
 
 # A clothoid that ends the path, after an arc: a window on it can end at
 # total_length, with no joint past it.
@@ -1136,26 +1136,28 @@ CENTER_HINT = END_CLOTHOID.total_length - 0.4
     CENTER_HINT)[0]), CENTER_HINT, 0.0))
 # 40 m right of the clothoid of ORACLE_PATHS[1]: the single-root bound fails.
 @example((ORACLE_PATHS[1], offset_pose(ORACLE_PATHS[1], 3.0, -40.0), 3.0, 0.3))
-def test_clothoid_window_matches_the_walk_bitwise(query):
+def test_clothoid_windows_match_the_reference_bitwise(query):
     path, pose, hint, radius = query
     got = outcome_or_overflow(lambda: path.frenet_project(pose, hint_s=hint, radius=radius))
-    assert got == outcome_or_overflow(lambda: walk(path, pose, hint, radius))
+    assert got == outcome_or_overflow(lambda: reference_project(path, pose, hint, radius))
 
 
 @pytest.mark.parametrize("foot_s, l", [
     (3.0, 0.2), (3.0, -0.2), (2.5, 0.2), (3.5, -0.2), (3.0, -40.0), (3.0, -1e300),
 ], ids=["root-left", "root-right", "lo-wins", "hi-wins", "far", "overflow"])
-def test_a_window_inside_one_clothoid_is_answered_without_the_walk(monkeypatch, foot_s, l):
+def test_a_window_inside_one_clothoid_is_answered_by_one_walk(monkeypatch, foot_s, l):
     # Whether the root, lo or hi wins, and when the single-root bound fails
-    # (40 m right of a bend that curves left), the answer is the walk's and
-    # the walk is not run.  An overflowing distance goes on to the walk,
-    # which raises.
+    # (40 m right of a bend that curves left), the answer is the reference's
+    # and comes from one walk.  An overflowing distance raises.
     path = ORACLE_PATHS[1]
     pose = offset_pose(path, foot_s, l)
-    want = outcome_or_overflow(lambda: walk(path, pose, 3.0, 0.3))
     calls = log_walks(monkeypatch)
-    assert outcome_or_overflow(lambda: path.frenet_project(pose, hint_s=3.0)) == want
-    assert len(calls) == (1 if l == -1e300 else 0)
+    got = outcome_or_overflow(lambda: path.frenet_project(pose, hint_s=3.0))
+    if l == -1e300:
+        assert got == "OverflowError"
+    else:
+        assert got == outcome(lambda: reference_project(path, pose, 3.0))
+    assert len(calls) == 1
 
 
 # NEG_ARC with a clothoid for its line: hi one ulp short of the clothoid's
@@ -1173,7 +1175,7 @@ NEG_CLOTHOID = build_path(
 def test_a_clothoid_root_that_rounds_onto_the_next_joint_is_left_to_the_walk(monkeypatch):
     # A root at ub, as Newton returns when the tangency root lies within an
     # ulp of it: its s = s0 + ub is the next joint, which belongs to the next
-    # segment, so the window goes on to the walk, which scores it there.
+    # segment, where the walk scores it.
     path = NEG_CLOTHOID
     s0, joint = path.cumulative_s[1], path.cumulative_s[2]
     hint = joint - 0.3 - math.ulp(joint)
@@ -1189,8 +1191,7 @@ def test_a_clothoid_root_that_rounds_onto_the_next_joint_is_left_to_the_walk(mon
 
 def test_a_singular_pose_on_a_clothoid_window_is_left_to_the_walk(monkeypatch):
     # A window of radius 0 at the path's end, the pose at that point's
-    # center of curvature: the in-place answer hands it to the walk, whose
-    # _finish raises.
+    # center of curvature: the walk takes it, and its _finish raises.
     path, s = END_CLOTHOID, END_CLOTHOID.total_length
     pose = offset_pose(path, s, 1.0 / path.curvature(s)[0])
     calls = log_walks(monkeypatch)

@@ -180,6 +180,7 @@ NAN, INF = float("nan"), float("inf")
         ({"converged_hold": NAN}, "converged_hold"),
         ({"user.tau_r": NAN, "mode": "dynamic"}, "torques"),
         ({"initial_pose": [NAN, 5.0, 0.0]}, "initial condition"),
+        ({"dt_physics": 0.003, "mode": "dynamic"}, "multiple of dt_physics"),
     ],
 )
 def test_validation_rejects_nonfinite_and_unknown_values(overrides, reason):
