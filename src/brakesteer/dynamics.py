@@ -9,8 +9,10 @@ motion to a circle of radius ``R = d/2`` around that wheel.
 Two stepping fidelities are provided.  ``step_kinematic`` takes the forward
 speed as given and integrates the pose in closed form (exact lines and
 arcs, no discretization drift).  ``step_dynamic`` integrates force/torque
-balance with RK4, modeling brakes either as an instantaneous wheel lock or
-as a strong viscous dissipator.
+balance, modeling brakes either as an instantaneous wheel lock or as a
+strong viscous dissipator.  With both brakes released the speed and yaw
+rate obey two linear ODEs, which it solves in closed form; a braked step is
+integrated with RK4.
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ class VehicleParams(Record):
             raise ValueError(f"d must be large enough that R = d / 2 is positive, got {self.d!r}")
         if not self.b_w >= 0.0:
             raise ValueError("b_w must be nonnegative")
+        for name in ("m", "J", "d", "r", "b_w", "b_max"):
+            if not getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def R(self) -> float:
@@ -190,6 +195,68 @@ def step_kinematic(
     )
 
 
+# Below this k * t, _relaxation sums psi as its series; at and above it,
+# (t - phi) / k keeps psi to a relative error under 1e-15.
+_PSI_SERIES_BELOW = 0.5
+
+
+def _relaxation(k: float, t: float) -> tuple[float, float, float]:
+    """``(exp(-k t), phi, psi)`` for a decay rate ``k >= 0`` over ``t > 0``.
+
+    ``phi = (1 - exp(-k t)) / k`` is the integral of ``exp(-k s)`` over
+    ``[0, t]`` and ``psi = (t - phi) / k`` the integral of ``phi``; at
+    ``k = 0`` they are ``t`` and ``t**2 / 2``.  Below
+    :data:`_PSI_SERIES_BELOW` the difference ``t - phi`` would cancel, so
+    ``psi`` is the series ``t**2 * sum((-k t)**n / (n + 2)!)`` to ``n = 13``,
+    whose first omitted term is under 1e-17 of the sum, and ``phi`` and the
+    exponential follow from it without cancellation.  ``phi`` and ``psi``
+    are within a few ulps of exact for every ``k`` from 0 to inf.
+    """
+    if k == 0.0:
+        return 1.0, t, 0.5 * t * t
+    u = k * t
+    if u < _PSI_SERIES_BELOW:
+        psi = t * t * (1 / 2 - u * (1 / 6 - u * (1 / 24 - u * (1 / 120 - u * (
+            1 / 720 - u * (1 / 5040 - u * (1 / 40320 - u * (1 / 362880 - u * (
+                1 / 3628800 - u * (1 / 39916800 - u * (1 / 479001600 - u * (
+                    1 / 6227020800 - u * (1 / 87178291200 - u / 1307674368000)))))))))))))
+        phi = t - k * psi
+        return 1.0 - k * phi, phi, psi
+    phi = -math.expm1(-u) / k
+    return math.exp(-u), phi, (t - phi) / k
+
+
+def _free_rolling(
+    dt: float, params: VehicleParams, user: UserInput
+) -> tuple[float, float, float, float, float, float, float, float, float, float]:
+    """The coefficients of one free-rolling substep of ``dt``.
+
+    With both brakes released, the speed obeys ``v' = a_v - k_v v`` and the
+    yaw rate ``omega' = a_w - k_w omega``.  Over a time ``t`` the exact
+    solution is ``v(t) = v E_v + a_v phi_v``, ``omega(t) = omega E_w + a_w
+    phi_w`` and ``theta(t) = theta + (omega phi_w + a_w psi_w)``, with
+    ``(E, phi, psi)`` from :func:`_relaxation`.  Returned, in order:
+    ``E_v`` and ``a_v phi_v`` at the half step ``h`` and then at ``dt``;
+    ``phi_w`` and ``a_w psi_w`` at ``h`` and then at ``dt``; ``E_w`` and
+    ``a_w phi_w`` at ``dt``.  The values at ``h`` are doubled to ``dt`` by
+    ``E(2h) = E(h)**2``, ``phi(2h) = (1 + E(h)) phi(h)`` and ``psi(2h) =
+    (1 + E(h)) psi(h) + h phi(h)``, sums of nonnegative terms.
+    """
+    r, m, J, d, b_w = params.r, params.m, params.J, params.d, params.b_w
+    tau_r, tau_l = user.tau_r, user.tau_l
+    a_v, k_v = (tau_r + tau_l) / r / m, 2.0 * b_w / (r * r) / m
+    a_w, k_w = (tau_r - tau_l) * d / (2.0 * r) / J, b_w * (d * d) / (2.0 * (r * r)) / J
+    h = 0.5 * dt
+    ev_h, fv_h, _ = _relaxation(k_v, h)
+    ew_h, fw_h, gw_h = _relaxation(k_w, h)
+    fw = (1.0 + ew_h) * fw_h
+    return (
+        ev_h, a_v * fv_h, ev_h * ev_h, a_v * ((1.0 + ev_h) * fv_h),
+        fw_h, a_w * gw_h, fw, a_w * ((1.0 + ew_h) * gw_h + h * fw_h),
+        ew_h * ew_h, a_w * fw,
+    )
+
+
 def step_dynamic(
     state: VehicleState,
     command: Maneuver,
@@ -199,7 +266,7 @@ def step_dynamic(
     brake_model: str = "instant",
     substeps: int = 1,
 ) -> VehicleState:
-    """Advance the full dynamic state by ``substeps`` fixed RK4 steps of dt.
+    """Advance the full dynamic state by ``substeps`` fixed substeps of dt.
 
     ``brake_model="instant"`` locks a braked wheel immediately (snapping its
     spin rate to zero and projecting the body rates) and then integrates the
@@ -207,31 +274,42 @@ def step_dynamic(
     free and applies the engaged brake as a strong viscous torque, giving an
     exponential transient with time constants of order m r^2 / b_max and
     4 J r^2 / (b_max d^2); the wheels have no inertia of their own.  The
-    forward speed is clamped nonnegative; reverse motion is out of scope.
+    forward speed is clamped nonnegative at the end of each substep;
+    reverse motion is out of scope.
 
     The checks and constants are resolved once per call, and the command
-    picks one of three loops, which run the four RK4 stages of each substep
-    on plain floats; one ``VehicleState`` is built, at the end:
+    picks one of three loops, which run each substep on plain floats; one
+    ``VehicleState`` is built, at the end:
 
-    - free rolling (``go_straight``, under either brake model): both wheels
-      roll and only the rolling drag ``b_w * rate`` acts.  A released brake
-      would add ``0.0 * rate``; for a finite rate that is a zero whose
-      subtraction moves no bit of the torque, so the loop leaves it out.
-      Only a rate overflowed to inf tells the two apart (``0.0 * inf`` is
-      NaN, the drag alone is infinite), and either state is then
-      non-finite;
+    - free rolling (``go_straight``, under either brake model): only the
+      rolling drag ``b_w * rate`` acts, so ``v' = a_v - k_v v`` and
+      ``omega' = a_w - k_w omega`` with ``a_v = (tau_r + tau_l) / (r m)``,
+      ``k_v = 2 b_w / (r^2 m)``, ``a_w = (tau_r - tau_l) d / (2 r J)`` and
+      ``k_w = b_w d^2 / (2 r^2 J)``.  A substep moves v, omega and theta to
+      their exact solution, for every finite ``b_w >= 0``, and x and y by
+      Simpson's rule (RK4's 1-4-1 weights) on exact samples at 0, dt/2 and
+      dt; a substep's closing cosine and sine open the next one.  The
+      coefficients come from :func:`_free_rolling`, once per call.
+      Simpson's error is ``dt^5 / 2880 max|f^(4)|`` while the substep
+      resolves the relaxation (``k dt`` well below 1) and never exceeds
+      ``2 dt max|v|``: over a 10 ms control step of ten substeps from
+      0.5 m/s, x and y are off by 4e-19 m at the default ``b_w`` of 0.05,
+      9e-12 m at 5 and 1e-5 m at 500 N m s;
     - locked wheel (``brake_model="instant"``, a turn or Stop): Stop
-      returns the pose at rest, and a turn integrates the free wheel's rate;
-    - viscous braking (``brake_model="viscous"``, a turn or Stop): each
-      wheel's torque carries its brake's ``b_brake * rate`` beside the
-      rolling drag, and a braked wheel at rest is held.
+      returns the pose at rest, and a turn integrates the free wheel's rate
+      by RK4;
+    - viscous braking (``brake_model="viscous"``, a turn or Stop): RK4, with
+      each wheel's torque carrying its brake's ``b_brake * rate`` beside the
+      rolling drag, and a braked wheel at rest held.
 
-    Each expression keeps the operand order of :func:`wheel_rates` and of
-    the textbook per-wheel torque and wrench formulas, so every substep is
-    bitwise an RK4 step built from those formulas one derivative call per
-    stage, as the reference in ``tests/test_dynamics.py`` builds it, and one
-    call with ``substeps=n`` equals ``n`` chained calls bit for bit.  A
-    command that is not a :class:`Maneuver` member raises TypeError.
+    In the two braked loops each expression keeps the operand order of
+    :func:`wheel_rates` and of the textbook per-wheel torque and wrench
+    formulas, so every substep is bitwise an RK4 step built from those
+    formulas one derivative call per stage, as the reference in
+    ``tests/test_dynamics.py`` builds it.  In every loop a substep reads
+    only what the stored ``VehicleState`` holds, so one call with
+    ``substeps=n`` equals ``n`` chained calls bit for bit.  A command that
+    is not a :class:`Maneuver` member raises TypeError.
     """
     if not 0.0 < dt < math.inf:
         raise NonPositiveDt(f"dt={dt}")
@@ -246,49 +324,22 @@ def step_dynamic(
     cos, sin = math.cos, math.sin
 
     if command is _GO:
-        # Free rolling: no 0.0 * rate brake term, and a wheel at rest passes
-        # its user torque through, as the released brake's (1.0 - 0.0) * tau.
-        tau_r, tau_l = user.tau_r, user.tau_l
-        m, J, two_r = params.m, params.J, 2.0 * r
+        ev_h, cv_h, ev, cv, pw_h, qw_h, pw, qw, ew, cw = _free_rolling(dt, params, user)
         v, omega = state.v, state.omega
+        cos0, sin0 = cos(th), sin(th)
 
         for _ in range(substeps):
-            th0, v0, w0 = th, v, omega
-            h = w0 * d / 2.0
-            adr, adl = (v0 + h) / r, (v0 - h) / r
-            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
-            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
-            dx1, dy1 = v0 * cos(th0), v0 * sin(th0)
-            dv1, dw1 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-            th, v2, w2 = th0 + half * w0, v0 + half * dv1, w0 + half * dw1
-            h = w2 * d / 2.0
-            adr, adl = (v2 + h) / r, (v2 - h) / r
-            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
-            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
-            dx2, dy2 = v2 * cos(th), v2 * sin(th)
-            dv2, dw2 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-            th, v3, w3 = th0 + half * w2, v0 + half * dv2, w0 + half * dw2
-            h = w3 * d / 2.0
-            adr, adl = (v3 + h) / r, (v3 - h) / r
-            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
-            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
-            dx3, dy3 = v3 * cos(th), v3 * sin(th)
-            dv3, dw3 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-            th, v4, w4 = th0 + dt * w3, v0 + dt * dv3, w0 + dt * dw3
-            h = w4 * d / 2.0
-            adr, adl = (v4 + h) / r, (v4 - h) / r
-            tr = tau_r - b_w * adr if adr != 0.0 else tau_r
-            tl = tau_l - b_w * adl if adl != 0.0 else tau_l
-            dx4, dy4 = v4 * cos(th), v4 * sin(th)
-            dv4, dw4 = (tr + tl) / r / m, (tr - tl) * d / two_r / J
-
-            v = v0 + sixth * (dv1 + 2.0 * dv2 + 2.0 * dv3 + dv4)
-            omega = w0 + sixth * (dw1 + 2.0 * dw2 + 2.0 * dw3 + dw4)
+            v_h, v_1 = v * ev_h + cv_h, v * ev + cv
+            th_h, th = th + (omega * pw_h + qw_h), th + (omega * pw + qw)
+            cos_h, sin_h, cos1, sin1 = cos(th_h), sin(th_h), cos(th), sin(th)
+            x += sixth * (v * cos0 + 4.0 * v_h * cos_h + v_1 * cos1)
+            y += sixth * (v * sin0 + 4.0 * v_h * sin_h + v_1 * sin1)
+            omega = omega * ew + cw
+            v = v_1
             if v < 0.0:
                 v = 0.0
-            x += sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-            y += sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
-            th = th0 + sixth * (w0 + 2.0 * w2 + 2.0 * w3 + w4)
+            # The next substep opens at this one's heading.
+            cos0, sin0 = cos1, sin1
     elif brake_model == "instant":
         if command is _STOP:
             return _new(VehicleState, (x, y, th, 0.0, 0.0, 0.0, 0.0))

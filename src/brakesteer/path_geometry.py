@@ -365,6 +365,8 @@ class PathSegment(Record):
 def _number(key: str, value: Any) -> float:
     """``float(value)`` for a real number (a bool is not one), or ValueError
     naming ``key`` for anything else: a null, a string, an int too large."""
+    if type(value) is float:  # most values; the ABC check below is slow
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)

@@ -39,7 +39,7 @@ from .path_geometry import (
 )
 
 
-# The most physics steps (control steps times RK4 substeps) one run may ask
+# The most physics steps (control steps times substeps) one run may ask
 # for.  A kinematic run keeps one trace row of about 340 bytes per control
 # step (tracemalloc peak, on a 20,001-row run along a 250 m line), at about
 # 10 us a step on a 2-vCPU x86 VM with Python 3.11 (median of six medians of

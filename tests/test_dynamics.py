@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from brakesteer.dynamics import (
     UserInput,
     VehicleParams,
     VehicleState,
+    _relaxation,
     step_dynamic,
     step_kinematic,
     wheel_rates,
@@ -105,6 +107,14 @@ def test_params_validation():
     with pytest.raises(ValueError):
         VehicleParams(b_w=-0.1)
     assert VehicleParams(d=0.6).R == 0.3
+
+
+@pytest.mark.parametrize("name", ["m", "J", "d", "r", "b_w", "b_max"])
+def test_params_reject_an_infinite_value(name):
+    # b_w = inf used to end a dynamic run after two rows on a non-finite
+    # state, and m = inf to run on to t_max.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+        VehicleParams(**{name: math.inf})
 
 
 @pytest.mark.parametrize("d", [5e-324, 0.0])
@@ -367,21 +377,17 @@ STEP_DRAWS = dict(
         [PARAMS, VehicleParams(b_w=0.0, b_max=2.0, d=0.5, r=0.15), NARROW_AXLE]
     ),
 )
+BRAKED = [Maneuver.TURN_RIGHT, Maneuver.TURN_LEFT, Maneuver.STOP]
 
 
 @settings(max_examples=500)
-@given(**STEP_DRAWS)
-# Both wheels at rest under a push: the holding branch, then the v < 0 clamp.
-@example(Maneuver.GO_STRAIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, -1.0), PARAMS)
+# Free rolling is not RK4: test_free_rolling_matches_exact_solution holds it.
+@given(**{**STEP_DRAWS, "action": st.sampled_from(BRAKED)})
+# A push from rest: the braked wheel takes the holding branch.
 @example(Maneuver.TURN_RIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, 1.0), PARAMS)
 @example(Maneuver.TURN_LEFT, "instant", 1e-2, (1.0, 2.0, 0.5), 0.0, 0.0, (-1.0, -1.0), PARAMS)
 # Locking a wheel at 0.95 m/s: the snap moves the free wheel's rate by one bit.
 @example(Maneuver.TURN_LEFT, "instant", 1e-3, (0.0, 0.0, 0.0), 0.95, 0.0, (0.1, 0.1), PARAMS)
-# Free rolling from rest under a -0.0 torque, whose sign the free wheel keeps.
-@example(Maneuver.GO_STRAIGHT, "instant", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-0.0, -0.0), PARAMS)
-# Free rolling with the right wheel exactly at rest (0.3 - 1.0 * 0.6 / 2 = 0)
-# while the left one spins: the first stage passes tau_r through.
-@example(Maneuver.GO_STRAIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.3, -1.0, (0.2, 0.1), PARAMS)
 def test_step_dynamic_matches_helper_reference_bitwise(
     action, brake_model, dt, pose, v, omega, torques, params
 ):
@@ -448,6 +454,134 @@ def test_an_overflowing_wheel_rate_leaves_a_nonfinite_state(model):
     args = (state, Maneuver.GO_STRAIGHT, UserInput(0.1, 0.1), 1e-3, PARAMS, model)
     for result in (step_dynamic(*args), reference_step_dynamic(*args)):
         assert not all(math.isfinite(f) for f in result)
+
+
+# -- exact-solution oracle for free rolling ------------------------------------
+
+
+def exact_relaxation(k, s):
+    """``(exp(-k s), phi, psi)`` in Decimal to the context's precision, with
+    ``phi = (1 - exp(-k s)) / k`` and ``psi = (s - phi) / k``: the working
+    precision is raised by the digits the two differences cancel."""
+    if not k:
+        return Decimal(1), s, s * s / 2
+    with localcontext(prec=getcontext().prec + 5 + max(0, -2 * (k * s).adjusted())):
+        e = (-k * s).exp()
+        phi = (1 - e) / k
+        return e, phi, (s - phi) / k
+
+
+@pytest.mark.parametrize("u", [1e-300, 1e-30, 1e-3, 0.25, 0.4999, 0.5, 2.0, 50.0])
+def test_relaxation_terms_are_within_a_few_ulps(u):
+    # On either side of the series threshold (0.5), and far from it.
+    t = 1e-3
+    k = u / t
+    got = _relaxation(k, t)
+    with localcontext(prec=40):
+        want = exact_relaxation(Decimal(k), Decimal(t))
+    assert abs(Decimal(got[0]) - want[0]) <= Decimal(4 * 2.0**-53)
+    for g, w in zip(got[1:], want[1:]):
+        assert abs(Decimal(g) - w) <= Decimal(4 * 2.0**-53) * w
+
+
+def exact_free_rolling(state, user, p):
+    """The exact free-rolling solution from ``state``: a function from a time
+    ``s`` to ``(v, omega, theta)`` in Decimal to 40 digits, ``v`` before the
+    ``v >= 0`` clamp, and the floats ``(a_v, k_v, a_w, k_w)`` of
+    ``v' = a_v - k_v v`` and ``omega' = a_w - k_w omega``."""
+    with localcontext(prec=80):
+        r, m, J, d, b_w, tau_r, tau_l = map(
+            Decimal, (p.r, p.m, p.J, p.d, p.b_w, user.tau_r, user.tau_l)
+        )
+        a_v, k_v = (tau_r + tau_l) / (r * m), 2 * b_w / (r * r * m)
+        a_w, k_w = (tau_r - tau_l) * d / (2 * r * J), b_w * d * d / (2 * r * r * J)
+    v0, w0, th0 = map(Decimal, (state.v, state.omega, state.theta))
+
+    def at(s):
+        with localcontext(prec=40):
+            s = Decimal(s)
+            ev, fv, _ = exact_relaxation(k_v, s)
+            ew, fw, gw = exact_relaxation(k_w, s)
+            return v0 * ev + a_v * fv, w0 * ew + a_w * fw, th0 + w0 * fw + a_w * gw
+
+    return at, tuple(map(float, (a_v, k_v, a_w, k_w)))
+
+
+def assert_free_rolling_exact(got, state, user, p, dt, n, quad):
+    """``got``, ``n`` free-rolling substeps of ``dt`` from ``state``, against
+    the exact solution.
+
+    v, omega and theta are within 4 ulps per substep of their exact
+    solution's largest term plus the smallest normal float, whose ulp is the
+    spacing of the subnormals.  x and y are within that of ``x0 + change``,
+    where ``change`` is ``quad`` of the exact integrand ``v cos(theta)`` (or
+    ``sin``), plus quad's error estimate and, per substep, Simpson's error
+    bound ``dt**5 / 2880 * max|f^(4)|``, with ``max|f^(4)|`` bounded
+    by Leibniz and Faa di Bruno from ``v' = a_v - k_v v`` and ``theta'' =
+    a_w - k_w omega``.  No 1-4-1 rule is off by more than ``2 dt max|v|``, so
+    a substep that a drag stiffer than it does not resolve is held to that.
+    """
+    at, (a_v, k_v, a_w, k_w) = exact_free_rolling(state, user, p)
+    T = n * dt
+    ulps = 4 * n * 2.0**-52
+    tiny = 2.0**-1022
+    v_max, w_max = abs(state.v) + abs(a_v) * T, abs(state.omega) + abs(a_w) * T
+    dv, dw = abs(a_v) + k_v * v_max, abs(a_w) + k_w * w_max  # |v'|, |theta''|
+    speed = [v_max, dv, k_v * dv, k_v * k_v * dv, k_v * k_v * k_v * dv]
+    trig = [1.0, w_max, w_max * w_max + dw, w_max * (w_max * w_max + 3 * dw) + k_w * dw,
+            w_max * w_max * (w_max * w_max + 6 * dw) + 3 * dw * dw + 4 * w_max * k_w * dw
+            + k_w * k_w * dw]
+    f4 = sum(math.comb(4, j) * speed[j] * trig[4 - j] for j in range(5))
+    simpson = min(dt**5 / 2880 * f4, 2 * dt * v_max)
+
+    v, omega, theta = at(T)
+    assert abs(Decimal(got.v) - max(v, Decimal(0))) <= Decimal(ulps * (v_max + tiny))
+    assert abs(Decimal(got.omega) - omega) <= Decimal(ulps * (w_max + tiny))
+    theta_scale = abs(state.theta) + w_max * T + tiny
+    assert abs(Decimal(got.theta) - theta) <= Decimal(ulps * theta_scale)
+    for value, start, trig_of in ((got.x, state.x, math.cos), (got.y, state.y, math.sin)):
+
+        def rate(s):
+            v_s, _, theta_s = at(s)
+            return float(v_s) * trig_of(float(theta_s))
+
+        change, err = quad(rate, 0.0, T, epsabs=1e-17, limit=200,
+                           points=[i * dt for i in range(1, n)] or None)
+        tol = ulps * (abs(start) + v_max * T + tiny) + err + n * simpson
+        assert abs(value - (start + change)) <= tol
+
+
+# No deadline: the first example imports scipy.integrate.
+@settings(max_examples=300, deadline=None)
+@given(**{k: v for k, v in STEP_DRAWS.items() if k != "action"})
+# Both wheels at rest under a push: the v < 0 clamp.
+@example("viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, -1.0), PARAMS)
+# From rest under a -0.0 torque.
+@example("instant", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-0.0, -0.0), PARAMS)
+# With the right wheel exactly at rest (0.3 - 1.0 * 0.6 / 2 = 0) while the
+# left one spins.
+@example("viscous", 1e-3, (0.0, 0.0, 0.0), 0.3, -1.0, (0.2, 0.1), PARAMS)
+def test_free_rolling_matches_exact_solution(brake_model, dt, pose, v, omega, torques, params):
+    quad = pytest.importorskip("scipy.integrate").quad
+    state = VehicleState.from_body_rates(*pose, v, omega, params)
+    user = UserInput(*torques)
+    got = step_dynamic(state, Maneuver.GO_STRAIGHT, user, dt, params, brake_model)
+    assert_free_rolling_exact(got, state, user, params, dt, 1, quad)
+
+
+# 0 takes the k = 0 limit, 1e-300 to 25 the heading integral's series (at
+# 1e-30 and 1e-12 its difference form would cancel; at 25, k_w dt / 2 is
+# 0.225, where its higher terms count), 1e6 and 1e300 the general form,
+# where a wheel stops within a small part of one substep.
+@pytest.mark.parametrize("b_w", [0.0, 1e-300, 1e-30, 1e-12, 0.05, 25.0, 1e6, 1e300])
+def test_free_rolling_stays_exact_across_the_drag_range(b_w):
+    quad = pytest.importorskip("scipy.integrate").quad
+    p = VehicleParams(b_w=b_w)
+    state = VehicleState.from_body_rates(1.0, 2.0, 0.7, 0.5, 0.3, p)
+    user = UserInput(0.3, 0.1)
+    got = step_dynamic(state, Maneuver.GO_STRAIGHT, user, 1e-3, p, "instant", 10)
+    assert all(math.isfinite(f) for f in got)
+    assert_free_rolling_exact(got, state, user, p, 1e-3, 10, quad)
 
 
 # -- bitwise oracle for the kinematic step -------------------------------------
