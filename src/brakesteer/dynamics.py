@@ -10,9 +10,9 @@ Two stepping fidelities are provided.  ``step_kinematic`` takes the forward
 speed as given and integrates the pose in closed form (exact lines and
 arcs, no discretization drift).  ``step_dynamic`` integrates force/torque
 balance, modeling brakes either as an instantaneous wheel lock or as a
-strong viscous dissipator.  With both brakes released the speed and yaw
-rate obey two linear ODEs, which it solves in closed form; a braked step is
-integrated with RK4.
+strong viscous dissipator.  With both brakes released, and about a wheel
+the instant brake model locks, the speed and yaw rate obey two linear ODEs,
+which it solves in closed form; viscous braking is integrated with RK4.
 """
 
 from __future__ import annotations
@@ -226,26 +226,22 @@ def _relaxation(k: float, t: float) -> tuple[float, float, float]:
     return math.exp(-u), phi, (t - phi) / k
 
 
-def _free_rolling(
-    dt: float, params: VehicleParams, user: UserInput
+def _relaxation_substep(
+    dt: float, a_v: float, k_v: float, a_w: float, k_w: float
 ) -> tuple[float, float, float, float, float, float, float, float, float, float]:
-    """The coefficients of one free-rolling substep of ``dt``.
+    """The coefficients of one closed-form substep of ``dt``.
 
-    With both brakes released, the speed obeys ``v' = a_v - k_v v`` and the
-    yaw rate ``omega' = a_w - k_w omega``.  Over a time ``t`` the exact
-    solution is ``v(t) = v E_v + a_v phi_v``, ``omega(t) = omega E_w + a_w
-    phi_w`` and ``theta(t) = theta + (omega phi_w + a_w psi_w)``, with
-    ``(E, phi, psi)`` from :func:`_relaxation`.  Returned, in order:
-    ``E_v`` and ``a_v phi_v`` at the half step ``h`` and then at ``dt``;
-    ``phi_w`` and ``a_w psi_w`` at ``h`` and then at ``dt``; ``E_w`` and
-    ``a_w phi_w`` at ``dt``.  The values at ``h`` are doubled to ``dt`` by
-    ``E(2h) = E(h)**2``, ``phi(2h) = (1 + E(h)) phi(h)`` and ``psi(2h) =
-    (1 + E(h)) psi(h) + h phi(h)``, sums of nonnegative terms.
+    The speed obeys ``v' = a_v - k_v v`` and the yaw rate ``omega' = a_w -
+    k_w omega``.  Over a time ``t`` the exact solution is ``v(t) = v E_v +
+    a_v phi_v``, ``omega(t) = omega E_w + a_w phi_w`` and ``theta(t) = theta
+    + (omega phi_w + a_w psi_w)``, with ``(E, phi, psi)`` from
+    :func:`_relaxation`.  Returned, in order: ``E_v`` and ``a_v phi_v`` at
+    the half step ``h`` and then at ``dt``; ``phi_w`` and ``a_w psi_w`` at
+    ``h`` and then at ``dt``; ``E_w`` and ``a_w phi_w`` at ``dt``.  The
+    values at ``h`` are doubled to ``dt`` by ``E(2h) = E(h)**2``, ``phi(2h)
+    = (1 + E(h)) phi(h)`` and ``psi(2h) = (1 + E(h)) psi(h) + h phi(h)``,
+    sums of nonnegative terms.
     """
-    r, m, J, d, b_w = params.r, params.m, params.J, params.d, params.b_w
-    tau_r, tau_l = user.tau_r, user.tau_l
-    a_v, k_v = (tau_r + tau_l) / r / m, 2.0 * b_w / (r * r) / m
-    a_w, k_w = (tau_r - tau_l) * d / (2.0 * r) / J, b_w * (d * d) / (2.0 * (r * r)) / J
     h = 0.5 * dt
     ev_h, fv_h, _ = _relaxation(k_v, h)
     ew_h, fw_h, gw_h = _relaxation(k_w, h)
@@ -277,32 +273,39 @@ def step_dynamic(
     forward speed is clamped nonnegative at the end of each substep;
     reverse motion is out of scope.
 
-    The checks and constants are resolved once per call, and the command
-    picks one of three loops, which run each substep on plain floats; one
-    ``VehicleState`` is built, at the end:
+    The checks and constants are resolved once per call.  An instant Stop
+    returns the pose at rest; any other command picks one of two loops,
+    which run each substep on plain floats, and one ``VehicleState`` is
+    built, at the end:
 
-    - free rolling (``go_straight``, under either brake model): only the
-      rolling drag ``b_w * rate`` acts, so ``v' = a_v - k_v v`` and
-      ``omega' = a_w - k_w omega`` with ``a_v = (tau_r + tau_l) / (r m)``,
-      ``k_v = 2 b_w / (r^2 m)``, ``a_w = (tau_r - tau_l) d / (2 r J)`` and
-      ``k_w = b_w d^2 / (2 r^2 J)``.  A substep moves v, omega and theta to
+    - closed form, where only the rolling drag ``b_w * rate`` acts and ``v' =
+      a_v - k_v v``, ``omega' = a_w - k_w omega``.  In free rolling
+      (``go_straight``, under either brake model) ``a_v = (tau_r + tau_l) / (r
+      m)``, ``k_v = 2 b_w / (r^2 m)``, ``a_w = (tau_r - tau_l) d / (2 r J)``
+      and ``k_w = b_w d^2 / (2 r^2 J)``.  About a locked wheel
+      (``brake_model="instant"``, a turn) the free wheel's rate u is the one
+      degree of freedom left, with ``v = r u / 2`` and ``omega = sr u / d``
+      (``sr`` is ``-r`` turning right and ``r`` turning left); energy gives
+      ``m_eff u' = tau - b_w u``, with ``m_eff = m r^2 / 4 + J r^2 / d^2`` and
+      ``tau`` the free wheel's torque, so ``k_v = k_w = b_w / m_eff``, ``a_v =
+      r tau / (2 m_eff)`` and ``a_w = sr tau / (d m_eff)``.  There a substep
+      opens by snapping the braked wheel to rest, with u read from ``(v,
+      omega)`` as the stored field would give it, and closes at rest (v and
+      omega zero) if u is not positive.  A substep moves v, omega and theta to
       their exact solution, for every finite ``b_w >= 0``, and x and y by
-      Simpson's rule (RK4's 1-4-1 weights) on exact samples at 0, dt/2 and
-      dt; a substep's closing cosine and sine open the next one.  The
-      coefficients come from :func:`_free_rolling`, once per call.
-      Simpson's error is ``dt^5 / 2880 max|f^(4)|`` while the substep
-      resolves the relaxation (``k dt`` well below 1) and never exceeds
-      ``2 dt max|v|``: over a 10 ms control step of ten substeps from
-      0.5 m/s, x and y are off by 4e-19 m at the default ``b_w`` of 0.05,
-      9e-12 m at 5 and 1e-5 m at 500 N m s;
-    - locked wheel (``brake_model="instant"``, a turn or Stop): Stop
-      returns the pose at rest, and a turn integrates the free wheel's rate
-      by RK4;
+      Simpson's rule (RK4's 1-4-1 weights) on exact samples at 0, dt/2 and dt;
+      a substep's closing cosine and sine open the next one.  The coefficients
+      come from :func:`_relaxation_substep`, once per call.  Simpson's error
+      is ``dt^5 / 2880 max|f^(4)|`` while the substep resolves the relaxation
+      (``k dt`` well below 1) and never exceeds ``2 dt max|v|``: over a 10 ms
+      control step of ten free-rolling substeps from 0.5 m/s, x and y are off
+      by 4e-19 m at the default ``b_w`` of 0.05, 9e-12 m at 5 and 1e-5 m at
+      500 N m s;
     - viscous braking (``brake_model="viscous"``, a turn or Stop): RK4, with
       each wheel's torque carrying its brake's ``b_brake * rate`` beside the
       rolling drag, and a braked wheel at rest held.
 
-    In the two braked loops each expression keeps the operand order of
+    In the RK4 loop each expression keeps the operand order of
     :func:`wheel_rates` and of the textbook per-wheel torque and wrench
     formulas, so every substep is bitwise an RK4 step built from those
     formulas one derivative call per stage, as the reference in
@@ -318,17 +321,43 @@ def step_dynamic(
     if type(substeps) is not int or substeps < 1:
         raise ValueError(f"substeps must be an int >= 1, got {substeps!r}")
     x, y, th = state.x, state.y, state.theta
+    v, omega = state.v, state.omega
     r, d, b_w = params.r, params.d, params.b_w
-    half = 0.5 * dt
     sixth = dt / 6.0
     cos, sin = math.cos, math.sin
 
-    if command is _GO:
-        ev_h, cv_h, ev, cv, pw_h, qw_h, pw, qw, ew, cw = _free_rolling(dt, params, user)
-        v, omega = state.v, state.omega
+    if command is _GO or brake_model == "instant":
+        if command is _GO:
+            sr = 0.0
+            tau_r, tau_l, m, J = user.tau_r, user.tau_l, params.m, params.J
+            a_v, k_v = (tau_r + tau_l) / r / m, 2.0 * b_w / (r * r) / m
+            a_w, k_w = (tau_r - tau_l) * d / (2.0 * r) / J, b_w * (d * d) / (2.0 * (r * r)) / J
+        else:
+            if command is _RIGHT:
+                sr, tau = -r, user.tau_l
+            elif command is _LEFT:
+                sr, tau = r, user.tau_r
+            elif command is _STOP:
+                return _new(VehicleState, (x, y, th, 0.0, 0.0, 0.0, 0.0))
+            else:
+                raise _not_a_maneuver(command)
+            m_eff = params.m * (r * r) / 4.0 + params.J * (r * r) / (d * d)
+            a_v, a_w = r * tau / (2.0 * m_eff), sr * tau / (d * m_eff)
+            k_v = k_w = b_w / m_eff
+        ev_h, cv_h, ev, cv, pw_h, qw_h, pw, qw, ew, cw = _relaxation_substep(
+            dt, a_v, k_v, a_w, k_w
+        )
         cos0, sin0 = cos(th), sin(th)
 
         for _ in range(substeps):
+            if sr:
+                # Snap the braked wheel to rest: read the free wheel's rate
+                # as the VehicleState field would store it, and back through
+                # wheel_rates; the sign of omega cancels the side.
+                h = omega * d / 2.0
+                u = (v - h) / r if sr < 0.0 else (v + h) / r
+                u = (r * u / 2.0 + r * u / d * d / 2.0) / r
+                v, omega = r * u / 2.0, sr * u / d
             v_h, v_1 = v * ev_h + cv_h, v * ev + cv
             th_h, th = th + (omega * pw_h + qw_h), th + (omega * pw + qw)
             cos_h, sin_h, cos1, sin1 = cos(th_h), sin(th_h), cos(th), sin(th)
@@ -336,57 +365,13 @@ def step_dynamic(
             y += sixth * (v * sin0 + 4.0 * v_h * sin_h + v_1 * sin1)
             omega = omega * ew + cw
             v = v_1
-            if v < 0.0:
+            if sr:
+                if not v > 0.0:  # u <= 0, or NaN: at rest about the locked wheel
+                    v, omega = 0.0, sr * 0.0  # the signed zero of sr u / d at u = 0
+            elif v < 0.0:
                 v = 0.0
             # The next substep opens at this one's heading.
             cos0, sin0 = cos1, sin1
-    elif brake_model == "instant":
-        if command is _STOP:
-            return _new(VehicleState, (x, y, th, 0.0, 0.0, 0.0, 0.0))
-        # One wheel locked: the free wheel's rate u is the only degree of
-        # freedom, with v = r u / 2 and omega = sr u / d about the locked wheel.
-        right = command is _RIGHT
-        if right:
-            sr, u, tau = -r, state.alpha_dot_l, user.tau_l
-        elif command is _LEFT:
-            sr, u, tau = r, state.alpha_dot_r, user.tau_r
-        else:
-            raise _not_a_maneuver(command)
-        m_eff = params.m * (r * r) / 4.0 + params.J * (r * r) / (d * d)
-
-        for _ in range(substeps):
-            # Snap the braked wheel to rest and read the free wheel's rate
-            # back through wheel_rates; the sign of omega cancels the side.
-            u0 = (r * u / 2.0 + r * u / d * d / 2.0) / r
-            th0 = th
-
-            v = r * u0 / 2.0
-            dx1, dy1 = v * cos(th0), v * sin(th0)
-            dth1, du1 = sr * u0 / d, (tau - b_w * u0) / m_eff
-            th, u = th0 + half * dth1, u0 + half * du1
-            v = r * u / 2.0
-            dx2, dy2 = v * cos(th), v * sin(th)
-            dth2, du2 = sr * u / d, (tau - b_w * u) / m_eff
-            th, u = th0 + half * dth2, u0 + half * du2
-            v = r * u / 2.0
-            dx3, dy3 = v * cos(th), v * sin(th)
-            dth3, du3 = sr * u / d, (tau - b_w * u) / m_eff
-            th, u = th0 + dt * dth3, u0 + dt * du3
-            v = r * u / 2.0
-            dx4, dy4 = v * cos(th), v * sin(th)
-            dth4, du4 = sr * u / d, (tau - b_w * u) / m_eff
-
-            u = u0 + sixth * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
-            if not u > 0.0:  # max(0.0, u), which also maps NaN to 0
-                u = 0.0
-            v = r * u / 2.0
-            omega = sr * u / d
-            x += sixth * (dx1 + 2.0 * dx2 + 2.0 * dx3 + dx4)
-            y += sixth * (dy1 + 2.0 * dy2 + 2.0 * dy3 + dy4)
-            th = th0 + sixth * (dth1 + 2.0 * dth2 + 2.0 * dth3 + dth4)
-            # The next substep starts from the free wheel's rate as the
-            # VehicleState field would store it.
-            u = (v - omega * d / 2.0) / r if right else (v + omega * d / 2.0) / r
     else:
         # Viscous braking: every wheel rolls, and an engaged brake adds its
         # b_max * rate to the rolling drag.
@@ -397,7 +382,7 @@ def step_dynamic(
         tau_r, tau_l = user.tau_r, user.tau_l
         held_r, held_l = (1.0 - c_r) * tau_r, (1.0 - c_l) * tau_l
         m, J, two_r = params.m, params.J, 2.0 * r
-        v, omega = state.v, state.omega
+        half = 0.5 * dt
 
         for _ in range(substeps):
             th0, v0, w0 = th, v, omega

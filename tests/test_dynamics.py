@@ -3,7 +3,7 @@ from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from brakesteer.dynamics import (
     Maneuver,
@@ -319,29 +319,11 @@ def _reference_rk4(vec, deriv, dt):
 
 
 def reference_step_dynamic(state, command, user, dt, p, brake_model):
-    """RK4 step assembled from the public helpers, one derivative call per stage."""
-    if brake_model == "instant" and command is not Maneuver.GO_STRAIGHT:
-        if command is Maneuver.STOP:
-            return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
-        right = command is Maneuver.TURN_RIGHT
-        sign = -1.0 if right else 1.0
-        u = state.alpha_dot_l if right else state.alpha_dot_r
-        # Lock the braked wheel: body rates from the free wheel, then the
-        # free wheel's rate read back from the body rates.
-        adr, adl = wheel_rates(p.r * u / 2.0, sign * p.r * u / p.d, p)
-        u = adl if right else adr
-        tau = user.tau_l if right else user.tau_r
-        m_eff = p.m * (p.r * p.r) / 4.0 + p.J * (p.r * p.r) / (p.d * p.d)
-
-        def locked(w):
-            v = p.r * w[3] / 2.0
-            return [v * math.cos(w[2]), v * math.sin(w[2]), sign * p.r * w[3] / p.d,
-                    (tau - p.b_w * w[3]) / m_eff]
-
-        x, y, th, u = _reference_rk4([state.x, state.y, state.theta, u], locked, dt)
-        u = max(0.0, u)
-        return VehicleState.from_body_rates(x, y, th, p.r * u / 2.0, sign * p.r * u / p.d, p)
-
+    """RK4 step assembled from the public helpers, one derivative call per
+    stage: a viscous step, or free rolling as RK4 would take it.  An instant
+    Stop is the pose at rest."""
+    if brake_model == "instant" and command is Maneuver.STOP:
+        return VehicleState(state.x, state.y, state.theta, 0.0, 0.0, 0.0, 0.0)
     brake_r, brake_l = command.wheel_settings(p.b_max)
 
     def free(w):
@@ -377,20 +359,21 @@ STEP_DRAWS = dict(
         [PARAMS, VehicleParams(b_w=0.0, b_max=2.0, d=0.5, r=0.15), NARROW_AXLE]
     ),
 )
-BRAKED = [Maneuver.TURN_RIGHT, Maneuver.TURN_LEFT, Maneuver.STOP]
+TURNS = [Maneuver.TURN_RIGHT, Maneuver.TURN_LEFT]
+BRAKED = [*TURNS, Maneuver.STOP]
 
 
 @settings(max_examples=500)
-# Free rolling is not RK4: test_free_rolling_matches_exact_solution holds it.
+# Free rolling and a locked-wheel turn are not RK4:
+# test_free_rolling_matches_exact_solution and
+# test_locked_wheel_matches_exact_solution hold them.
 @given(**{**STEP_DRAWS, "action": st.sampled_from(BRAKED)})
 # A push from rest: the braked wheel takes the holding branch.
 @example(Maneuver.TURN_RIGHT, "viscous", 1e-3, (0.0, 0.0, 0.0), 0.0, 0.0, (-1.0, 1.0), PARAMS)
-@example(Maneuver.TURN_LEFT, "instant", 1e-2, (1.0, 2.0, 0.5), 0.0, 0.0, (-1.0, -1.0), PARAMS)
-# Locking a wheel at 0.95 m/s: the snap moves the free wheel's rate by one bit.
-@example(Maneuver.TURN_LEFT, "instant", 1e-3, (0.0, 0.0, 0.0), 0.95, 0.0, (0.1, 0.1), PARAMS)
 def test_step_dynamic_matches_helper_reference_bitwise(
     action, brake_model, dt, pose, v, omega, torques, params
 ):
+    assume(brake_model == "viscous" or action is Maneuver.STOP)
     state = VehicleState.from_body_rates(*pose, v, omega, params)
     args = (state, action, UserInput(*torques), dt, params, brake_model)
     assert step_dynamic(*args) == reference_step_dynamic(*args)
@@ -443,15 +426,29 @@ def test_go_straight_is_the_same_under_either_brake_model_bitwise(
     assert [f.hex() for f in instant] == [f.hex() for f in viscous]
 
 
-@pytest.mark.parametrize("model", ["instant", "viscous"])
-def test_an_overflowing_wheel_rate_leaves_a_nonfinite_state(model):
+@pytest.mark.parametrize(
+    "model, command",
+    [("instant", Maneuver.GO_STRAIGHT), ("viscous", Maneuver.GO_STRAIGHT),
+     ("instant", Maneuver.TURN_RIGHT), ("instant", Maneuver.TURN_LEFT)],
+    # go_straight keeps the ids the suite has always printed.
+    ids=["instant", "viscous", "instant-turn_right", "instant-turn_left"],
+)
+def test_an_overflowing_wheel_rate_leaves_a_nonfinite_state(model, command):
     # At 1e308 m/s the wheel rates overflow to inf.  The helper reference's
     # released brake then gives a torque of 0.0 * inf = NaN, where free
-    # rolling, which leaves that term out, gives -inf.  This is the one way
-    # the two torques differ, and either step ends non-finite, so a run
-    # stops on either.
+    # rolling's x overflows to inf; either step ends non-finite, so a run
+    # stops on either.  A locked turn reads the free wheel's infinite rate
+    # back, and the cosine of its infinite heading raises ValueError, on
+    # which a run stops as well (nonfinite_state: step).
     state = state_at(v=1e308)
-    args = (state, Maneuver.GO_STRAIGHT, UserInput(0.1, 0.1), 1e-3, PARAMS, model)
+    args = (state, command, UserInput(0.1, 0.1), 1e-3, PARAMS, model)
+    if command is not Maneuver.GO_STRAIGHT:
+        try:
+            result = step_dynamic(*args)
+        except (ValueError, OverflowError):
+            return
+        assert not all(math.isfinite(f) for f in result)
+        return
     for result in (step_dynamic(*args), reference_step_dynamic(*args)):
         assert not all(math.isfinite(f) for f in result)
 
@@ -484,18 +481,43 @@ def test_relaxation_terms_are_within_a_few_ulps(u):
         assert abs(Decimal(g) - w) <= Decimal(4 * 2.0**-53) * w
 
 
-def exact_free_rolling(state, user, p):
-    """The exact free-rolling solution from ``state``: a function from a time
-    ``s`` to ``(v, omega, theta)`` in Decimal to 40 digits, ``v`` before the
-    ``v >= 0`` clamp, and the floats ``(a_v, k_v, a_w, k_w)`` of
-    ``v' = a_v - k_v v`` and ``omega' = a_w - k_w omega``."""
+def linear_odes(state, command, user, p):
+    """The start and the coefficients ``(a_v, k_v, a_w, k_w)``, in Decimal to
+    80 digits, of ``v' = a_v - k_v v`` and ``omega' = a_w - k_w omega``, which
+    ``command`` obeys from ``state`` under the instant brake model.
+
+    Free rolling starts at ``state``.  A turn first snaps the braked wheel to
+    rest through :func:`wheel_rates`, and its start holds the free wheel's
+    rate u as ``v = r u / 2`` and ``omega = sr u / d``, with ``sr = -r``
+    turning right and ``r`` turning left; then ``m_eff u' = tau - b_w u``
+    with ``m_eff = m r^2 / 4 + J r^2 / d^2``.
+    """
     with localcontext(prec=80):
         r, m, J, d, b_w, tau_r, tau_l = map(
             Decimal, (p.r, p.m, p.J, p.d, p.b_w, user.tau_r, user.tau_l)
         )
-        a_v, k_v = (tau_r + tau_l) / (r * m), 2 * b_w / (r * r * m)
-        a_w, k_w = (tau_r - tau_l) * d / (2 * r * J), b_w * d * d / (2 * r * r * J)
-    v0, w0, th0 = map(Decimal, (state.v, state.omega, state.theta))
+        if command is Maneuver.GO_STRAIGHT:
+            return state, ((tau_r + tau_l) / (r * m), 2 * b_w / (r * r * m),
+                           (tau_r - tau_l) * d / (2 * r * J), b_w * d * d / (2 * r * r * J))
+        right = command is Maneuver.TURN_RIGHT
+        sign = -1.0 if right else 1.0
+        u = state.alpha_dot_l if right else state.alpha_dot_r
+        adr, adl = wheel_rates(p.r * u / 2.0, sign * p.r * u / p.d, p)
+        u = adl if right else adr
+        start = VehicleState.from_body_rates(
+            state.x, state.y, state.theta, p.r * u / 2.0, sign * p.r * u / p.d, p
+        )
+        sr, tau = (-r, tau_l) if right else (r, tau_r)
+        m_eff = m * r * r / 4 + J * r * r / (d * d)
+        return start, (r * tau / (2 * m_eff), b_w / m_eff, sr * tau / (d * m_eff), b_w / m_eff)
+
+
+def exact_solution(start, coefficients):
+    """The exact solution of :func:`linear_odes` from ``start``: a function
+    from a time ``s`` to ``(v, omega, theta)`` in Decimal to 40 digits, ``v``
+    before the ``v >= 0`` clamp."""
+    a_v, k_v, a_w, k_w = coefficients
+    v0, w0, th0 = map(Decimal, (start.v, start.omega, start.theta))
 
     def at(s):
         with localcontext(prec=40):
@@ -504,28 +526,31 @@ def exact_free_rolling(state, user, p):
             ew, fw, gw = exact_relaxation(k_w, s)
             return v0 * ev + a_v * fv, w0 * ew + a_w * fw, th0 + w0 * fw + a_w * gw
 
-    return at, tuple(map(float, (a_v, k_v, a_w, k_w)))
+    return at
 
 
-def assert_free_rolling_exact(got, state, user, p, dt, n, quad):
-    """``got``, ``n`` free-rolling substeps of ``dt`` from ``state``, against
-    the exact solution.
+def assert_exact(got, start, coefficients, dt, n, quad, locked=False):
+    """``got``, ``n`` closed-form substeps of ``dt`` from the ``start`` and
+    ``coefficients`` of :func:`linear_odes`, against the exact solution.
 
     v, omega and theta are within 4 ulps per substep of their exact
     solution's largest term plus the smallest normal float, whose ulp is the
-    spacing of the subnormals.  x and y are within that of ``x0 + change``,
-    where ``change`` is ``quad`` of the exact integrand ``v cos(theta)`` (or
-    ``sin``), plus quad's error estimate and, per substep, Simpson's error
-    bound ``dt**5 / 2880 * max|f^(4)|``, with ``max|f^(4)|`` bounded
-    by Leibniz and Faa di Bruno from ``v' = a_v - k_v v`` and ``theta'' =
-    a_w - k_w omega``.  No 1-4-1 rule is off by more than ``2 dt max|v|``, so
-    a substep that a drag stiffer than it does not resolve is held to that.
+    spacing of the subnormals; when ``locked``, a clamp to ``v = 0`` leaves
+    omega 0 too, at rest about the locked wheel.  x and y are within that of
+    ``x0 + change``, where ``change`` is ``quad`` of the exact integrand ``v
+    cos(theta)`` (or ``sin``), plus quad's error estimate and, per substep,
+    Simpson's error bound ``dt**5 / 2880 * max|f^(4)|``, with ``max|f^(4)|``
+    bounded by Leibniz and Faa di Bruno from ``v' = a_v - k_v v`` and
+    ``theta'' = a_w - k_w omega``.  No 1-4-1 rule is off by more than ``2 dt
+    max|v|``, so a substep that a drag stiffer than it does not resolve is
+    held to that.
     """
-    at, (a_v, k_v, a_w, k_w) = exact_free_rolling(state, user, p)
+    at = exact_solution(start, coefficients)
+    a_v, k_v, a_w, k_w = map(float, coefficients)
     T = n * dt
     ulps = 4 * n * 2.0**-52
     tiny = 2.0**-1022
-    v_max, w_max = abs(state.v) + abs(a_v) * T, abs(state.omega) + abs(a_w) * T
+    v_max, w_max = abs(start.v) + abs(a_v) * T, abs(start.omega) + abs(a_w) * T
     dv, dw = abs(a_v) + k_v * v_max, abs(a_w) + k_w * w_max  # |v'|, |theta''|
     speed = [v_max, dv, k_v * dv, k_v * k_v * dv, k_v * k_v * k_v * dv]
     trig = [1.0, w_max, w_max * w_max + dw, w_max * (w_max * w_max + 3 * dw) + k_w * dw,
@@ -536,10 +561,13 @@ def assert_free_rolling_exact(got, state, user, p, dt, n, quad):
 
     v, omega, theta = at(T)
     assert abs(Decimal(got.v) - max(v, Decimal(0))) <= Decimal(ulps * (v_max + tiny))
-    assert abs(Decimal(got.omega) - omega) <= Decimal(ulps * (w_max + tiny))
-    theta_scale = abs(state.theta) + w_max * T + tiny
+    if locked and got.v == 0.0:
+        assert got.omega == 0.0
+    else:
+        assert abs(Decimal(got.omega) - omega) <= Decimal(ulps * (w_max + tiny))
+    theta_scale = abs(start.theta) + w_max * T + tiny
     assert abs(Decimal(got.theta) - theta) <= Decimal(ulps * theta_scale)
-    for value, start, trig_of in ((got.x, state.x, math.cos), (got.y, state.y, math.sin)):
+    for value, x0, trig_of in ((got.x, start.x, math.cos), (got.y, start.y, math.sin)):
 
         def rate(s):
             v_s, _, theta_s = at(s)
@@ -547,8 +575,8 @@ def assert_free_rolling_exact(got, state, user, p, dt, n, quad):
 
         change, err = quad(rate, 0.0, T, epsabs=1e-17, limit=200,
                            points=[i * dt for i in range(1, n)] or None)
-        tol = ulps * (abs(start) + v_max * T + tiny) + err + n * simpson
-        assert abs(value - (start + change)) <= tol
+        tol = ulps * (abs(x0) + v_max * T + tiny) + err + n * simpson
+        assert abs(value - (x0 + change)) <= tol
 
 
 # No deadline: the first example imports scipy.integrate.
@@ -566,22 +594,48 @@ def test_free_rolling_matches_exact_solution(brake_model, dt, pose, v, omega, to
     state = VehicleState.from_body_rates(*pose, v, omega, params)
     user = UserInput(*torques)
     got = step_dynamic(state, Maneuver.GO_STRAIGHT, user, dt, params, brake_model)
-    assert_free_rolling_exact(got, state, user, params, dt, 1, quad)
+    assert_exact(got, *linear_odes(state, Maneuver.GO_STRAIGHT, user, params), dt, 1, quad)
+
+
+# No deadline: the first example imports scipy.integrate.
+@settings(max_examples=300, deadline=None)
+@given(action=st.sampled_from(TURNS),
+       **{k: v for k, v in STEP_DRAWS.items() if k not in ("action", "brake_model")})
+# A push from rest: u ends negative, and the clamp leaves the cart at rest.
+@example(Maneuver.TURN_LEFT, 1e-2, (1.0, 2.0, 0.5), 0.0, 0.0, (-1.0, -1.0), PARAMS)
+# Locking a wheel at 0.95 m/s: the snap moves the free wheel's rate by one bit.
+@example(Maneuver.TURN_LEFT, 1e-3, (0.0, 0.0, 0.0), 0.95, 0.0, (0.1, 0.1), PARAMS)
+def test_locked_wheel_matches_exact_solution(action, dt, pose, v, omega, torques, params):
+    quad = pytest.importorskip("scipy.integrate").quad
+    state = VehicleState.from_body_rates(*pose, v, omega, params)
+    user = UserInput(*torques)
+    got = step_dynamic(state, action, user, dt, params, "instant")
+    assert_exact(got, *linear_odes(state, action, user, params), dt, 1, quad, locked=True)
+
+
+DRAGS = [0.0, 1e-300, 1e-30, 1e-12, 0.05, 25.0, 1e6, 1e300]
 
 
 # 0 takes the k = 0 limit, 1e-300 to 25 the heading integral's series (at
 # 1e-30 and 1e-12 its difference form would cancel; at 25, k_w dt / 2 is
 # 0.225, where its higher terms count), 1e6 and 1e300 the general form,
-# where a wheel stops within a small part of one substep.
-@pytest.mark.parametrize("b_w", [0.0, 1e-300, 1e-30, 1e-12, 0.05, 25.0, 1e6, 1e300])
-def test_free_rolling_stays_exact_across_the_drag_range(b_w):
+# where a wheel stops within a small part of one substep.  About a locked
+# wheel k = b_w / m_eff, so b_w = 0 takes the k = 0 limit there too.
+@pytest.mark.parametrize(
+    "command, b_w",
+    [(Maneuver.GO_STRAIGHT, b_w) for b_w in DRAGS] + [(c, b_w) for c in TURNS for b_w in DRAGS],
+    # go_straight keeps the ids the suite has always printed.
+    ids=[str(b_w) for b_w in DRAGS] + [f"{c.label}-{b_w}" for c in TURNS for b_w in DRAGS],
+)
+def test_free_rolling_stays_exact_across_the_drag_range(command, b_w):
     quad = pytest.importorskip("scipy.integrate").quad
     p = VehicleParams(b_w=b_w)
     state = VehicleState.from_body_rates(1.0, 2.0, 0.7, 0.5, 0.3, p)
     user = UserInput(0.3, 0.1)
-    got = step_dynamic(state, Maneuver.GO_STRAIGHT, user, 1e-3, p, "instant", 10)
+    got = step_dynamic(state, command, user, 1e-3, p, "instant", 10)
     assert all(math.isfinite(f) for f in got)
-    assert_free_rolling_exact(got, state, user, p, 1e-3, 10, quad)
+    assert_exact(got, *linear_odes(state, command, user, p), 1e-3, 10, quad,
+                 locked=command is not Maneuver.GO_STRAIGHT)
 
 
 # -- bitwise oracle for the kinematic step -------------------------------------
